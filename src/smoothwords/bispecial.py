@@ -22,9 +22,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .derivation import _F
 from .errors import InvalidFamilyError, ResourceCapError
 from .smoothness import (
-    _is_f_smooth_bytes,
+    _is_smooth_bytes,
     enumerate_f_smooth,
     left_extensions,
     right_extensions,
@@ -83,7 +84,7 @@ def multiplicity(word: Word) -> int:
     for x in (ab.a, ab.b):
         for y in (ab.a, ab.b):
             probe = bytes([x]) + word.letters + bytes([y])
-            if _is_f_smooth_bytes(probe, ab.a, ab.b):
+            if _is_smooth_bytes(probe, ab.a, ab.b, _F):
                 count += 1
     return count - 3
 

@@ -1,33 +1,38 @@
 """Derivation operators on run factorizations.
 
 A word u = c1^p1 c2^p2 ... cn^pn (canonical runs) is derivable when its run
-exponents obey the rules below; the derivative is the word spelled by those
-exponents, with boundary runs passed through `cut`:
+exponents obey a rule; the derivative is the word spelled by the exponents.
+A rule says how the first and the last run are handled.  A run handled by
+no cut is interior: its exponent must lie in {a, b} and is spelled as that
+letter.  A cut takes an exponent in [1, b] to the empty word or the letter b:
 
-    cut(p) = empty      if 1 <= p <= a
-    cut(p) = letter b   if a < p <= b
+    cut(p)        = empty if p <= a,  letter b if a < p <= b
+    strict cut(p) = empty if p < b,   letter b if p = b
+    drop(p)       = empty
 
-* Two-sided derivative: interior exponents must lie in {a, b}, both boundary
-  exponents in [1, b]; result is cut(p1) p2 ... p(n-1) cut(pn).  A single-run
-  word maps to cut(p1) and the empty word maps to itself.  Repeated
-  application ending in the empty word characterises f-smooth words.
-* Right derivative: every exponent except the last must lie in {a, b}, the
-  last in [1, b]; result is p1 ... p(n-1) cut(pn).  Its iterates ending in
-  the empty word characterise r-smooth words, the prefixes of smooth words.
-* Huang's variant replaces cut by: empty if p < b, letter b only if p = b.
-  It agrees with the two-sided derivative exactly when a = b - 1 and is kept
-  quarantined here because published claims relying on it break otherwise.
+    rule         first run    last run    iterates ending in the empty word
+    two-sided    cut          cut         f-smooth words (factors)
+    Huang        strict cut   strict cut  (Huang's variant, see below)
+    right        interior     cut         r-smooth words (prefixes)
+    prefix       interior     drop        (used by `check_smooth_depth`)
 
-All three contract the length of any nonempty word, so iteration terminates.
+A single-run word is handled by the last-run side alone, and the empty word
+maps to itself.  Huang's variant agrees with the two-sided derivative exactly
+when a = b - 1 and is kept quarantined here because published claims relying
+on it break otherwise.  The prefix rule treats the final run as possibly
+unfinished: it only has to fit in [1, b] and is dropped.
+
+Every rule contracts the length of any nonempty word, so iteration terminates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Optional
 
 from .errors import NotDerivableError, NotRDerivableError
-from .words import Alphabet, Word, _bytes_runs
+from .words import Alphabet, Word
 
 
 @dataclass(frozen=True)
@@ -57,95 +62,88 @@ def _cut(p: int, a: int, b: int) -> bytes:
     return b"" if p <= a else bytes([b])
 
 
-def _cut_huang(p: int, a: int, b: int) -> bytes:
+def _cut_strict(p: int, a: int, b: int) -> bytes:
     return bytes([b]) if p == b else b""
 
 
-def _check_f(exps: list[int], a: int, b: int) -> Optional[DerivabilityReport]:
-    """First broken constraint for the two-sided domain, or None."""
-    n = len(exps)
-    for i, p in enumerate(exps):
-        if i == 0 or i == n - 1:
-            if not 1 <= p <= b:
-                return DerivabilityReport(False, i, p, "boundary exponent outside [1,b]")
-        elif p != a and p != b:
-            return DerivabilityReport(False, i, p, "interior exponent not a letter")
-    return None
+def _drop(p: int, a: int, b: int) -> bytes:
+    return b""
 
 
-def _check_r(exps: list[int], a: int, b: int) -> Optional[DerivabilityReport]:
-    """First broken constraint for the right-derivative domain, or None."""
-    n = len(exps)
-    for i, p in enumerate(exps):
-        if i == n - 1:
-            if not 1 <= p <= b:
-                return DerivabilityReport(False, i, p, "final exponent outside [1,b]")
-        elif p != a and p != b:
-            return DerivabilityReport(False, i, p, "non-final exponent not a letter")
-    return None
+# Rules as (first-run handling, last-run handling); None marks an interior run.
+_F = (_cut, _cut)
+_HUANG = (_cut_strict, _cut_strict)
+_R = (None, _cut)
+_PREFIX = (None, _drop)
+
+_RULES = {"f": _F, "r": _R, "huang": _HUANG}
 
 
-def _derive_f_bytes(letters: bytes, a: int, b: int, cut=_cut) -> Optional[bytes]:
-    """One two-sided derivation step on raw letters; None when out of domain."""
+def _check(exps: list[int], a: int, b: int, rule) -> Optional[int]:
+    """Index of the first run outside the rule's domain, or None."""
+    last = len(exps) - 1
+    lo = 0 if rule[0] is None else 1
+    if lo and exps[0] > b:
+        return 0
+    for i in range(lo, last):
+        if exps[i] != a and exps[i] != b:
+            return i
+    return last if exps[last] > b else None
+
+
+def _derive_bytes(letters: bytes, a: int, b: int, rule) -> Optional[bytes]:
+    """One derivation step on raw letters under `rule`; None off the domain."""
     if not letters:
         return b""
-    exps = [e for _, e in _bytes_runs(letters)]
-    if _check_f(exps, a, b) is not None:
+    exps = [len(list(g)) for _, g in groupby(letters)]
+    if _check(exps, a, b, rule) is not None:
         return None
-    if len(exps) == 1:
-        return cut(exps[0], a, b)
-    return cut(exps[0], a, b) + bytes(exps[1:-1]) + cut(exps[-1], a, b)
-
-
-def _derive_r_bytes(letters: bytes, a: int, b: int) -> Optional[bytes]:
-    """One right-derivation step on raw letters; None when out of domain."""
-    if not letters:
-        return b""
-    exps = [e for _, e in _bytes_runs(letters)]
-    if _check_r(exps, a, b) is not None:
-        return None
-    return bytes(exps[:-1]) + _cut(exps[-1], a, b)
+    first, last = rule
+    tail = last(exps.pop(), a, b)
+    if first is None or not exps:
+        return bytes(exps) + tail
+    return first(exps[0], a, b) + bytes(exps[1:]) + tail
 
 
 def derivability(word: Word, kind: str = "f") -> DerivabilityReport:
     """Domain check without deriving; kind is 'f', 'r', or 'huang'."""
     if not word:
         return _OK
-    exps = list(word.runs.exponents())
-    ab = word.alphabet
-    if kind in ("f", "huang"):
-        report = _check_f(exps, ab.a, ab.b)
-    elif kind == "r":
-        report = _check_r(exps, ab.a, ab.b)
-    else:
+    if kind not in _RULES:
         raise ValueError(f"unknown derivation kind {kind!r}")
-    return report if report is not None else _OK
+    rule = _RULES[kind]
+    exps = word.runs.exponents()
+    i = _check(exps, word.alphabet.a, word.alphabet.b, rule)
+    if i is None:
+        return _OK
+    two_sided = rule[0] is not None
+    edge, inner = ("boundary", "interior") if two_sided else ("final", "non-final")
+    if i == len(exps) - 1 or (i == 0 and two_sided):
+        return DerivabilityReport(False, i, exps[i], f"{edge} exponent outside [1,b]")
+    return DerivabilityReport(False, i, exps[i], f"{inner} exponent not a letter")
+
+
+def _derive(word: Word, kind: str, error: type, name: str) -> Word:
+    ab = word.alphabet
+    d = _derive_bytes(word.letters, ab.a, ab.b, _RULES[kind])
+    if d is None:
+        report = derivability(word, kind)
+        raise error(
+            f"word {word.render()!r} has no {name}: {report.reason} "
+            f"(run {report.offending_run_index}, exponent {report.offending_exponent})",
+            report,
+        )
+    return Word(ab, d)
 
 
 def derive_f(word: Word) -> Word:
     """Two-sided derivative; raises NotDerivableError outside the domain."""
-    ab = word.alphabet
-    report = derivability(word, "f")
-    if not report.derivable:
-        raise NotDerivableError(
-            f"word {word.render()!r} has no two-sided derivative: {report.reason} "
-            f"(run {report.offending_run_index}, exponent {report.offending_exponent})",
-            report,
-        )
-    return Word(ab, _derive_f_bytes(word.letters, ab.a, ab.b))
+    return _derive(word, "f", NotDerivableError, "two-sided derivative")
 
 
 def derive_r(word: Word) -> Word:
     """Right derivative; raises NotRDerivableError outside the domain."""
-    ab = word.alphabet
-    report = derivability(word, "r")
-    if not report.derivable:
-        raise NotRDerivableError(
-            f"word {word.render()!r} has no right derivative: {report.reason} "
-            f"(run {report.offending_run_index}, exponent {report.offending_exponent})",
-            report,
-        )
-    return Word(ab, _derive_r_bytes(word.letters, ab.a, ab.b))
+    return _derive(word, "r", NotRDerivableError, "right derivative")
 
 
 def derive_huang(word: Word) -> Word:
@@ -154,16 +152,7 @@ def derive_huang(word: Word) -> Word:
     Kept separate so the divergence from `derive_f` on alphabets with
     a < b - 1 stays observable instead of silently absorbed.
     """
-    ab = word.alphabet
-    report = derivability(word, "huang")
-    if not report.derivable:
-        raise NotDerivableError(
-            f"word {word.render()!r} has no derivative under the strict cut: "
-            f"{report.reason} (run {report.offending_run_index}, "
-            f"exponent {report.offending_exponent})",
-            report,
-        )
-    return Word(ab, _derive_f_bytes(word.letters, ab.a, ab.b, cut=_cut_huang))
+    return _derive(word, "huang", NotDerivableError, "derivative under the strict cut")
 
 
 def derivative_chain(word: Word, op=derive_f, max_steps: Optional[int] = None) -> list[Word]:

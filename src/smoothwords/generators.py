@@ -17,12 +17,12 @@ assumed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .errors import ConstructionError, SmoothWordsError
-from .smoothness import _is_r_smooth_bytes, is_r_smooth
-from .words import Alphabet, Word, _bytes_runs
+from .derivation import _PREFIX, _R, _derive_bytes
+from .errors import ConstructionError
+from .smoothness import _is_smooth_bytes, is_r_smooth
+from .words import Alphabet, Word
 
 
 def _kappa_letters(alphabet: Alphabet, start: int) -> Iterator[int]:
@@ -44,6 +44,8 @@ def kappa_prefix(alphabet: Alphabet, length: int, start: Optional[int] = None) -
 
     `start` defaults to the larger letter, the classical convention.
     """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     if start is None:
         start = alphabet.b
     if start not in (alphabet.a, alphabet.b):
@@ -101,6 +103,8 @@ class _CoupledState:
 
 def coupled_pair_prefix(alphabet: Alphabet, length: int) -> tuple[Word, Word]:
     """Length-n prefixes of the coupled pair (x, y) seeded by (1, b)."""
+    if length < 0:
+        raise ValueError("length must be nonnegative")
     state = _CoupledState(alphabet)
     state.ensure(length)
     return (
@@ -122,7 +126,7 @@ def build_smooth_from_r(seed: Word, length: int) -> Word:
     while len(cur) < length:
         for c in (ab.a, ab.b):
             cand = cur + bytes([c])
-            if _is_r_smooth_bytes(cand, ab.a, ab.b):
+            if _is_smooth_bytes(cand, ab.a, ab.b, _R):
                 cur = cand
                 break
         else:
@@ -142,76 +146,11 @@ def check_smooth_depth(prefix: Word, depth: int) -> bool:
     short to certify that depth.
     """
     ab = prefix.alphabet
-    a, b = ab.a, ab.b
     cur = prefix.letters
     for _ in range(depth):
-        runs = _bytes_runs(cur)
-        if not runs:
+        if not cur:
             return False
-        last_exp = runs[-1][1]
-        if last_exp > b:
+        cur = _derive_bytes(cur, ab.a, ab.b, _PREFIX)
+        if cur is None:
             return False
-        body = runs[:-1]
-        if any(e != a and e != b for _, e in body):
-            return False
-        cur = bytes(e for _, e in body)
     return True
-
-
-@dataclass
-class SmoothStream:
-    """Stateful letter stream over an alphabet, materialized lazily.
-
-    Kinds: 'kappa' (self-reading fixed point, params: start letter),
-    'coupled_x' / 'coupled_y' (one side of the coupled pair), and
-    'greedy_r' (lexicographically smallest r-smooth extension of a seed).
-    """
-
-    alphabet: Alphabet
-    kind: str
-    start: Optional[int] = None
-    seed: Optional[Word] = None
-    _buffer: bytearray = field(default_factory=bytearray, repr=False)
-    _source: Optional[Iterator[int]] = field(default=None, repr=False)
-    _coupled: Optional[_CoupledState] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind == "kappa":
-            start = self.start if self.start is not None else self.alphabet.b
-            self._source = _kappa_letters(self.alphabet, start)
-        elif self.kind in ("coupled_x", "coupled_y"):
-            self._coupled = _CoupledState(self.alphabet)
-        elif self.kind == "greedy_r":
-            if self.seed is None:
-                self.seed = self.alphabet.empty()
-            if not is_r_smooth(self.seed):
-                raise ValueError("greedy stream seed must be r-smooth")
-            self._buffer = bytearray(self.seed.letters)
-        else:
-            raise SmoothWordsError(f"unknown stream kind {self.kind!r}")
-
-    def _extend_to(self, n: int) -> None:
-        if self.kind == "kappa":
-            while len(self._buffer) < n:
-                self._buffer.append(next(self._source))
-        elif self._coupled is not None:
-            self._coupled.ensure(n)
-            side = self._coupled.x if self.kind == "coupled_x" else self._coupled.y
-            self._buffer = bytearray(side[:max(n, len(self._buffer))])
-        else:
-            if len(self._buffer) < n:
-                w = build_smooth_from_r(
-                    Word(self.alphabet, bytes(self._buffer)), n
-                )
-                self._buffer = bytearray(w.letters)
-
-    def prefix(self, n: int) -> Word:
-        """The first n letters as a word."""
-        self._extend_to(n)
-        return Word(self.alphabet, bytes(self._buffer[:n]))
-
-    def prefix_is_r_smooth(self, n: int) -> bool:
-        """On-demand check that the first n letters form an r-smooth word."""
-        return _is_r_smooth_bytes(
-            self.prefix(n).letters, self.alphabet.a, self.alphabet.b
-        )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .derivation import _derive_f_bytes, _derive_r_bytes
+from .derivation import _F, _R, _derive_bytes
 from .errors import ConstructionError, ResourceCapError
 from .words import Alphabet, Word, _bytes_runs
 
@@ -40,17 +40,10 @@ class EmbeddingWitness:
     combined: Word
 
 
-def _is_f_smooth_bytes(letters: bytes, a: int, b: int) -> bool:
+def _is_smooth_bytes(letters: bytes, a: int, b: int, rule) -> bool:
+    """True when iterated derivation under `rule` reaches the empty word."""
     while letters:
-        letters = _derive_f_bytes(letters, a, b)
-        if letters is None:
-            return False
-    return True
-
-
-def _is_r_smooth_bytes(letters: bytes, a: int, b: int) -> bool:
-    while letters:
-        letters = _derive_r_bytes(letters, a, b)
+        letters = _derive_bytes(letters, a, b, rule)
         if letters is None:
             return False
     return True
@@ -62,7 +55,7 @@ def is_f_smooth(word: Word) -> Optional[FSmoothCertificate]:
     chain = [word.letters]
     cur = word.letters
     while cur:
-        cur = _derive_f_bytes(cur, ab.a, ab.b)
+        cur = _derive_bytes(cur, ab.a, ab.b, _F)
         if cur is None:
             return None
         chain.append(cur)
@@ -72,7 +65,7 @@ def is_f_smooth(word: Word) -> Optional[FSmoothCertificate]:
 
 def is_r_smooth(word: Word) -> bool:
     """True when iterated right derivation reaches the empty word."""
-    return _is_r_smooth_bytes(word.letters, word.alphabet.a, word.alphabet.b)
+    return _is_smooth_bytes(word.letters, word.alphabet.a, word.alphabet.b, _R)
 
 
 # Language levels are cached per alphabet: level n holds the sorted byte
@@ -89,7 +82,7 @@ def _language_levels(alphabet: Alphabet, n: int) -> list[list[bytes]]:
         for w in prev:
             for c in (a, b):
                 cand = w + bytes([c])
-                if _is_f_smooth_bytes(cand, a, b):
+                if _is_smooth_bytes(cand, a, b, _F):
                     nxt.append(cand)
         levels.append(nxt)
     return levels
@@ -124,7 +117,7 @@ def left_extensions(word: Word) -> tuple[int, ...]:
     ab = word.alphabet
     return tuple(
         c for c in (ab.a, ab.b)
-        if _is_f_smooth_bytes(bytes([c]) + word.letters, ab.a, ab.b)
+        if _is_smooth_bytes(bytes([c]) + word.letters, ab.a, ab.b, _F)
     )
 
 
@@ -133,7 +126,7 @@ def right_extensions(word: Word) -> tuple[int, ...]:
     ab = word.alphabet
     return tuple(
         c for c in (ab.a, ab.b)
-        if _is_f_smooth_bytes(word.letters + bytes([c]), ab.a, ab.b)
+        if _is_smooth_bytes(word.letters + bytes([c]), ab.a, ab.b, _F)
     )
 
 
@@ -175,9 +168,8 @@ def embed_left(word: Word) -> EmbeddingWitness:
     combined = bytes([a]) * b + bytes([b]) * a  # witness for the empty word
     # Walk the chain bottom-up: build the witness for each element from the
     # witness of its derivative.
-    for u in reversed(cert.chain[:-1]):
-        d_len = len(_derive_f_bytes(u.letters, a, b))
-        v_letters = combined[: len(combined) - d_len]
+    for u, d in zip(reversed(cert.chain[:-1]), reversed(cert.chain[1:])):
+        v_letters = combined[: len(combined) - len(d)]
         runs = _bytes_runs(u.letters)
         first_letter, p1 = runs[0]
         tail = [e for _, e in runs[1:]]
@@ -196,7 +188,7 @@ def embed_left(word: Word) -> EmbeddingWitness:
     extension = combined[: len(combined) - len(word.letters)]
     if len(extension) < a + b:
         raise ConstructionError("left extension shorter than a + b")
-    if not _is_r_smooth_bytes(combined, a, b):
+    if not _is_smooth_bytes(combined, a, b, _R):
         raise ConstructionError("combined word failed the r-smooth check")
     return EmbeddingWitness(
         left_extension=Word(ab, extension),

@@ -66,9 +66,6 @@ class Alphabet:
     def empty(self) -> "Word":
         return Word(self, b"")
 
-    def render_letter(self, letter: int) -> str:
-        return str(letter)
-
     def __str__(self) -> str:
         return f"{{{self.a},{self.b}}}"
 
@@ -85,7 +82,11 @@ def _parse_text(alphabet: Alphabet, text: str) -> bytes:
         # Single token without commas: a lone letter like "12" is ambiguous
         # unless it parses as one letter of the alphabet.
         parts = [text]
-    return bytes(int(p) for p in parts)
+    letters = [int(p) for p in parts]
+    bad = next((x for x in letters if x != alphabet.a and x != alphabet.b), None)
+    if bad is not None:
+        raise ValueError(f"letter {bad} not in alphabet {alphabet}")
+    return bytes(letters)
 
 
 class Run(NamedTuple):
@@ -168,10 +169,9 @@ class Word:
     letters: bytes
 
     def __post_init__(self):
-        ok = {self.alphabet.a, self.alphabet.b}
-        if any(x not in ok for x in self.letters):
-            bad = next(x for x in self.letters if x not in ok)
-            raise ValueError(f"letter {bad} not in alphabet {self.alphabet}")
+        rest = self.letters.translate(None, bytes([self.alphabet.a, self.alphabet.b]))
+        if rest:
+            raise ValueError(f"letter {rest[0]} not in alphabet {self.alphabet}")
 
     # -- basic sequence behaviour ------------------------------------
 

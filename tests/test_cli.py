@@ -101,6 +101,12 @@ class TestKappa:
         assert payload["start"] == 2
         assert len(payload["word"]) == 10
 
+    def test_negative_length_is_usage_error(self):
+        code, out, err = run_cli("kappa", "--length", "-3")
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
+
 
 class TestPair:
     def test_coupled_pair(self):
@@ -114,6 +120,12 @@ class TestPair:
         code, _, err = run_cli("--alphabet", "2,4", "pair", "--length", "10")
         assert code == 2
         assert err
+
+    def test_negative_length_is_usage_error(self):
+        code, out, err = run_cli("--alphabet", "1,3", "pair", "--length", "-1")
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
 
 
 class TestEnumerate:
@@ -244,6 +256,12 @@ class TestFormats:
     def test_malformed_word_is_usage_error(self):
         code, _, _ = run_cli("derive", "307")
         assert code == 2
+
+    def test_letter_beyond_a_byte_is_named(self):
+        code, out, err = run_cli("derive", "1212", "--alphabet", "1,12")
+        assert code == 2
+        assert out == ""
+        assert err == "error: letter 1212 not in alphabet {1,12}\n"
 
 
 def test_console_entry_point():

@@ -1,3 +1,5 @@
+from itertools import groupby, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,12 +7,16 @@ from smoothwords import (
     Alphabet,
     NotDerivableError,
     NotRDerivableError,
+    Word,
+    check_smooth_depth,
     cut_f,
     derivability,
     derivative_chain,
     derive_f,
     derive_huang,
     derive_r,
+    is_f_smooth,
+    is_r_smooth,
 )
 
 AB12 = Alphabet(1, 2)
@@ -157,3 +163,89 @@ def test_reversal_equivariance(w):
             derive_f(w.reversal())
         return
     assert derive_f(w.reversal()) == d.reversal()
+
+
+# -- differential check against the definitions ----------------------------
+
+
+def ref_derive(letters, ab, kind):
+    """One step by the definition of `kind` ('f', 'huang', 'r' or 'prefix');
+    None when the word is outside the domain."""
+    if not letters:
+        return b""
+    exps = [len(list(g)) for _, g in groupby(letters)]
+    letter_exps = (ab.a, ab.b)
+    if kind in ("f", "huang"):
+        if exps[0] > ab.b or exps[-1] > ab.b:
+            return None
+        if any(p not in letter_exps for p in exps[1:-1]):
+            return None
+
+        def cut(p):
+            keep = p == ab.b if kind == "huang" else p > ab.a
+            return [ab.b] if keep else []
+
+        if len(exps) == 1:
+            return bytes(cut(exps[0]))
+        return bytes(cut(exps[0]) + exps[1:-1] + cut(exps[-1]))
+    # right and prefix rules: every run but the last is complete
+    if any(p not in letter_exps for p in exps[:-1]) or exps[-1] > ab.b:
+        return None
+    if kind == "prefix" or exps[-1] <= ab.a:
+        return bytes(exps[:-1])
+    return bytes(exps[:-1] + [ab.b])
+
+
+def ref_chain(letters, ab, kind):
+    """Iterated derivatives down to the empty word, or None if one fails."""
+    chain = [letters]
+    while chain[-1]:
+        d = ref_derive(chain[-1], ab, kind)
+        if d is None:
+            return None
+        chain.append(d)
+    return chain
+
+
+def ref_depth(letters, ab, depth):
+    for _ in range(depth):
+        if not letters:
+            return False
+        letters = ref_derive(letters, ab, "prefix")
+        if letters is None:
+            return False
+    return True
+
+
+DIFFERENTIAL_ALPHABETS = [(1, 2), (1, 3), (2, 4), (2, 5), (1, 6), (3, 5)]
+OPERATORS = (
+    ("f", derive_f, NotDerivableError),
+    ("r", derive_r, NotRDerivableError),
+    ("huang", derive_huang, NotDerivableError),
+)
+
+
+@pytest.mark.parametrize("a,b", DIFFERENTIAL_ALPHABETS)
+def test_operators_match_definitions_on_all_short_words(a, b):
+    ab = Alphabet(a, b)
+    for n in range(11):
+        for letters in map(bytes, product((a, b), repeat=n)):
+            w = Word(ab, letters)
+            for kind, op, error in OPERATORS:
+                expected = ref_derive(letters, ab, kind)
+                assert derivability(w, kind).derivable == (expected is not None)
+                if expected is None:
+                    with pytest.raises(error):
+                        op(w)
+                else:
+                    assert op(w).letters == expected, (kind, w)
+            cert = is_f_smooth(w)
+            chain = ref_chain(letters, ab, "f")
+            if chain is None:
+                assert cert is None, w
+            else:
+                assert [c.letters for c in cert.chain] == chain
+                assert cert.height == len(chain) - 1
+            assert is_r_smooth(w) == (ref_chain(letters, ab, "r") is not None)
+            for depth in (1, 2, 3):
+                assert check_smooth_depth(w, depth) == ref_depth(letters, ab, depth)

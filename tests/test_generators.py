@@ -3,8 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from smoothwords import (
     Alphabet,
-    SmoothStream,
-    build_smooth_from_r,
     check_smooth_depth,
     coupled_pair_prefix,
     derive_f,
@@ -61,10 +59,8 @@ class TestKappa:
         assert d.is_prefix_of(w)
 
     def test_prefixes_are_r_smooth(self):
-        stream = SmoothStream(alphabet=AB12, kind="kappa", start=2)
-        assert stream.prefix_is_r_smooth(500)
-        stream31 = SmoothStream(alphabet=AB13, kind="kappa", start=3)
-        assert stream31.prefix_is_r_smooth(500)
+        assert is_r_smooth(kappa_prefix(AB12, 500, start=2))
+        assert is_r_smooth(kappa_prefix(AB13, 500, start=3))
 
     def test_no_small_period(self):
         for ab, start in ((AB12, 2), (AB12, 1), (AB24, 2), (AB24, 4)):
@@ -99,20 +95,17 @@ class TestCoupledPair:
         with pytest.raises(ValueError):
             coupled_pair_prefix(AB12, 10)
 
-    def test_streams(self):
-        sx = SmoothStream(alphabet=AB13, kind="coupled_x")
-        sy = SmoothStream(alphabet=AB13, kind="coupled_y")
-        assert sx.prefix(67).render() == REF_X
-        assert sy.prefix(67).render() == REF_Y
 
+class TestNegativeLength:
+    def test_kappa_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            kappa_prefix(AB12, -3)
+        assert kappa_prefix(AB12, 0) == AB12.empty()
 
-class TestGreedyStream:
-    def test_matches_builder(self):
-        stream = SmoothStream(alphabet=AB12, kind="greedy_r", seed=AB12.word("2"))
-        w = stream.prefix(80)
-        assert len(w) == 80
-        assert is_r_smooth(w)
-        assert w == build_smooth_from_r(AB12.word("2"), 80)
+    def test_pair_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            coupled_pair_prefix(AB13, -1)
+        assert coupled_pair_prefix(AB13, 0) == (AB13.empty(), AB13.empty())
 
 
 class TestDepthCheck:

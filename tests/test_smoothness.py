@@ -119,11 +119,13 @@ class TestEmbedLeft:
 
 class TestGreedyBuilder:
     def test_extends_to_length(self):
-        seed = embed_left(AB12.word("221121221")).combined
-        ext = build_smooth_from_r(seed, 50)
-        assert len(ext) == 50
-        assert seed.is_prefix_of(ext)
-        assert all(is_r_smooth(ext[:k]) for k in range(len(ext) + 1))
+        cases = ((embed_left(AB12.word("221121221")).combined, 50),
+                 (AB12.word("2"), 80))
+        for seed, n in cases:
+            ext = build_smooth_from_r(seed, n)
+            assert len(ext) == n
+            assert seed.is_prefix_of(ext)
+            assert all(is_r_smooth(ext[:k]) for k in range(len(ext) + 1))
 
     def test_rejects_bad_seed(self):
         with pytest.raises(ValueError):

@@ -56,6 +56,8 @@ class TestAlphabet:
         ab = Alphabet(1, 2)
         with pytest.raises(ValueError):
             ab.word("123")
+        with pytest.raises(ValueError, match=r"^letter 4 not in alphabet \{1,2\}$"):
+            Word(ab, bytes([1, 2, 4, 3, 2]))
 
 
 class TestWord:
