@@ -159,14 +159,20 @@ def _estimated_letters(alphabet: Alphabet, root_len: int, generation: int) -> fl
     return (2 ** generation) * scale * ((a + b) / 2) ** generation
 
 
-def _generation_levels(alphabet: Alphabet, family: str, generation: int,
-                       generation_cap: int):
-    """Yield materialized levels 0..generation, each a list of byte strings."""
+def _check_generation(generation: int, generation_cap: int) -> None:
+    if generation < 0:
+        raise ValueError(f"generation must be nonnegative, got {generation}")
     if generation > generation_cap:
         raise ResourceCapError(
             f"generation {generation} above cap {generation_cap}; "
             "pass a larger cap explicitly"
         )
+
+
+def _generation_levels(alphabet: Alphabet, family: str, generation: int,
+                       generation_cap: int):
+    """Yield materialized levels 0..generation, each a list of byte strings."""
+    _check_generation(generation, generation_cap)
     if _estimated_letters(alphabet, len(family_root(alphabet, family)), generation) \
             > MATERIALIZE_LETTER_LIMIT:
         raise ResourceCapError(
@@ -186,29 +192,16 @@ def _generation_levels(alphabet: Alphabet, family: str, generation: int,
 
 
 def tree_generation(alphabet: Alphabet, family: str, generation: int, *,
-                    generation_cap: int = DEFAULT_GENERATION_CAP,
-                    verify: bool = False) -> list[BispecialNode]:
-    """All vertices at the given depth, sorted, as BispecialNode values.
-
-    With verify=True every node is re-probed for bispecial-ness and its
-    multiplicity checked against the family's; meant for tests, off by
-    default because the probes dwarf the tree construction.
-    """
+                    generation_cap: int = DEFAULT_GENERATION_CAP
+                    ) -> list[BispecialNode]:
+    """All vertices at the given depth, sorted, as BispecialNode values."""
     for level in _generation_levels(alphabet, family, generation, generation_cap):
         pass
     mult = family_multiplicity(family)
-    nodes = [
+    return [
         BispecialNode(Word(alphabet, w), family, generation, mult)
         for w in sorted(level)
     ]
-    if verify:
-        for node in nodes:
-            if not is_bispecial(node.word) or multiplicity(node.word) != mult:
-                raise AssertionError(
-                    f"tree vertex {node.word.render()!r} is not a multiplicity "
-                    f"{mult} bispecial word"
-                )
-    return nodes
 
 
 # -- level statistics -----------------------------------------------------
@@ -305,11 +298,7 @@ def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
     'auto' walks exact parity-count states when both letters share a parity
     and materializes words otherwise (mixed parity breaks the recurrence).
     """
-    if generation > generation_cap:
-        raise ResourceCapError(
-            f"generation {generation} above cap {generation_cap}; "
-            "pass a larger cap explicitly"
-        )
+    _check_generation(generation, generation_cap)
     if method == "auto":
         method = "words" if alphabet.parity is Parity.MIXED else "state"
     if method == "state":
@@ -450,11 +439,14 @@ class ComplexityTable:
     provenance: str
 
 
-def _bounds_from_trees(alphabet: Alphabet, horizon: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    tc = tree_complexity(alphabet, "T", horizon)
-    lower = tuple(1 + n + tc.p[n] for n in range(horizon + 1))
-    upper = tuple(1 + n + 3 * tc.p[n] for n in range(horizon + 1))
-    return lower, upper
+def _table(alphabet: Alphabet, horizon: int, p: tuple[int, ...],
+           p_T: tuple[int, ...], provenance: str) -> ComplexityTable:
+    """Complete p with its differences and the bounds from the T-tree's p_T."""
+    s = tuple(p[n + 1] - p[n] for n in range(horizon))
+    b = tuple(s[n + 1] - s[n] for n in range(horizon - 1))
+    lower = tuple(1 + n + p_T[n] for n in range(horizon + 1))
+    upper = tuple(1 + n + 3 * p_T[n] for n in range(horizon + 1))
+    return ComplexityTable(alphabet, horizon, p, s, b, lower, upper, provenance)
 
 
 def exact_complexity(alphabet: Alphabet, horizon: int, *, cap: int = 64) -> ComplexityTable:
@@ -462,10 +454,8 @@ def exact_complexity(alphabet: Alphabet, horizon: int, *, cap: int = 64) -> Comp
     from .smoothness import f_smooth_count
 
     p = tuple(f_smooth_count(alphabet, n, cap=cap) for n in range(horizon + 1))
-    s = tuple(p[n + 1] - p[n] for n in range(horizon))
-    b = tuple(s[n + 1] - s[n] for n in range(horizon - 1)) if horizon >= 1 else ()
-    lower, upper = _bounds_from_trees(alphabet, horizon)
-    return ComplexityTable(alphabet, horizon, p, s, b, lower, upper, "enumeration")
+    return _table(alphabet, horizon, p, tree_complexity(alphabet, "T", horizon).p,
+                  "enumeration")
 
 
 def tree_derived_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable:
@@ -489,8 +479,4 @@ def tree_derived_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable
             - parts["T3"][n] - parts["T4"][n]
             for n in range(horizon + 1)
         )
-    s = tuple(p[n + 1] - p[n] for n in range(horizon))
-    b = tuple(s[n + 1] - s[n] for n in range(horizon - 1)) if horizon >= 1 else ()
-    lower = tuple(1 + n + p_T[n] for n in range(horizon + 1))
-    upper = tuple(1 + n + 3 * p_T[n] for n in range(horizon + 1))
-    return ComplexityTable(alphabet, horizon, p, s, b, lower, upper, "tree-derived")
+    return _table(alphabet, horizon, p, p_T, "tree-derived")

@@ -35,16 +35,18 @@ from .errors import (
 from .generators import coupled_pair_prefix, kappa_prefix
 from .smoothness import DEFAULT_LENGTH_CAP, enumerate_f_smooth, is_f_smooth, is_r_smooth
 from .spectral import exponent_report
-from .words import Alphabet, Word
+from .words import Alphabet
 
 _OPS = {"f": derive_f, "r": derive_r, "huang": derive_huang}
 
 
 def _parse_alphabet(text: str) -> Alphabet:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"alphabet must be two comma-separated integers, got {text!r}")
-    x, y = (int(p.strip()) for p in parts)
+    try:
+        x, y = (int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"alphabet must be two comma-separated integers, got {text!r}"
+        ) from None
     return Alphabet(min(x, y), max(x, y))
 
 
@@ -58,20 +60,20 @@ def _round_floats(obj):
     return obj
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(_round_floats(obj), indent=2, ensure_ascii=False))
-
-
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
-
-
-def _render_step(word: Word) -> str:
-    return word.render() if len(word) else "(empty)"
+def _emit(fmt: str, payload: dict, header: list[str], rows: list,
+          lines: list[str]) -> None:
+    """Print one record: `payload` as JSON, `header` and `rows` as CSV with
+    LF endings, or `lines` as text."""
+    if fmt == "json":
+        print(json.dumps(_round_floats(payload), indent=2, ensure_ascii=False))
+    elif fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        sys.stdout.write(buf.getvalue())
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -80,20 +82,13 @@ def _render_step(word: Word) -> str:
 def _cmd_derive(args, alphabet: Alphabet) -> int:
     word = alphabet.word(args.word)
     op = _OPS[args.op]
+    payload = {"alphabet": str(alphabet), "operation": args.op,
+               "input": word.render()}
     if not args.chain:
-        derived = op(word)
-        if args.format == "json":
-            _emit_json({
-                "alphabet": str(alphabet),
-                "operation": args.op,
-                "input": word.render(),
-                "result": derived.render(),
-            })
-        elif args.format == "csv":
-            _emit_csv(["input", "operation", "result"],
-                      [[word.render(), args.op, derived.render()]])
-        else:
-            print(_render_step(derived))
+        result = op(word).render()
+        _emit(args.format, {**payload, "result": result},
+              ["input", "operation", "result"],
+              [[payload["input"], args.op, result]], [result or "(empty)"])
         return 0
     chain = [word]
     error: Optional[str] = None
@@ -101,29 +96,19 @@ def _cmd_derive(args, alphabet: Alphabet) -> int:
         try:
             chain.append(op(chain[-1]))
         except DerivationError as exc:
-            error = (f"step {len(chain)}: {chain[-1].render()} not derivable"
-                     f" ({exc.report.reason})" if exc.report is not None
-                     else f"step {len(chain)}: {chain[-1].render()} not derivable")
+            error = f"step {len(chain)}: {chain[-1].render()} not derivable"
+            if exc.report is not None:
+                error += f" ({exc.report.reason})"
             break
-    if args.format == "json":
-        payload = {
-            "alphabet": str(alphabet),
-            "operation": args.op,
-            "input": word.render(),
-            "chain": [w.render() for w in chain],
-        }
-        if error is None:
-            payload["height"] = len(chain) - 1
-        else:
-            payload["failed_at_step"] = len(chain)
-            payload["error"] = error
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(["step", "word"],
-                  [[i, w.render()] for i, w in enumerate(chain)])
+    steps = [w.render() for w in chain]
+    payload["chain"] = steps
+    if error is None:
+        payload["height"] = len(chain) - 1
     else:
-        for i, w in enumerate(chain):
-            print(f"{i}: {_render_step(w)}")
+        payload["failed_at_step"] = len(chain)
+        payload["error"] = error
+    _emit(args.format, payload, ["step", "word"], list(enumerate(steps)),
+          [f"{i}: {step or '(empty)'}" for i, step in enumerate(steps)])
     if error is not None:
         print(error, file=sys.stderr)
         return 1
@@ -135,90 +120,54 @@ def _cmd_check(args, alphabet: Alphabet) -> int:
     if args.kind == "f":
         cert = is_f_smooth(word)
         member = cert is not None
-        payload = {
-            "alphabet": str(alphabet),
-            "word": word.render(),
-            "kind": "f",
-            "member": member,
-        }
-        if cert is not None:
-            payload["height"] = cert.height
-            payload["chain"] = [w.render() for w in cert.chain]
     else:
-        member = is_r_smooth(word)
-        payload = {
-            "alphabet": str(alphabet),
-            "word": word.render(),
-            "kind": "r",
-            "member": member,
-        }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        _emit_csv(["word", "kind", "member"],
-                  [[word.render(), args.kind, str(member).lower()]])
-    else:
-        print(f"member: {'yes' if member else 'no'}")
-        if args.kind == "f" and cert is not None:
-            print(f"height: {cert.height}")
-            print("chain: " + " -> ".join(_render_step(w) for w in cert.chain))
+        cert, member = None, is_r_smooth(word)
+    text = word.render()
+    payload = {"alphabet": str(alphabet), "word": text, "kind": args.kind,
+               "member": member}
+    lines = [f"member: {'yes' if member else 'no'}"]
+    if cert is not None:
+        chain = [w.render() for w in cert.chain]
+        payload["height"] = cert.height
+        payload["chain"] = chain
+        lines.append(f"height: {cert.height}")
+        lines.append("chain: " + " -> ".join(w or "(empty)" for w in chain))
+    _emit(args.format, payload, ["word", "kind", "member"],
+          [[text, args.kind, str(member).lower()]], lines)
     return 0
 
 
 def _cmd_kappa(args, alphabet: Alphabet) -> int:
     start = args.start if args.start is not None else alphabet.b
-    word = kappa_prefix(alphabet, args.length, start=start)
-    if args.format == "json":
-        _emit_json({
-            "alphabet": str(alphabet),
-            "start": start,
-            "length": args.length,
-            "word": word.render(),
-        })
-    elif args.format == "csv":
-        _emit_csv(["alphabet", "start", "length", "word"],
-                  [[str(alphabet), start, args.length, word.render()]])
-    else:
-        print(word.render())
+    word = kappa_prefix(alphabet, args.length, start=start).render()
+    header = ["alphabet", "start", "length", "word"]
+    row = [str(alphabet), start, args.length, word]
+    _emit(args.format, dict(zip(header, row)), header, [row], [word])
     return 0
 
 
 def _cmd_pair(args, alphabet: Alphabet) -> int:
-    x, y = coupled_pair_prefix(alphabet, args.length)
-    if args.format == "json":
-        _emit_json({
-            "alphabet": str(alphabet),
-            "length": args.length,
-            "x": x.render(),
-            "y": y.render(),
-        })
-    elif args.format == "csv":
-        _emit_csv(["side", "word"], [["x", x.render()], ["y", y.render()]])
-    else:
-        print(x.render())
-        print(y.render())
+    x, y = (w.render() for w in coupled_pair_prefix(alphabet, args.length))
+    _emit(args.format,
+          {"alphabet": str(alphabet), "length": args.length, "x": x, "y": y},
+          ["side", "word"], [["x", x], ["y", y]], [x, y])
     return 0
 
 
 def _cmd_enumerate(args, alphabet: Alphabet) -> int:
-    words = enumerate_f_smooth(alphabet, args.length, cap=args.cap)
-    if args.format == "json":
-        _emit_json({
-            "alphabet": str(alphabet),
-            "length": args.length,
-            "count": len(words),
-            "words": [w.render() for w in words],
-        })
-    elif args.format == "csv":
-        _emit_csv(["word"], [[w.render()] for w in words])
-    else:
-        for w in words:
-            print(w.render())
+    words = [w.render()
+             for w in enumerate_f_smooth(alphabet, args.length, cap=args.cap)]
+    _emit(args.format,
+          {"alphabet": str(alphabet), "length": args.length,
+           "count": len(words), "words": words},
+          ["word"], [[w] for w in words], words)
     return 0
 
 
 def _cmd_complexity(args, alphabet: Alphabet) -> int:
     horizon = args.max
+    if horizon < 0:
+        raise ValueError(f"--max must be nonnegative, got {horizon}")
     if args.tree_only:
         table = tree_derived_complexity(alphabet, horizon + 2)
     else:
@@ -228,19 +177,10 @@ def _cmd_complexity(args, alphabet: Alphabet) -> int:
         for n in range(horizon + 1)
     ]
     header = ["n", "p", "s", "b", "lower_bound", "upper_bound"]
-    if args.format == "json":
-        _emit_json({
-            "alphabet": str(alphabet),
-            "provenance": table.provenance,
-            "columns": header,
-            "rows": rows,
-        })
-    elif args.format == "csv":
-        _emit_csv(header, rows)
-    else:
-        print(" ".join(header))
-        for row in rows:
-            print(" ".join(str(x) for x in row))
+    _emit(args.format,
+          {"alphabet": str(alphabet), "provenance": table.provenance,
+           "columns": header, "rows": rows},
+          header, rows, [" ".join(map(str, row)) for row in [header, *rows]])
     return 0
 
 
@@ -248,50 +188,34 @@ def _cmd_tree(args, alphabet: Alphabet) -> int:
     if args.stats:
         stats = generation_stats(alphabet, args.family, args.generation,
                                  generation_cap=args.cap)
+        header = ["family", "generation", "count", "min_len", "max_len",
+                  "total_len"]
+        row = [args.family, args.generation, stats.count, stats.min_len,
+               stats.max_len, stats.total_len]
         histogram = {str(k): v for k, v in sorted(stats.histogram.items())}
-        payload = {
-            "alphabet": str(alphabet),
-            "family": args.family,
-            "generation": args.generation,
-            "count": stats.count,
-            "min_len": stats.min_len,
-            "max_len": stats.max_len,
-            "total_len": stats.total_len,
-            "histogram": histogram,
-        }
-        if args.format == "json":
-            _emit_json(payload)
-        elif args.format == "csv":
-            _emit_csv(["family", "generation", "count", "min_len", "max_len",
-                       "total_len"],
-                      [[args.family, args.generation, stats.count,
-                        stats.min_len, stats.max_len, stats.total_len]])
-        else:
-            for key in ("family", "generation", "count", "min_len", "max_len",
-                        "total_len"):
-                print(f"{key}: {payload[key]}")
-            print("histogram: " + ", ".join(
-                f"{k}:{v}" for k, v in histogram.items()))
+        lines = [f"{key}: {value}" for key, value in zip(header, row)]
+        lines.append("histogram: " + ", ".join(f"{k}:{v}"
+                                               for k, v in histogram.items()))
+        _emit(args.format,
+              {"alphabet": str(alphabet), **dict(zip(header, row)),
+               "histogram": histogram},
+              header, [row], lines)
         return 0
     nodes = tree_generation(alphabet, args.family, args.generation,
                             generation_cap=args.cap)
-    if args.format == "json":
-        _emit_json({
-            "alphabet": str(alphabet),
-            "family": args.family,
-            "generation": args.generation,
-            "words": [n.word.render() for n in nodes],
-        })
-    elif args.format == "csv":
-        _emit_csv(["word", "multiplicity"],
-                  [[n.word.render(), n.multiplicity] for n in nodes])
-    else:
-        for n in nodes:
-            print(_render_step(n.word))
+    words = [n.word.render() for n in nodes]
+    _emit(args.format,
+          {"alphabet": str(alphabet), "family": args.family,
+           "generation": args.generation, "words": words},
+          ["word", "multiplicity"],
+          [[w, n.multiplicity] for w, n in zip(words, nodes)],
+          [w or "(empty)" for w in words])
     return 0
 
 
 _TABLE_FIELDS = ("rho", "zeta", "beta")
+_REPORT_FIELDS = ("rho", "alpha", "beta", "zeta", "growth_lambda",
+                  "rho_prime", "c_constant")
 
 
 def _reference_table_cells() -> list[tuple[str, dict[str, str]]]:
@@ -311,57 +235,40 @@ def _reference_table_cells() -> list[tuple[str, dict[str, str]]]:
 def _cmd_exponents(args, alphabet: Alphabet) -> int:
     if args.reference_table:
         cells = _reference_table_cells()
-        if args.format == "json":
-            _emit_json({
-                "columns": [name for name, _ in cells],
-                "rows": {f: [c[f] for _, c in cells] for f in _TABLE_FIELDS},
-            })
-        elif args.format == "csv":
-            _emit_csv(["alphabet", *_TABLE_FIELDS],
-                      [[name, *(c[f] for f in _TABLE_FIELDS)]
-                       for name, c in cells])
-        else:
-            width = max(len(name) for name, _ in cells) + 2
-            print("exponent".ljust(10) + "".join(
-                name.ljust(width) for name, _ in cells))
-            for field in _TABLE_FIELDS:
-                print(field.ljust(10) + "".join(
-                    c[field].ljust(width) for _, c in cells))
+        names = [name for name, _ in cells]
+        width = max(map(len, names)) + 2
+        _emit(args.format,
+              {"columns": names,
+               "rows": {f: [c[f] for _, c in cells] for f in _TABLE_FIELDS}},
+              ["alphabet", *_TABLE_FIELDS],
+              [[name, *(c[f] for f in _TABLE_FIELDS)] for name, c in cells],
+              ["exponent".ljust(10) + "".join(n.ljust(width) for n in names),
+               *(f.ljust(10) + "".join(c[f].ljust(width) for _, c in cells)
+                 for f in _TABLE_FIELDS)])
         return 0
     rep = exponent_report(alphabet)
-    payload = {
-        "alphabet": str(alphabet),
-        "rho": rep.rho,
-        "alpha": rep.alpha,
-        "beta": rep.beta,
-        "zeta": rep.zeta,
-        "growth_lambda": rep.growth_lambda,
-        "rho_prime": rep.rho_prime,
-        "c_constant": rep.c_constant,
-        "formulas": rep.formulas,
-    }
-    if args.format == "json":
-        _emit_json(payload)
-    elif args.format == "csv":
-        fields = ["rho", "alpha", "beta", "zeta", "growth_lambda",
-                  "rho_prime", "c_constant"]
-        _emit_csv(["field", "value", "formula"],
-                  [[f,
-                    "" if payload[f] is None else f"{payload[f]:.12f}",
-                    rep.formulas[f]] for f in fields])
-    else:
-        for key in ("rho", "alpha", "beta", "zeta", "growth_lambda",
-                    "rho_prime", "c_constant"):
-            value = payload[key]
-            shown = "n/a" if value is None else f"{value:.12f}"
-            print(f"{key} = {shown}")
+    values = {f: getattr(rep, f) for f in _REPORT_FIELDS}
+    fixed = {f: None if v is None else f"{v:.12f}" for f, v in values.items()}
+    _emit(args.format,
+          {"alphabet": str(alphabet), **values, "formulas": rep.formulas},
+          ["field", "value", "formula"],
+          [[f, fixed[f] or "", rep.formulas[f]] for f in _REPORT_FIELDS],
+          [f"{f} = {fixed[f] or 'n/a'}" for f in _REPORT_FIELDS])
     return 0
+
+
+_VERIFY_FIELDS = ("criterion", "name", "passed", "detail", "elapsed")
 
 
 def _cmd_verify(args, alphabet: Optional[Alphabet]) -> int:
     results = run_suite(args.suite, alphabet=alphabet, seed=args.seed)
-    for result in results:
-        print(result.line())
+    records = [{f: getattr(r, f) for f in _VERIFY_FIELDS} for r in results]
+    _emit(args.format, {"suite": args.suite, "results": records},
+          list(_VERIFY_FIELDS),
+          [[r.criterion, r.name, str(r.passed).lower(), r.detail,
+            round(r.elapsed, 12)]
+           for r in results],
+          [r.line() for r in results])
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -450,28 +357,19 @@ _HANDLERS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        alphabet = (_parse_alphabet(args.alphabet)
-                    if args.alphabet is not None else Alphabet(1, 2))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        given = (_parse_alphabet(args.alphabet)
+                 if args.alphabet is not None else None)
         if args.command == "verify":
-            only = alphabet if args.alphabet is not None else None
-            return _cmd_verify(args, only)
-        return _HANDLERS[args.command](args, alphabet)
+            return _cmd_verify(args, given)
+        return _HANDLERS[args.command](args, given or Alphabet(1, 2))
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (InvalidFamilyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DerivationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SmoothWordsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -82,7 +82,12 @@ def _parse_text(alphabet: Alphabet, text: str) -> bytes:
         # Single token without commas: a lone letter like "12" is ambiguous
         # unless it parses as one letter of the alphabet.
         parts = [text]
-    letters = [int(p) for p in parts]
+    letters = []
+    for part in parts:
+        try:
+            letters.append(int(part))
+        except ValueError:
+            raise ValueError(f"letter {part!r} is not an integer") from None
     bad = next((x for x in letters if x != alphabet.a and x != alphabet.b), None)
     if bad is not None:
         raise ValueError(f"letter {bad} not in alphabet {alphabet}")

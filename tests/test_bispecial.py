@@ -7,6 +7,7 @@ from smoothwords import (
     Alphabet,
     FAMILIES,
     InvalidFamilyError,
+    ResourceCapError,
     bispecial_multiplicity_sum,
     classify_short_bispecials,
     derive_f,
@@ -145,6 +146,15 @@ class TestTreeGenerations:
             tree_generation(AB12, "T1", 1)
         with pytest.raises(InvalidFamilyError):
             tree_generation(AB12, "nope", 1)
+
+    def test_generation_outside_zero_to_cap_is_refused(self):
+        # AB12 lists words on both routes; AB13 takes the state route for stats.
+        for ab in (AB12, AB13):
+            for build in (tree_generation, generation_stats):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    build(ab, "T", -1)
+                with pytest.raises(ResourceCapError):
+                    build(ab, "T", 4, generation_cap=3)
 
     def test_roots(self):
         roots = {fam: tree_generation(AB14, fam, 0)[0].word.render()

@@ -1,8 +1,12 @@
 """End-to-end CLI tests through the real argv entry point."""
 
+import csv
+import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +18,6 @@ REF_60 = "221121221221121122121121221121121221221121221211211221221121"
 def run_cli(*argv):
     """Invoke main() in-process, capturing stdout/stderr and the exit code."""
     import contextlib
-    import io
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -156,6 +159,12 @@ class TestComplexity:
         assert lines[6].split(",")[4] == "14"
         assert out.endswith("\n")
 
+    def test_negative_max_is_usage_error(self):
+        code, out, err = run_cli("complexity", "--max", "-1")
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
+
     def test_tree_only_matches_enumeration(self):
         _, exact, _ = run_cli("--alphabet", "1,4", "complexity", "--max", "9",
                               "--format", "csv")
@@ -186,6 +195,13 @@ class TestTree:
         code, _, _ = run_cli("tree", "--family", "T", "--generation", "25")
         assert code == 3
 
+    @pytest.mark.parametrize("stats", [[], ["--stats"]])
+    def test_negative_generation_is_usage_error(self, stats):
+        code, out, err = run_cli("tree", "--generation", "-1", *stats)
+        assert code == 2
+        assert out == ""
+        assert "nonnegative" in err
+
 
 class TestExponents:
     def test_text_report(self):
@@ -199,12 +215,10 @@ class TestExponents:
         assert "zeta = n/a" in out
 
     def test_reference_table_csv(self):
-        import csv as csv_mod
-        import io as io_mod
         code, out, _ = run_cli("exponents", "--reference-table",
                                "--format", "csv")
         assert code == 0
-        rows = list(csv_mod.reader(io_mod.StringIO(out)))
+        rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["alphabet", "rho", "zeta", "beta"]
         cells = {row[0]: row[1:] for row in rows[1:]}
         assert cells["{1,3}"] == ["2", "2.44", "7.129"]
@@ -228,6 +242,23 @@ class TestVerify:
         code, _, _ = run_cli("verify", "--suite", "bogus")
         assert code == 2
 
+    def test_json_records(self):
+        code, out, _ = run_cli("verify", "--suite", "table", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["suite"] == "table"
+        (record,) = payload["results"]
+        assert list(record) == ["criterion", "name", "passed", "detail",
+                                "elapsed"]
+        assert record["criterion"] == 10 and record["passed"] is True
+
+    def test_csv_records(self):
+        code, out, _ = run_cli("verify", "--suite", "table", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert out.startswith("criterion,name,passed,detail,elapsed\n")
+        assert [(r["criterion"], r["passed"]) for r in rows] == [("10", "true")]
+
 
 class TestFormats:
     def test_json_round_trip_is_byte_identical(self):
@@ -249,19 +280,46 @@ class TestFormats:
         assert out == "word\n11\n12\n21\n22\n"
 
     def test_malformed_alphabet_is_usage_error(self):
-        code, _, err = run_cli("--alphabet", "1;2", "kappa", "--length", "5")
-        assert code == 2
-        assert "alphabet" in err
+        for text in ("1;2", "x,2"):
+            code, out, err = run_cli("--alphabet", text, "kappa",
+                                     "--length", "5")
+            assert code == 2
+            assert out == ""
+            assert err == ("error: alphabet must be two comma-separated "
+                           f"integers, got {text!r}\n")
 
     def test_malformed_word_is_usage_error(self):
         code, _, _ = run_cli("derive", "307")
         assert code == 2
+
+    def test_unparsable_letter_is_named(self):
+        for word, token in (("x", "x"), ("1,,2", ""), ("1 2", " ")):
+            code, out, err = run_cli("derive", word)
+            assert code == 2
+            assert out == ""
+            assert err == f"error: letter {token!r} is not an integer\n"
 
     def test_letter_beyond_a_byte_is_named(self):
         code, out, err = run_cli("derive", "1212", "--alphabet", "1,12")
         assert code == 2
         assert out == ""
         assert err == "error: letter 1212 not in alphabet {1,12}\n"
+
+
+def test_stdout_matches_golden_captures():
+    """Every non-`verify` case of the benchmark's golden pool, replayed
+    in-process: same exit code and byte-identical stdout."""
+    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    cases = [c for c in json.loads(golden.read_text())["cases"]
+             if c["command"] != "verify"]
+    assert cases
+    mismatched = []
+    for case in cases:
+        code, out, _ = run_cli(*case["argv"])
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if (code, digest) != (case["exit"], case["sha256"]):
+            mismatched.append(case["argv"])
+    assert mismatched == []
 
 
 def test_console_entry_point():
