@@ -22,11 +22,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .derivation import _F
-from .errors import InvalidFamilyError, ResourceCapError
+from .derivation import _F, derive_f
+from .errors import InvalidFamilyError, ResourceCapError, _check_size
 from .smoothness import (
     _is_smooth_bytes,
     enumerate_f_smooth,
+    f_smooth_count,
     left_extensions,
     right_extensions,
 )
@@ -35,6 +36,9 @@ from .words import Alphabet, Parity, Word
 FAMILIES = ("T", "T1", "T2", "T3", "T4")
 DEFAULT_GENERATION_CAP = 20
 MATERIALIZE_LETTER_LIMIT = 80_000_000
+# Longest complexity horizon; every generation of every family keeps three
+# arrays of this length.
+MAX_HORIZON = 20_000
 
 
 # -- primitives -----------------------------------------------------------
@@ -160,13 +164,8 @@ def _estimated_letters(alphabet: Alphabet, root_len: int, generation: int) -> fl
 
 
 def _check_generation(generation: int, generation_cap: int) -> None:
-    if generation < 0:
-        raise ValueError(f"generation must be nonnegative, got {generation}")
-    if generation > generation_cap:
-        raise ResourceCapError(
-            f"generation {generation} above cap {generation_cap}; "
-            "pass a larger cap explicitly"
-        )
+    _check_size("generation", generation, generation_cap,
+                "; pass a larger cap explicitly")
 
 
 def _generation_levels(alphabet: Alphabet, family: str, generation: int,
@@ -329,8 +328,6 @@ def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
 
 def root_of(word: Word) -> tuple[Word, str, int]:
     """Reduce a bispecial word to its family root: (root, family, steps)."""
-    from .derivation import derive_f
-
     if not is_bispecial(word):
         raise ValueError(f"{word.render()!r} is not bispecial")
     ab = word.alphabet
@@ -353,8 +350,6 @@ def root_of(word: Word) -> tuple[Word, str, int]:
 def generation_swap(word: Word) -> Word:
     """The length-coupled partner vertex: complement the derivative, then
     rebuild with the complementary first letter."""
-    from .derivation import derive_f
-
     ab = word.alphabet
     if not word:
         raise ValueError("the empty word has no partner vertex")
@@ -385,9 +380,6 @@ class TreeComplexity:
     generations: tuple[GenerationComplexity, ...]
     p: tuple[int, ...]
 
-    def generation_count(self) -> int:
-        return len(self.generations)
-
 
 def tree_complexity(alphabet: Alphabet, family: str, horizon: int, *,
                     generation_cap: int = DEFAULT_GENERATION_CAP) -> TreeComplexity:
@@ -396,6 +388,7 @@ def tree_complexity(alphabet: Alphabet, family: str, horizon: int, *,
     Levels stop as soon as their minimum length passes the horizon; child
     words are strictly longer than parents, so that is final.
     """
+    _check_size("horizon", horizon, MAX_HORIZON)
     gens: list[GenerationComplexity] = []
     p_total = [0] * (horizon + 1)
     i = 0
@@ -451,11 +444,9 @@ def _table(alphabet: Alphabet, horizon: int, p: tuple[int, ...],
 
 def exact_complexity(alphabet: Alphabet, horizon: int, *, cap: int = 64) -> ComplexityTable:
     """Brute-force complexity table from language enumeration."""
-    from .smoothness import f_smooth_count
-
+    p_T = tree_complexity(alphabet, "T", horizon).p
     p = tuple(f_smooth_count(alphabet, n, cap=cap) for n in range(horizon + 1))
-    return _table(alphabet, horizon, p, tree_complexity(alphabet, "T", horizon).p,
-                  "enumeration")
+    return _table(alphabet, horizon, p, p_T, "enumeration")
 
 
 def tree_derived_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable:

@@ -24,7 +24,7 @@ from .bispecial import (
     tree_generation,
     tree_derived_complexity,
 )
-from .checks import REFERENCE_EXPONENT_TABLE, SUITES, run_suite
+from .checks import REFERENCE_EXPONENT_TABLE, SUITES, _display_decimals, run_suite
 from .derivation import derive_f, derive_huang, derive_r
 from .errors import (
     DerivationError,
@@ -225,8 +225,7 @@ def _reference_table_cells() -> list[tuple[str, dict[str, str]]]:
         rep = exponent_report(Alphabet(a, b))
         formatted = {}
         for field in _TABLE_FIELDS:
-            display = row[field]
-            decimals = len(display.split(".")[1]) if "." in display else 0
+            decimals = _display_decimals(row[field])
             formatted[field] = f"{getattr(rep, field):.{decimals}f}"
         cells.append((f"{{{a},{b}}}", formatted))
     return cells

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check on user-set sizes."""
 
 from __future__ import annotations
 
@@ -49,3 +49,11 @@ class ConstructionError(SmoothWordsError):
 
 class ResourceCapError(SmoothWordsError):
     """Refused to start a computation that exceeds a configured size cap."""
+
+
+def _check_size(what: str, value: int, cap: int, hint: str = "") -> None:
+    """Refuse a user-set size below zero or above its cap, before any work."""
+    if value < 0:
+        raise ValueError(f"{what} must be nonnegative, got {value}")
+    if value > cap:
+        raise ResourceCapError(f"{what} {value} above cap {cap}{hint}")

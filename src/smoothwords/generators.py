@@ -20,9 +20,12 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .derivation import _PREFIX, _R, _derive_bytes
-from .errors import ConstructionError
+from .errors import ConstructionError, _check_size
 from .smoothness import _is_smooth_bytes, is_r_smooth
 from .words import Alphabet, Word
+
+# Longest prefix either generator builds, at one byte per letter.
+MAX_PREFIX_LETTERS = 10_000_000
 
 
 def _kappa_letters(alphabet: Alphabet, start: int) -> Iterator[int]:
@@ -44,8 +47,7 @@ def kappa_prefix(alphabet: Alphabet, length: int, start: Optional[int] = None) -
 
     `start` defaults to the larger letter, the classical convention.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    _check_size("length", length, MAX_PREFIX_LETTERS)
     if start is None:
         start = alphabet.b
     if start not in (alphabet.a, alphabet.b):
@@ -103,8 +105,7 @@ class _CoupledState:
 
 def coupled_pair_prefix(alphabet: Alphabet, length: int) -> tuple[Word, Word]:
     """Length-n prefixes of the coupled pair (x, y) seeded by (1, b)."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
+    _check_size("length", length, MAX_PREFIX_LETTERS)
     state = _CoupledState(alphabet)
     state.ensure(length)
     return (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .derivation import _F, _R, _derive_bytes
-from .errors import ConstructionError, ResourceCapError
+from .errors import ConstructionError, _check_size
 from .words import Alphabet, Word, _bytes_runs
 
 DEFAULT_LENGTH_CAP = 64
@@ -94,21 +94,13 @@ def enumerate_f_smooth(alphabet: Alphabet, n: int, *, cap: int = DEFAULT_LENGTH_
     Builds up from length n-1 members by single-letter extension, which is
     sound and complete because the language is factorial and extendable.
     """
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    if n > cap:
-        raise ResourceCapError(
-            f"enumeration length {n} above cap {cap}; pass a larger cap explicitly"
-        )
+    _check_size("enumeration length", n, cap, "; pass a larger cap explicitly")
     return [Word(alphabet, w) for w in _language_levels(alphabet, n)[n]]
 
 
 def f_smooth_count(alphabet: Alphabet, n: int, *, cap: int = DEFAULT_LENGTH_CAP) -> int:
     """Number of f-smooth words of length n (the factor complexity value)."""
-    if n > cap:
-        raise ResourceCapError(
-            f"enumeration length {n} above cap {cap}; pass a larger cap explicitly"
-        )
+    _check_size("enumeration length", n, cap, "; pass a larger cap explicitly")
     return len(_language_levels(alphabet, n)[n])
 
 

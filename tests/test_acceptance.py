@@ -2,9 +2,17 @@
 criterion to its time budget.  One PASS/FAIL line is printed per criterion
 as the suite runs."""
 
+import hashlib
+import json
+import re
+from pathlib import Path
+
 import pytest
 
 from smoothwords.checks import run_suite
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+ELAPSED = re.compile(r" \[\d+\.\d+s\]$", re.M)  # the timing `verify` prints
 
 # Wall-clock budgets in seconds, per criterion.
 BUDGETS = {
@@ -31,6 +39,16 @@ def test_criterion(results, criterion, capsys):
 
 def test_every_criterion_reported(results):
     assert sorted(results) == list(range(1, 13))
+
+
+def test_lines_match_golden_capture(results):
+    """The suite's text, timings removed, is the golden `verify --suite all`
+    output byte for byte."""
+    (case,) = [c for c in json.loads(GOLDEN.read_text())["cases"]
+               if c.get("suite") == "all"]
+    text = "".join(results[k].line() + "\n" for k in sorted(results))
+    digest = hashlib.sha256(ELAPSED.sub("", text).encode()).hexdigest()
+    assert digest == case["sha256"]
 
 
 def test_unknown_suite_rejected():

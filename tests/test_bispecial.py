@@ -300,6 +300,15 @@ class TestComplexity:
                 for n in range(max_len + 1, horizon + 1):
                     assert per_gen.p[n] == (n + c - 1) * 2 ** i - c * (a + b) ** i
 
+    def test_horizon_outside_zero_to_cap_is_refused(self):
+        for build in (lambda ab, horizon: tree_complexity(ab, "T", horizon),
+                      exact_complexity, tree_derived_complexity):
+            with pytest.raises(ValueError, match="nonnegative"):
+                build(AB12, -1)
+            # refused before the horizon-long arrays are allocated
+            with pytest.raises(ResourceCapError):
+                build(AB12, 10 ** 9)
+
     def test_provenance_labels(self):
         assert exact_complexity(AB12, 3).provenance == "enumeration"
         assert tree_derived_complexity(AB12, 3).provenance == "tree-derived"

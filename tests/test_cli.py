@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ import pytest
 from smoothwords.cli import main
 
 REF_60 = "221121221221121122121121221121121221221121221211211221221121"
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+ELAPSED = re.compile(r" \[\d+\.\d+s\]$", re.M)  # the timing `verify` prints
 
 
 def run_cli(*argv):
@@ -110,6 +113,12 @@ class TestKappa:
         assert out == ""
         assert "nonnegative" in err
 
+    def test_length_above_cap_exits_3(self):
+        code, out, err = run_cli("kappa", "--length", "10000001")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
+
 
 class TestPair:
     def test_coupled_pair(self):
@@ -129,6 +138,13 @@ class TestPair:
         assert code == 2
         assert out == ""
         assert "nonnegative" in err
+
+    def test_length_above_cap_exits_3(self):
+        code, out, err = run_cli("--alphabet", "1,3", "pair",
+                                 "--length", "10000001")
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
 
 
 class TestEnumerate:
@@ -164,6 +180,14 @@ class TestComplexity:
         assert code == 2
         assert out == ""
         assert "nonnegative" in err
+
+    @pytest.mark.parametrize("tree_only", [[], ["--tree-only"]])
+    def test_horizon_above_cap_exits_3(self, tree_only):
+        code, out, err = run_cli("complexity", "--max", "1000000000",
+                                 *tree_only)
+        assert code == 3
+        assert out == ""
+        assert "cap" in err
 
     def test_tree_only_matches_enumeration(self):
         _, exact, _ = run_cli("--alphabet", "1,4", "complexity", "--max", "9",
@@ -238,6 +262,18 @@ class TestVerify:
         assert code == 0
         assert "{1,4}" in out
 
+    def test_filter_skips_criteria_without_the_alphabet(self):
+        # only criterion 1 has a sub-check over {2,5}
+        code, out, _ = run_cli("verify", "--alphabet", "2,5")
+        assert code == 0
+        first, *rest = ELAPSED.sub("", out).splitlines()
+        assert first == ("PASS criterion 1 (reference prefixes): "
+                         "1 reference prefixes reproduced exactly")
+        assert len(rest) == 11
+        for line in rest:
+            assert line.startswith("PASS criterion ")
+            assert ": skipped: only applies to {" in line
+
     def test_unknown_suite_is_usage_error(self):
         code, _, _ = run_cli("verify", "--suite", "bogus")
         assert code == 2
@@ -307,16 +343,17 @@ class TestFormats:
 
 
 def test_stdout_matches_golden_captures():
-    """Every non-`verify` case of the benchmark's golden pool, replayed
-    in-process: same exit code and byte-identical stdout."""
-    golden = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
-    cases = [c for c in json.loads(golden.read_text())["cases"]
-             if c["command"] != "verify"]
-    assert cases
+    """Every case of the benchmark's golden pool, replayed in-process with
+    seed 0: same exit code and byte-identical stdout once the timings of
+    `verify` are removed.  `verify --suite all` is left to
+    tests/test_acceptance.py, which compares its one run of the suite."""
+    cases = [c for c in json.loads(GOLDEN.read_text())["cases"]
+             if c.get("suite") != "all"]
+    assert len([c for c in cases if c["command"] == "verify"]) == 2
     mismatched = []
     for case in cases:
-        code, out, _ = run_cli(*case["argv"])
-        digest = hashlib.sha256(out.encode()).hexdigest()
+        code, out, _ = run_cli(*(a.replace("{seed}", "0") for a in case["argv"]))
+        digest = hashlib.sha256(ELAPSED.sub("", out).encode()).hexdigest()
         if (code, digest) != (case["exit"], case["sha256"]):
             mismatched.append(case["argv"])
     assert mismatched == []

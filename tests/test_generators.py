@@ -3,12 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from smoothwords import (
     Alphabet,
+    ResourceCapError,
     check_smooth_depth,
     coupled_pair_prefix,
     derive_f,
     is_r_smooth,
     kappa_prefix,
 )
+from smoothwords.generators import MAX_PREFIX_LETTERS
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -106,6 +108,14 @@ class TestNegativeLength:
         with pytest.raises(ValueError, match="nonnegative"):
             coupled_pair_prefix(AB13, -1)
         assert coupled_pair_prefix(AB13, 0) == (AB13.empty(), AB13.empty())
+
+
+class TestLengthCap:
+    def test_length_above_cap_is_refused(self):
+        with pytest.raises(ResourceCapError):
+            kappa_prefix(AB12, MAX_PREFIX_LETTERS + 1)
+        with pytest.raises(ResourceCapError):
+            coupled_pair_prefix(AB13, MAX_PREFIX_LETTERS + 1)
 
 
 class TestDepthCheck:

@@ -82,6 +82,15 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ResourceCapError):
             enumerate_f_smooth(AB12, 5, cap=4)
+        with pytest.raises(ResourceCapError):
+            f_smooth_count(AB12, 5, cap=4)
+
+    def test_negative_length_is_refused(self):
+        f_smooth_count(AB12, 10)  # a cached level must not answer for n < 0
+        for n in (-1, -3):
+            for count in (enumerate_f_smooth, f_smooth_count):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    count(AB12, n)
 
     def test_every_enumerated_word_is_smooth(self):
         for n in range(7):
