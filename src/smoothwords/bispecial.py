@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, count, islice
 
 from .derivation import _F, derive_f
 from .errors import InvalidFamilyError, ResourceCapError, _check_size
@@ -36,8 +37,8 @@ from .words import Alphabet, Parity, Word
 FAMILIES = ("T", "T1", "T2", "T3", "T4")
 DEFAULT_GENERATION_CAP = 20
 MATERIALIZE_LETTER_LIMIT = 80_000_000
-# Longest complexity horizon; every generation of every family keeps three
-# arrays of this length.
+# Longest complexity horizon; every generation of every family keeps one
+# array of this length.
 MAX_HORIZON = 20_000
 
 
@@ -79,18 +80,18 @@ def is_bispecial(word: Word) -> bool:
     return len(left_extensions(word)) == 2 and len(right_extensions(word)) == 2
 
 
+def _extension_count(word: Word) -> int:
+    """Number of two-sided extensions x u y of the word u in the language."""
+    ab = word.alphabet
+    return sum(_is_smooth_bytes(bytes([x]) + word.letters + bytes([y]), ab.a, ab.b, _F)
+               for x in (ab.a, ab.b) for y in (ab.a, ab.b))
+
+
 def multiplicity(word: Word) -> int:
     """Two-sided extension count minus three; defined for bispecial words."""
     if not is_bispecial(word):
         raise ValueError(f"{word.render()!r} is not bispecial")
-    ab = word.alphabet
-    count = 0
-    for x in (ab.a, ab.b):
-        for y in (ab.a, ab.b):
-            probe = bytes([x]) + word.letters + bytes([y])
-            if _is_smooth_bytes(probe, ab.a, ab.b, _F):
-                count += 1
-    return count - 3
+    return _extension_count(word) - 3
 
 
 def classify_short_bispecials(alphabet: Alphabet) -> list[tuple[Word, str]]:
@@ -105,20 +106,15 @@ def classify_short_bispecials(alphabet: Alphabet) -> list[tuple[Word, str]]:
         letters = [alphabet.a] if n == 0 else [alphabet.a, alphabet.b]
         for c in letters:
             w = Word(alphabet, bytes([c]) * n)
-            if not is_bispecial(w):
-                out.append((w, "not-bispecial"))
-            else:
-                out.append((w, labels[multiplicity(w)]))
+            out.append((w, labels[_extension_count(w) - 3] if is_bispecial(w)
+                        else "not-bispecial"))
     return out
 
 
 def bispecial_multiplicity_sum(alphabet: Alphabet, n: int, *, cap: int = 64) -> int:
     """Sum of multiplicities over all bispecial words of length n."""
-    total = 0
-    for w in enumerate_f_smooth(alphabet, n, cap=cap):
-        if is_bispecial(w):
-            total += multiplicity(w)
-    return total
+    return sum(_extension_count(w) - 3
+               for w in enumerate_f_smooth(alphabet, n, cap=cap) if is_bispecial(w))
 
 
 # -- tree families --------------------------------------------------------
@@ -157,45 +153,46 @@ def family_multiplicity(family: str) -> int:
     return -1 if family in ("T3", "T4") else 1
 
 
-def _estimated_letters(alphabet: Alphabet, root_len: int, generation: int) -> float:
-    a, b = alphabet.a, alphabet.b
-    scale = root_len + 4 * a / (a + b - 2)
-    return (2 ** generation) * scale * ((a + b) / 2) ** generation
-
-
-def _check_generation(generation: int, generation_cap: int) -> None:
+def _check_level(alphabet: Alphabet, family: str, generation: int,
+                 generation_cap: int, words: bool) -> None:
+    """Refuse a level past the generation cap or, when its words are built,
+    past the letter budget."""
     _check_size("generation", generation, generation_cap,
                 "; pass a larger cap explicitly")
+    if words:
+        a, b = alphabet.a, alphabet.b
+        scale = len(family_root(alphabet, family)) + 4 * a / (a + b - 2)
+        letters = (2 ** generation) * scale * ((a + b) / 2) ** generation
+        if letters > MATERIALIZE_LETTER_LIMIT:
+            raise ResourceCapError(
+                f"generation {generation} of {family} over {alphabet} would "
+                f"materialize about {letters:,.0f} letters, above the budget "
+                f"of {MATERIALIZE_LETTER_LIMIT:,}"
+            )
 
 
-def _generation_levels(alphabet: Alphabet, family: str, generation: int,
-                       generation_cap: int):
-    """Yield materialized levels 0..generation, each a list of byte strings."""
-    _check_generation(generation, generation_cap)
-    if _estimated_letters(alphabet, len(family_root(alphabet, family)), generation) \
-            > MATERIALIZE_LETTER_LIMIT:
-        raise ResourceCapError(
-            f"materializing generation {generation} of {family} over {alphabet} "
-            "would exceed the letter budget; use the state-based statistics"
-        )
+def _word_levels(alphabet: Alphabet, family: str, generation_cap: int):
+    """Yield materialized levels 0, 1, 2, ..., each a list of byte strings."""
     a, b = alphabet.a, alphabet.b
     level = [family_root(alphabet, family).letters]
-    yield level
-    for _ in range(generation):
-        nxt = []
-        for w in level:
-            nxt.append(_primitive_bytes(w, a, a, b))
-            nxt.append(_primitive_bytes(w, b, a, a))
-        level = nxt
+    for generation in count(1):
         yield level
+        _check_level(alphabet, family, generation, generation_cap, True)
+        level = [child for w in level
+                 for child in (_primitive_bytes(w, a, a, b),
+                               _primitive_bytes(w, b, a, a))]
+
+
+def _word_histogram(level: list[bytes]) -> Counter:
+    return Counter(map(len, level))
 
 
 def tree_generation(alphabet: Alphabet, family: str, generation: int, *,
                     generation_cap: int = DEFAULT_GENERATION_CAP
                     ) -> list[BispecialNode]:
     """All vertices at the given depth, sorted, as BispecialNode values."""
-    for level in _generation_levels(alphabet, family, generation, generation_cap):
-        pass
+    levels, _ = _walk(alphabet, family, "words", generation_cap, generation)
+    level = next(islice(levels, generation, None))
     mult = family_multiplicity(family)
     return [
         BispecialNode(Word(alphabet, w), family, generation, mult)
@@ -219,18 +216,6 @@ class GenerationStats:
     histogram: dict[int, int]
 
 
-def _child_letter_counts(state: tuple[int, int, int, int], a: int, b: int
-                         ) -> tuple[int, int]:
-    """Letter counts of the a-rooted child from the parent's parity counts."""
-    a_even, a_odd, b_even, b_odd = state
-    parity = (a_even + a_odd + b_even + b_odd) & 1
-    interior_odd = a * a_odd + b * b_odd
-    interior_even = a * a_even + b * b_even
-    count_b = interior_odd + (a if parity == 0 else 0)
-    count_a = a + interior_even + (a if parity == 1 else 0)
-    return count_a, count_b
-
-
 def _state_child_a(state: tuple[int, int, int, int], a: int, b: int,
                    parity_class: Parity) -> tuple[int, int, int, int]:
     """Parity counts of the a-rooted child, exact for single-parity alphabets.
@@ -241,10 +226,11 @@ def _state_child_a(state: tuple[int, int, int, int], a: int, b: int,
     even length, so each parity class receives exactly half of each letter.
     """
     ae, ao, be, bo = state
+    odd_length = (ae + ao + be + bo) & 1
     if parity_class is Parity.ODD:
         dam, dap = (a - 1) // 2, (a + 1) // 2
         dbm, dbp = (b - 1) // 2, (b + 1) // 2
-        if (ae + ao + be + bo) % 2 == 0:
+        if not odd_length:
             return (
                 dam * ae + dbm * be + dam,
                 dap * ae + dbp * be + dap,
@@ -258,35 +244,53 @@ def _state_child_a(state: tuple[int, int, int, int], a: int, b: int,
             dam * ao + dbm * bo,
         )
     if parity_class is Parity.EVEN:
-        ca, cb = _child_letter_counts(state, a, b)
-        return (ca // 2, ca // 2, cb // 2, cb // 2)
+        count_a = a + a * ae + b * be + a * odd_length
+        count_b = a * ao + b * bo + a * (1 - odd_length)
+        return (count_a // 2, count_a // 2, count_b // 2, count_b // 2)
     raise ValueError("state recurrence needs both letters of one parity")
 
 
-def _stats_by_state(alphabet: Alphabet, family: str, generation: int) -> Counter:
-    """Length histogram of a level via parity-count states, no words built."""
-    parity_class = alphabet.parity
-    root = family_root(alphabet, family)
-    states = Counter({root.parity_counts().as_tuple(): 1})
-    a, b = alphabet.a, alphabet.b
-    for _ in range(generation):
+def _state_levels(alphabet: Alphabet, family: str, generation_cap: int):
+    """Yield levels 0, 1, 2, ... as Counters of parity-count states; no
+    words are built."""
+    a, b, parity_class = alphabet.a, alphabet.b, alphabet.parity
+    level = Counter({family_root(alphabet, family).parity_counts().as_tuple(): 1})
+    for generation in count(1):
+        yield level
+        _check_level(alphabet, family, generation, generation_cap, False)
         nxt: Counter = Counter()
-        for state, mult in states.items():
+        for state, mult in level.items():
             ca = _state_child_a(state, a, b, parity_class)
             nxt[ca] += mult
             nxt[(ca[2], ca[3], ca[0], ca[1])] += mult  # complemented sibling
-        states = nxt
+        level = nxt
+
+
+def _state_histogram(level: Counter) -> Counter:
     hist: Counter = Counter()
-    for state, mult in states.items():
+    for state, mult in level.items():
         hist[sum(state)] += mult
     return hist
 
 
-def _stats_by_words(alphabet: Alphabet, family: str, generation: int,
-                    generation_cap: int) -> Counter:
-    for level in _generation_levels(alphabet, family, generation, generation_cap):
-        pass
-    return Counter(len(w) for w in level)
+def _walk(alphabet: Alphabet, family: str, method: str, generation_cap: int,
+          generation: int = 0):
+    """The lazy level walk that `method` selects (see generation_stats) and
+    its length-histogram function.  `generation` is checked before anything
+    is built; the walk checks each later level before it builds it."""
+    if method == "auto":
+        method = "words" if alphabet.parity is Parity.MIXED else "state"
+    _check_level(alphabet, family, generation, generation_cap, method == "words")
+    if method == "words":
+        return _word_levels(alphabet, family, generation_cap), _word_histogram
+    if method != "state":
+        raise ValueError(f"unknown method {method!r}")
+    if alphabet.parity is Parity.MIXED:
+        raise ValueError(
+            "state-based statistics need both letters of one parity; "
+            "use method='words'"
+        )
+    return _state_levels(alphabet, family, generation_cap), _state_histogram
 
 
 def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
@@ -297,28 +301,15 @@ def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
     'auto' walks exact parity-count states when both letters share a parity
     and materializes words otherwise (mixed parity breaks the recurrence).
     """
-    _check_generation(generation, generation_cap)
-    if method == "auto":
-        method = "words" if alphabet.parity is Parity.MIXED else "state"
-    if method == "state":
-        if alphabet.parity is Parity.MIXED:
-            raise ValueError(
-                "state-based statistics need both letters of one parity; "
-                "use method='words'"
-            )
-        hist = _stats_by_state(alphabet, family, generation)
-    elif method == "words":
-        hist = _stats_by_words(alphabet, family, generation, generation_cap)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    total = sum(length * mult for length, mult in hist.items())
+    levels, histogram = _walk(alphabet, family, method, generation_cap, generation)
+    hist = histogram(next(islice(levels, generation, None)))
     return GenerationStats(
         family=family,
         generation=generation,
         count=sum(hist.values()),
         min_len=min(hist),
         max_len=max(hist),
-        total_len=total,
+        total_len=sum(length * mult for length, mult in hist.items()),
         histogram=dict(sorted(hist.items())),
     )
 
@@ -361,12 +352,10 @@ def generation_swap(word: Word) -> Word:
 
 @dataclass(frozen=True)
 class GenerationComplexity:
-    """Per-level count arrays: b[n] vertices of length n, with its first and
-    second partial sums s and p."""
+    """Per-level count array p: p[n] sums, over m < n, the number of the
+    level's vertices shorter than m."""
 
     generation: int
-    b: tuple[int, ...]
-    s: tuple[int, ...]
     p: tuple[int, ...]
 
 
@@ -381,35 +370,25 @@ class TreeComplexity:
     p: tuple[int, ...]
 
 
-def tree_complexity(alphabet: Alphabet, family: str, horizon: int, *,
-                    generation_cap: int = DEFAULT_GENERATION_CAP) -> TreeComplexity:
+def tree_complexity(alphabet: Alphabet, family: str, horizon: int) -> TreeComplexity:
     """Count vertices by length up to the horizon, generation by generation.
 
     Levels stop as soon as their minimum length passes the horizon; child
     words are strictly longer than parents, so that is final.
     """
     _check_size("horizon", horizon, MAX_HORIZON)
+    levels, histogram = _walk(alphabet, family, "auto", DEFAULT_GENERATION_CAP)
     gens: list[GenerationComplexity] = []
     p_total = [0] * (horizon + 1)
-    i = 0
-    while True:
-        stats = generation_stats(alphabet, family, i, generation_cap=generation_cap)
-        if stats.min_len > horizon:
+    for i, level in enumerate(levels):
+        hist = histogram(level)
+        if min(hist) > horizon:
             break
-        b = [0] * (horizon + 1)
-        for length, mult in stats.histogram.items():
-            if length <= horizon:
-                b[length] = mult
         # s[n] counts vertices shorter than n; p[n] is the partial sum of s.
-        s = [0] * (horizon + 1)
-        p = [0] * (horizon + 1)
-        for n in range(1, horizon + 1):
-            s[n] = s[n - 1] + b[n - 1]
-            p[n] = p[n - 1] + s[n - 1]
-        gens.append(GenerationComplexity(i, tuple(b), tuple(s), tuple(p)))
-        for n in range(horizon + 1):
-            p_total[n] += p[n]
-        i += 1
+        s = accumulate((hist.get(n, 0) for n in range(horizon)), initial=0)
+        p = tuple(islice(accumulate(s, initial=0), horizon + 1))
+        gens.append(GenerationComplexity(i, p))
+        p_total = [t + x for t, x in zip(p_total, p)]
     return TreeComplexity(alphabet, family, horizon, tuple(gens), tuple(p_total))
 
 

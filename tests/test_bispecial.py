@@ -22,6 +22,7 @@ from smoothwords import (
     tree_derived_complexity,
     tree_generation,
 )
+from smoothwords import bispecial
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -156,6 +157,14 @@ class TestTreeGenerations:
                 with pytest.raises(ResourceCapError):
                     build(ab, "T", 4, generation_cap=3)
 
+    def test_letter_budget_refusal_names_its_numbers(self, monkeypatch):
+        # refused before any level is built: building one would call None
+        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        with pytest.raises(ResourceCapError, match=(
+                r"generation 16 of T over \{1,2\} would materialize about "
+                r"172,186,884 letters, above the budget of 80,000,000")):
+            tree_generation(AB12, "T", 16, generation_cap=30)
+
     def test_roots(self):
         roots = {fam: tree_generation(AB14, fam, 0)[0].word.render()
                  for fam in FAMILIES}
@@ -286,8 +295,26 @@ class TestComplexity:
                     assert exact[n] == lower
 
     def test_tree_derived_matches_enumeration(self):
-        for ab in (AB12, AB13, AB24, AB14):
-            assert tree_derived_complexity(ab, 14).p == exact_complexity(ab, 14).p
+        for ab, n in ((AB12, 14), (AB13, 14), (AB24, 14), (AB14, 14),
+                      (Alphabet(2, 5), 40), (Alphabet(1, 6), 40),
+                      (Alphabet(1, 5), 40), (Alphabet(3, 5), 40),
+                      (Alphabet(3, 8), 40)):
+            assert tree_derived_complexity(ab, n).p == exact_complexity(ab, n).p, ab
+
+    def test_each_level_is_built_once(self, monkeypatch):
+        # levels 1..11 of {1,2}/T, each built once (level 11 is the first
+        # whose minimum length passes 240): 2 + 4 + ... + 2^11 words
+        calls = 0
+        build = bispecial._primitive_bytes
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return build(*args)
+
+        monkeypatch.setattr(bispecial, "_primitive_bytes", counted)
+        tree_complexity(AB12, "T", 240)
+        assert calls == 2 ** 12 - 2
 
     def test_closed_form_beyond_max_length(self):
         for ab in (AB12, AB13, AB24):

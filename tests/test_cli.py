@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,7 +15,8 @@ import pytest
 from smoothwords.cli import main
 
 REF_60 = "221121221221121122121121221121121221221121221211211221221121"
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden.json"
 ELAPSED = re.compile(r" \[\d+\.\d+s\]$", re.M)  # the timing `verify` prints
 
 
@@ -29,6 +31,16 @@ def run_cli(*argv):
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def run_module(*argv):
+    """Run `python -m smoothwords.cli` in a fresh interpreter that imports
+    this checkout's package."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "smoothwords.cli", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestDerive:
@@ -362,17 +374,11 @@ def test_stdout_matches_golden_captures():
 def test_console_entry_point():
     """The module also runs as a script (and the installed entry point
     wraps the same main)."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "smoothwords.cli", "derive", "--op", "f",
-         "2211"],
-        capture_output=True, text=True)
+    proc = run_module("derive", "--op", "f", "2211")
     assert proc.returncode == 0
     assert proc.stdout == "22\n"
 
 
 def test_argparse_usage_error_exits_2():
-    proc = subprocess.run(
-        [sys.executable, "-m", "smoothwords.cli", "derive", "--op", "zzz",
-         "22"],
-        capture_output=True, text=True)
+    proc = run_module("derive", "--op", "zzz", "22")
     assert proc.returncode == 2
