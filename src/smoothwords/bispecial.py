@@ -26,6 +26,7 @@ from itertools import accumulate, count, islice
 from .derivation import _F, derive_f
 from .errors import InvalidFamilyError, ResourceCapError, _check_size
 from .smoothness import (
+    DEFAULT_LENGTH_CAP,
     _is_smooth_bytes,
     enumerate_f_smooth,
     f_smooth_count,
@@ -37,8 +38,10 @@ from .words import Alphabet, Parity, Word
 FAMILIES = ("T", "T1", "T2", "T3", "T4")
 DEFAULT_GENERATION_CAP = 20
 MATERIALIZE_LETTER_LIMIT = 80_000_000
-# Longest complexity horizon; every generation of every family keeps one
-# array of this length.
+# Distinct parity-count states of one level; 2^g at generation g over {1,3},
+# so every level up to the default generation cap fits.
+STATE_LIMIT = 2 ** DEFAULT_GENERATION_CAP
+# Longest complexity horizon; every family keeps one array of this length.
 MAX_HORIZON = 20_000
 
 
@@ -94,27 +97,10 @@ def multiplicity(word: Word) -> int:
     return _extension_count(word) - 3
 
 
-def classify_short_bispecials(alphabet: Alphabet) -> list[tuple[Word, str]]:
-    """Probe every short word c^n, 0 <= n <= b, and label it.
-
-    Labels are 'strong', 'neutral', 'weak', or 'not-bispecial'.  The empty
-    word appears once.
-    """
-    labels = {1: "strong", 0: "neutral", -1: "weak"}
-    out: list[tuple[Word, str]] = []
-    for n in range(alphabet.b + 1):
-        letters = [alphabet.a] if n == 0 else [alphabet.a, alphabet.b]
-        for c in letters:
-            w = Word(alphabet, bytes([c]) * n)
-            out.append((w, labels[_extension_count(w) - 3] if is_bispecial(w)
-                        else "not-bispecial"))
-    return out
-
-
-def bispecial_multiplicity_sum(alphabet: Alphabet, n: int, *, cap: int = 64) -> int:
+def bispecial_multiplicity_sum(alphabet: Alphabet, n: int) -> int:
     """Sum of multiplicities over all bispecial words of length n."""
     return sum(_extension_count(w) - 3
-               for w in enumerate_f_smooth(alphabet, n, cap=cap) if is_bispecial(w))
+               for w in enumerate_f_smooth(alphabet, n) if is_bispecial(w))
 
 
 # -- tree families --------------------------------------------------------
@@ -154,11 +140,18 @@ def family_multiplicity(family: str) -> int:
 
 
 def _check_level(alphabet: Alphabet, family: str, generation: int,
-                 generation_cap: int, words: bool) -> None:
+                 generation_cap: int, words: bool, parent_states: int = 0) -> None:
     """Refuse a level past the generation cap or, when its words are built,
-    past the letter budget."""
+    past the letter budget, or, when it is built from `parent_states`
+    distinct parity-count states, past the state budget."""
     _check_size("generation", generation, generation_cap,
                 "; pass a larger cap explicitly")
+    if 2 * parent_states > STATE_LIMIT:
+        raise ResourceCapError(
+            f"generation {generation} of {family} over {alphabet} could hold "
+            f"{2 * parent_states:,} distinct parity-count states, above the "
+            f"budget of {STATE_LIMIT:,}"
+        )
     if words:
         a, b = alphabet.a, alphabet.b
         scale = len(family_root(alphabet, family)) + 4 * a / (a + b - 2)
@@ -257,7 +250,8 @@ def _state_levels(alphabet: Alphabet, family: str, generation_cap: int):
     level = Counter({family_root(alphabet, family).parity_counts().as_tuple(): 1})
     for generation in count(1):
         yield level
-        _check_level(alphabet, family, generation, generation_cap, False)
+        _check_level(alphabet, family, generation, generation_cap, False,
+                     len(level))
         nxt: Counter = Counter()
         for state, mult in level.items():
             ca = _state_child_a(state, a, b, parity_class)
@@ -351,45 +345,41 @@ def generation_swap(word: Word) -> Word:
 
 
 @dataclass(frozen=True)
-class GenerationComplexity:
-    """Per-level count array p: p[n] sums, over m < n, the number of the
-    level's vertices shorter than m."""
-
-    generation: int
-    p: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class TreeComplexity:
-    """Per-generation complexity arrays of one family up to a horizon."""
+    """Complexity array of one family's vertices up to a horizon."""
 
     alphabet: Alphabet
     family: str
     horizon: int
-    generations: tuple[GenerationComplexity, ...]
     p: tuple[int, ...]
 
 
+def _complexity_counts(hist: dict[int, int], horizon: int) -> tuple[int, ...]:
+    """Count array p of a length histogram: p[n] sums, over m < n, the number
+    of vertices shorter than m."""
+    # s[n] counts vertices shorter than n; p[n] is the partial sum of s.
+    s = accumulate((hist.get(n, 0) for n in range(horizon)), initial=0)
+    return tuple(islice(accumulate(s, initial=0), horizon + 1))
+
+
 def tree_complexity(alphabet: Alphabet, family: str, horizon: int) -> TreeComplexity:
-    """Count vertices by length up to the horizon, generation by generation.
+    """Count vertices by length up to the horizon, over all generations.
 
     Levels stop as soon as their minimum length passes the horizon; child
-    words are strictly longer than parents, so that is final.
+    words are strictly longer than parents, so that is final.  The count
+    array is linear in the histogram, so the levels' histograms are summed
+    first and counted once.
     """
     _check_size("horizon", horizon, MAX_HORIZON)
     levels, histogram = _walk(alphabet, family, "auto", DEFAULT_GENERATION_CAP)
-    gens: list[GenerationComplexity] = []
-    p_total = [0] * (horizon + 1)
-    for i, level in enumerate(levels):
+    total: Counter = Counter()
+    for level in levels:
         hist = histogram(level)
         if min(hist) > horizon:
             break
-        # s[n] counts vertices shorter than n; p[n] is the partial sum of s.
-        s = accumulate((hist.get(n, 0) for n in range(horizon)), initial=0)
-        p = tuple(islice(accumulate(s, initial=0), horizon + 1))
-        gens.append(GenerationComplexity(i, p))
-        p_total = [t + x for t, x in zip(p_total, p)]
-    return TreeComplexity(alphabet, family, horizon, tuple(gens), tuple(p_total))
+        total.update(hist)
+    return TreeComplexity(alphabet, family, horizon,
+                          _complexity_counts(total, horizon))
 
 
 @dataclass(frozen=True)
@@ -421,7 +411,8 @@ def _table(alphabet: Alphabet, horizon: int, p: tuple[int, ...],
     return ComplexityTable(alphabet, horizon, p, s, b, lower, upper, provenance)
 
 
-def exact_complexity(alphabet: Alphabet, horizon: int, *, cap: int = 64) -> ComplexityTable:
+def exact_complexity(alphabet: Alphabet, horizon: int, *,
+                     cap: int = DEFAULT_LENGTH_CAP) -> ComplexityTable:
     """Brute-force complexity table from language enumeration."""
     p_T = tree_complexity(alphabet, "T", horizon).p
     p = tuple(f_smooth_count(alphabet, n, cap=cap) for n in range(horizon + 1))

@@ -18,11 +18,11 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .bispecial import (
+    _complexity_counts,
     bispecial_multiplicity_sum,
     exact_complexity,
     generation_stats,
     primitive,
-    tree_complexity,
     tree_derived_complexity,
     tree_generation,
 )
@@ -358,11 +358,11 @@ def check_average_length(failures, alphabets, seed):
             if level.total_len != c * (a + b) ** i - c * 2 ** i:
                 failures.append(f"total letters off at {ab} i={i}")
         horizon = stats[8].max_len + 6
-        per_gen = tree_complexity(ab, "T", horizon).generations
         for i in range(9):
+            p = _complexity_counts(stats[i].histogram, horizon)
             for n in range(stats[i].max_len + 1, horizon + 1):
                 expect = (n + c - 1) * 2 ** i - c * (a + b) ** i
-                if per_gen[i].p[n] != expect:
+                if p[n] != expect:
                     failures.append(f"closed form off at {ab} i={i} n={n}")
                     break
     return (f"{len(alphabets)} alphabets: totals for i <= 10 and closed-form "

@@ -360,6 +360,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         given = (_parse_alphabet(args.alphabet)
                  if args.alphabet is not None else None)
+        if getattr(args, "cap", 0) < 0:
+            raise ValueError(f"--cap must be nonnegative, got {args.cap}")
         if args.command == "verify":
             return _cmd_verify(args, given)
         return _HANDLERS[args.command](args, given or Alphabet(1, 2))

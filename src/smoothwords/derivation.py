@@ -32,7 +32,7 @@ from itertools import groupby
 from typing import Optional
 
 from .errors import NotDerivableError, NotRDerivableError
-from .words import Alphabet, Word
+from .words import Word
 
 
 @dataclass(frozen=True)
@@ -46,16 +46,6 @@ class DerivabilityReport:
 
 
 _OK = DerivabilityReport(True)
-
-
-def cut_f(exponent: int, alphabet: Alphabet) -> Word:
-    """Boundary-run cut: empty word for exponents up to a, else the letter b."""
-    if not 1 <= exponent <= alphabet.b:
-        raise NotDerivableError(
-            f"cut undefined for exponent {exponent} over {alphabet}",
-            DerivabilityReport(False, 0, exponent, "boundary exponent outside [1,b]"),
-        )
-    return Word(alphabet, _cut(exponent, alphabet.a, alphabet.b))
 
 
 def _cut(p: int, a: int, b: int) -> bytes:
@@ -155,19 +145,13 @@ def derive_huang(word: Word) -> Word:
     return _derive(word, "huang", NotDerivableError, "derivative under the strict cut")
 
 
-def derivative_chain(word: Word, op=derive_f, max_steps: Optional[int] = None) -> list[Word]:
+def derivative_chain(word: Word, op=derive_f) -> list[Word]:
     """Iterate an operator until the empty word or a domain error.
 
     Returns the chain starting at `word`; stops after the empty word.  A
     domain error mid-chain propagates to the caller.
     """
     chain = [word]
-    w = word
-    steps = 0
-    while w:
-        w = op(w)
-        chain.append(w)
-        steps += 1
-        if max_steps is not None and steps >= max_steps and w:
-            break
+    while chain[-1]:
+        chain.append(op(chain[-1]))
     return chain

@@ -186,16 +186,3 @@ def embed_left(word: Word) -> EmbeddingWitness:
         left_extension=Word(ab, extension),
         combined=Word(ab, combined),
     )
-
-
-def is_cube_free(word: Word) -> bool:
-    """No factor of the form www with w nonempty."""
-    s = word.letters
-    n = len(s)
-    for length in range(1, n // 3 + 1):
-        for start in range(0, n - 3 * length + 1):
-            block = s[start:start + length]
-            if s[start + length:start + 2 * length] == block and \
-               s[start + 2 * length:start + 3 * length] == block:
-                return False
-    return True

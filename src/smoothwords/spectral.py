@@ -119,16 +119,17 @@ def _strictly_positive(x: Matrix) -> bool:
     return all(e > 0 for row in x for e in row)
 
 
-def _is_primitive(x: Matrix, max_power: int = 8) -> bool:
+def _is_primitive(x: Matrix) -> bool:
     power = x
-    for _ in range(max_power):
+    for _ in range(8):
         if _strictly_positive(power):
             return True
         power = mat_mul(power, x)
     return False
 
 
-def _power_iteration(entries: Matrix, tol: float, max_iter: int = 20000) -> float:
+def _power_iteration(entries: Matrix) -> float:
+    tol, max_iter = 1e-10, 20000
     rows = [[float(e) for e in row] for row in entries]
     n = len(rows)
     vec = [1.0 / n] * n
@@ -154,7 +155,7 @@ def _power_iteration(entries: Matrix, tol: float, max_iter: int = 20000) -> floa
     )
 
 
-def spectral_radius(matrix: CountMatrix, tol: float = 1e-10) -> float:
+def spectral_radius(matrix: CountMatrix) -> float:
     """Dominant eigenvalue of a primitive nonnegative matrix.
 
     Primitivity is checked by looking for a strictly positive power up to
@@ -166,20 +167,10 @@ def spectral_radius(matrix: CountMatrix, tol: float = 1e-10) -> float:
         raise NotPrimitiveError(
             f"matrix {matrix.label} has no strictly positive power up to 8"
         )
-    return _power_iteration(matrix.entries, tol)
+    return _power_iteration(matrix.entries)
 
 
-def dominant_eigenvalue(matrix: CountMatrix, tol: float = 1e-10) -> float:
-    """Power-iteration estimate without the primitivity gate.
-
-    For reducible nonnegative matrices this still converges to the largest
-    block's growth rate from a positive start vector, which is what the
-    maximal-length growth product needs.
-    """
-    return _power_iteration(matrix.entries, tol)
-
-
-def lambda_of(alphabet: Alphabet, tol: float = 1e-12) -> float:
+def lambda_of(alphabet: Alphabet) -> float:
     """Dominant growth rate of minimal level lengths, odd alphabets.
 
     Closed form (1 + sqrt(2b - 1)) / 2 for a = 1; otherwise the dominant
@@ -208,7 +199,7 @@ def lambda_of(alphabet: Alphabet, tol: float = 1e-12) -> float:
         lo = s - widen
         if widen > 16 * s:
             raise NoConvergenceError("no sign change found for the cubic")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         if q(mid) > 0:
             hi = mid
@@ -239,26 +230,14 @@ def minimal_length_sequence(alphabet: Alphabet, count: int) -> list[int]:
     return out
 
 
-def single_term_lower_bounds(alphabet: Alphabet, count: int) -> list[int]:
-    """The sequence of one-norm values of M^(i-1) N, for l_i >= that value."""
-    mats = build_matrices(alphabet)
-    m, n = mats.m.entries, mats.n
-    v = n
-    out = []
-    for _ in range(count):
-        out.append(int(sum(v)))
-        v = mat_vec(m, v)
-    return out
-
-
-def lower_bound_constants(alphabet: Alphabet, *, generations: int = 14
-                          ) -> tuple[float, float]:
+def lower_bound_constants(alphabet: Alphabet) -> tuple[float, float]:
     """Constants (C, D) with l_i >= C lambda^i - D - 1 on the fitted range.
 
     C is the dominant-growth scale of the exact sequence (the ratio at the
     last fitted generation); D absorbs the transient.  The bound is checked
     against the exact lengths before returning.
     """
+    generations = 14
     lam = lambda_of(alphabet)
     seq = minimal_length_sequence(alphabet, generations)
     c = seq[generations] / lam ** generations
@@ -272,15 +251,16 @@ def lower_bound_constants(alphabet: Alphabet, *, generations: int = 14
     return c, d
 
 
-def max_length_growth_radius(alphabet: Alphabet, tol: float = 1e-10) -> float:
+def max_length_growth_radius(alphabet: Alphabet) -> float:
     """Dominant eigenvalue of M P M, reported raw.
 
     Governs maximal level lengths over two-generation steps.  The product is
-    reducible for a = 1, so the estimate skips the primitivity gate.
+    reducible for a = 1, so the estimate skips the primitivity gate: from a
+    positive start vector power iteration still converges to the largest
+    block's growth rate.
     """
     mats = build_matrices(alphabet)
-    product = mats.m @ mats.p @ mats.m
-    return dominant_eigenvalue(product, tol)
+    return _power_iteration((mats.m @ mats.p @ mats.m).entries)
 
 
 # -- exponents ------------------------------------------------------------
@@ -338,22 +318,3 @@ def exponent_report(alphabet: Alphabet) -> ExponentReport:
         c_constant=c_constant,
         formulas=dict(_FORMULAS),
     )
-
-
-# -- letter-frequency formula evaluators (consecutive pair {1, 2}) ---------
-
-
-def frequency_delta(phi: float, n: float) -> float:
-    """log 3 / log(3/2 + phi + 2/n): decay exponent entering the frequency
-    deviation bound over {1, 2}."""
-    return math.log(3) / math.log(1.5 + phi + 2 / n)
-
-
-def frequency_gamma(phi: float) -> float:
-    """log 3 / log(3/2 - phi): the matching growth exponent over {1, 2}."""
-    return math.log(3) / math.log(1.5 - phi)
-
-
-def frequency_bound_exponent() -> float:
-    """Exponent rho + 0.00036 of the deviation bound over {1, 2}."""
-    return math.log(3) / math.log(1.5) + 0.00036

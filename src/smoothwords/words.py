@@ -100,9 +100,6 @@ class Run(NamedTuple):
     letter: int
     exponent: int
 
-    def render(self) -> str:
-        return f"{self.letter}^{self.exponent}"
-
 
 @dataclass(frozen=True)
 class RunFactorization:
@@ -126,14 +123,8 @@ class RunFactorization:
     def exponents(self) -> tuple[int, ...]:
         return tuple(r.exponent for r in self.runs)
 
-    def letters(self) -> tuple[int, ...]:
-        return tuple(r.letter for r in self.runs)
-
     def reconstruct(self, alphabet: Alphabet) -> "Word":
         return Word(alphabet, _runs_to_bytes(self.runs))
-
-    def render(self) -> str:
-        return "·".join(r.render() for r in self.runs)
 
 
 def _runs_to_bytes(runs: Iterable[Run]) -> bytes:
@@ -205,9 +196,6 @@ class Word:
     def __le__(self, other: "Word") -> bool:
         return self.letters <= other.letters
 
-    def extended(self, letter: int) -> "Word":
-        return Word(self.alphabet, self.letters + bytes([letter]))
-
     def count(self, letter: int) -> int:
         return self.letters.count(letter)
 
@@ -253,9 +241,6 @@ class Word:
         if self.alphabet.b < 10:
             return "".join(str(x) for x in self.letters)
         return ",".join(str(x) for x in self.letters)
-
-    def render_runs(self) -> str:
-        return self.runs.render()
 
     def __str__(self) -> str:
         return self.render()

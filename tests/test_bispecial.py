@@ -9,7 +9,6 @@ from smoothwords import (
     InvalidFamilyError,
     ResourceCapError,
     bispecial_multiplicity_sum,
-    classify_short_bispecials,
     derive_f,
     exact_complexity,
     generation_stats,
@@ -83,9 +82,22 @@ class TestBispecialPredicates:
             multiplicity(AB12.word("11"))
 
 
+def short_labels(ab):
+    """Label every word c^n, 0 <= n <= b (the empty word once): 'strong',
+    'neutral', 'weak' or 'not-bispecial'."""
+    labels = {1: "strong", 0: "neutral", -1: "weak"}
+    out = []
+    for n in range(ab.b + 1):
+        for c in [ab.a] if n == 0 else [ab.a, ab.b]:
+            w = ab.word([c] * n)
+            out.append((w.render(), labels[multiplicity(w)]
+                        if is_bispecial(w) else "not-bispecial"))
+    return out
+
+
 class TestShortClassification:
     def test_consecutive_pair(self):
-        got = [(w.render(), lab) for w, lab in classify_short_bispecials(AB12)]
+        got = short_labels(AB12)
         assert got == [
             ("", "strong"),
             ("1", "neutral"),
@@ -95,8 +107,7 @@ class TestShortClassification:
         ]
 
     def test_spread_pair(self):
-        got = dict(
-            (w.render(), lab) for w, lab in classify_short_bispecials(AB14))
+        got = dict(short_labels(AB14))
         assert got[""] == "strong"
         assert got["1"] == "strong" and got["4"] == "strong"
         assert got["111"] == "weak" and got["444"] == "weak"
@@ -104,8 +115,7 @@ class TestShortClassification:
         assert got["1111"] == "not-bispecial" and got["4444"] == "not-bispecial"
 
     def test_odd_spread_pair(self):
-        got = dict(
-            (w.render(), lab) for w, lab in classify_short_bispecials(Alphabet(3, 5)))
+        got = dict(short_labels(Alphabet(3, 5)))
         assert got[""] == "strong"
         assert got["333"] == "strong" and got["555"] == "strong"
         assert got["3333"] == "weak" and got["5555"] == "weak"
@@ -164,6 +174,18 @@ class TestTreeGenerations:
                 r"generation 16 of T over \{1,2\} would materialize about "
                 r"172,186,884 letters, above the budget of 80,000,000")):
             tree_generation(AB12, "T", 16, generation_cap=30)
+
+    def test_state_budget_refusal_names_its_numbers(self, monkeypatch):
+        # {1,3}/T holds 2^g distinct states at generation g; {2,4} holds one
+        monkeypatch.setattr(bispecial, "STATE_LIMIT", 64)
+        assert generation_stats(AB13, "T", 6, method="state").count == 64
+        with pytest.raises(ResourceCapError, match=(
+                r"generation 7 of T over \{1,3\} could hold 128 distinct "
+                r"parity-count states, above the budget of 64")):
+            generation_stats(AB13, "T", 7, method="state")
+        with pytest.raises(ResourceCapError, match="parity-count states"):
+            tree_complexity(AB13, "T", 20_000)
+        assert generation_stats(AB24, "T", 12).count == 2 ** 12
 
     def test_roots(self):
         roots = {fam: tree_generation(AB14, fam, 0)[0].word.render()
@@ -321,11 +343,11 @@ class TestComplexity:
             a, b = ab.a, ab.b
             c = Fraction(4 * a, a + b - 2)
             for i in range(6):
-                max_len = generation_stats(ab, "T", i).max_len
-                horizon = max_len + 4
-                per_gen = tree_complexity(ab, "T", horizon).generations[i]
-                for n in range(max_len + 1, horizon + 1):
-                    assert per_gen.p[n] == (n + c - 1) * 2 ** i - c * (a + b) ** i
+                stats = generation_stats(ab, "T", i)
+                horizon = stats.max_len + 4
+                p = bispecial._complexity_counts(stats.histogram, horizon)
+                for n in range(stats.max_len + 1, horizon + 1):
+                    assert p[n] == (n + c - 1) * 2 ** i - c * (a + b) ** i
 
     def test_horizon_outside_zero_to_cap_is_refused(self):
         for build in (lambda ab, horizon: tree_complexity(ab, "T", horizon),

@@ -239,6 +239,18 @@ class TestTree:
         assert "nonnegative" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--length", "0", "--cap", "-1"),
+    ("complexity", "--max", "3", "--cap", "-2"),
+    ("tree", "--generation", "0", "--cap", "-5"),
+])
+def test_negative_cap_is_usage_error(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert "--cap must be nonnegative" in err
+
+
 class TestExponents:
     def test_text_report(self):
         code, out, _ = run_cli("exponents", "--alphabet", "1,3")

@@ -9,7 +9,6 @@ from smoothwords import (
     NotRDerivableError,
     Word,
     check_smooth_depth,
-    cut_f,
     derivability,
     derivative_chain,
     derive_f,
@@ -30,23 +29,6 @@ def smooth_words(ab, max_len=30):
     return st.lists(
         st.sampled_from([ab.a, ab.b]), min_size=0, max_size=max_len
     ).map(ab.word)
-
-
-class TestCut:
-    def test_low_exponent_vanishes(self):
-        assert cut_f(1, AB12).letters == b""
-        assert cut_f(1, AB14).letters == b""
-
-    def test_high_exponent_becomes_b(self):
-        assert cut_f(2, AB12).letters == bytes([2])
-        assert cut_f(3, AB14).letters == bytes([4])
-        assert cut_f(4, AB14).letters == bytes([4])
-
-    def test_out_of_range(self):
-        with pytest.raises(NotDerivableError):
-            cut_f(0, AB12)
-        with pytest.raises(NotDerivableError):
-            cut_f(3, AB12)
 
 
 class TestDeriveF:
@@ -127,10 +109,6 @@ class TestChains:
     def test_chain_propagates_domain_errors(self):
         with pytest.raises(NotDerivableError):
             derivative_chain(AB12.word("12121"))
-
-    def test_chain_respects_step_cap(self):
-        chain = derivative_chain(AB12.word("221121221"), max_steps=2)
-        assert [w.render() for w in chain] == ["221121221", "22112", "22"]
 
 
 @given(smooth_words(AB12).filter(lambda w: len(w) > 0))

@@ -2,24 +2,18 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from smoothwords import (
     Alphabet,
     NotPrimitiveError,
     build_matrices,
-    dominant_eigenvalue,
     exponent_report,
-    frequency_bound_exponent,
-    frequency_delta,
-    frequency_gamma,
     generation_stats,
     lambda_of,
     lower_bound_constants,
     max_length_growth_radius,
     minimal_length_sequence,
     primitive,
-    single_term_lower_bounds,
     spectral_radius,
 )
 from smoothwords.spectral import CountMatrix, mat_vec, vec_add
@@ -141,14 +135,6 @@ class TestMinimalLengths:
             for i in range(top + 1):
                 assert generation_stats(ab, "T", i).min_len == seq[i], (ab, i)
 
-    def test_single_term_bound(self):
-        # the one-term truncation bounds the full sum from below
-        for ab in (AB13, AB35, Alphabet(3, 7)):
-            seq = minimal_length_sequence(ab, 10)
-            single = single_term_lower_bounds(ab, 10)
-            for i in range(1, 11):
-                assert seq[i] >= single[i - 1], (ab, i)
-
 
 class TestLowerBoundConstants:
     def test_bound_holds_on_enumerated_generations(self):
@@ -185,7 +171,7 @@ class TestMaxLengthGrowth:
         product = mats.m @ mats.p @ mats.m
         with pytest.raises(NotPrimitiveError):
             spectral_radius(product)
-        assert dominant_eigenvalue(product) > 0
+        assert max_length_growth_radius(AB13) > 0
 
 
 class TestExponentReport:
@@ -237,22 +223,7 @@ class TestExponentReport:
             assert key in rep.formulas
 
 
-class TestFrequencyFormulas:
-    def test_bound_exponent(self):
-        assert abs(frequency_bound_exponent()
-                   - (math.log(3) / math.log(1.5) + 0.00036)) < 1e-12
-
-    def test_delta_and_gamma_bracket(self):
-        # for small phi both exponents straddle the phi = 0 value log3/log1.5
-        base = math.log(3) / math.log(1.5)
-        assert frequency_gamma(0.0) == pytest.approx(base)
-        assert frequency_delta(0.01, 1e9) < base < frequency_gamma(0.01)
-
-
-@given(st.integers(min_value=1, max_value=4),
-       st.integers(min_value=1, max_value=4))
-@settings(max_examples=40)
-def test_matrix_product_label_concats(i, j):
+def test_matrix_product_label_concats():
     mats = build_matrices(AB13)
     prod = mats.m @ mats.p
     assert prod.label == "MP"
