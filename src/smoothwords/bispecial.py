@@ -33,7 +33,7 @@ from .smoothness import (
     left_extensions,
     right_extensions,
 )
-from .words import Alphabet, Parity, Word
+from .words import Alphabet, Parity, Word, _spell
 
 FAMILIES = ("T", "T1", "T2", "T3", "T4")
 DEFAULT_GENERATION_CAP = 20
@@ -51,13 +51,7 @@ MAX_HORIZON = 20_000
 def _primitive_bytes(letters: bytes, first: int, boundary: int, second: int) -> bytes:
     """Runs alternating first, second, first, ... with exponents
     boundary, letters..., boundary."""
-    out = bytearray(bytes([first]) * boundary)
-    letter = second
-    for e in letters:
-        out += bytes([letter]) * e
-        letter = first if letter == second else second
-    out += bytes([letter]) * boundary
-    return bytes(out)
+    return _spell(bytes([boundary]) + letters + bytes([boundary]), first, second)
 
 
 def primitive(word: Word, first_letter: int) -> Word:
@@ -414,6 +408,8 @@ def _table(alphabet: Alphabet, horizon: int, p: tuple[int, ...],
 def exact_complexity(alphabet: Alphabet, horizon: int, *,
                      cap: int = DEFAULT_LENGTH_CAP) -> ComplexityTable:
     """Brute-force complexity table from language enumeration."""
+    # enumeration runs to length `horizon`: refuse it before any work
+    _check_size("enumeration length", horizon, cap, "; pass a larger cap explicitly")
     p_T = tree_complexity(alphabet, "T", horizon).p
     p = tuple(f_smooth_count(alphabet, n, cap=cap) for n in range(horizon + 1))
     return _table(alphabet, horizon, p, p_T, "enumeration")

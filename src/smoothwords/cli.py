@@ -321,7 +321,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tree-only", action="store_true",
                    help="derive counts from the bispecial trees instead of "
                         "enumerating")
-    p.add_argument("--cap", type=int, default=DEFAULT_LENGTH_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_LENGTH_CAP,
+                   help=f"cap on the enumerated length, --max + 2 (default "
+                        f"{DEFAULT_LENGTH_CAP}); --tree-only enumerates "
+                        "nothing, so the cap does not apply")
 
     p = sub.add_parser("tree", help="one generation of a bispecial family")
     p.add_argument("--family", choices=FAMILIES, default="T")

@@ -52,7 +52,10 @@ class ResourceCapError(SmoothWordsError):
 
 
 def _check_size(what: str, value: int, cap: int, hint: str = "") -> None:
-    """Refuse a user-set size below zero or above its cap, before any work."""
+    """Refuse a negative cap, or a user-set size below zero or above its cap,
+    before any work."""
+    if cap < 0:
+        raise ValueError(f"cap on {what} must be nonnegative, got {cap}")
     if value < 0:
         raise ValueError(f"{what} must be nonnegative, got {value}")
     if value > cap:

@@ -10,36 +10,46 @@ smaller letter bootstrap.
 
 Coupled pairs generalize this: two words x and y where the run exponents of
 x spell out y and vice versa.  Over {1, b} with b odd and seeds x starting
-with 1, y starting with b, the two streams determine each other; the
-generator keeps x far enough ahead that y never starves (checked, not
-assumed).
+with 1, y starting with b, the two streams determine each other.  Each step
+extends y, then x, by the runs whose exponents the partner has already
+spelled; y goes first because run 1 of x reads y[1], which the seed y = b
+lacks.  A step that finds no unread exponent raises ConstructionError
+instead of guessing one.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 from .derivation import _PREFIX, _R, _derive_bytes
 from .errors import ConstructionError, _check_size
 from .smoothness import _is_smooth_bytes, is_r_smooth
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _spell
 
 # Longest prefix either generator builds, at one byte per letter.
 MAX_PREFIX_LETTERS = 10_000_000
 
+# Runs one extension step spells at most; bounds each step's scratch memory.
+_STEP_RUNS = 2 ** 12
 
-def _kappa_letters(alphabet: Alphabet, start: int) -> Iterator[int]:
-    """Endless letters of the self-reading fixed point starting with `start`."""
-    seq = bytearray()
-    letter = start
-    read = 0
-    while True:
-        exp = seq[read] if read < len(seq) else letter
-        read += 1
-        for _ in range(exp):
-            seq.append(letter)
-            yield letter
-        letter = alphabet.other(letter)
+
+def _extend(word: bytearray, runs: int, source: bytearray, first: int,
+            second: int) -> int:
+    """Append the next runs of a self-reading word and return its run count.
+
+    `word` holds its first `runs` runs; run i carries `first` for even i and
+    `second` for odd i, and its exponent is `source[i]`.  At most
+    `_STEP_RUNS` runs are appended, and only those whose exponent `source`
+    already holds.
+    """
+    stop = min(runs + _STEP_RUNS, len(source))
+    if stop <= runs:
+        raise ConstructionError(
+            f"self-reading generator starved: run {runs} needs an unseen exponent")
+    if runs % 2:
+        first, second = second, first
+    word += _spell(source[runs:stop], first, second)
+    return stop
 
 
 def kappa_prefix(alphabet: Alphabet, length: int, start: Optional[int] = None) -> Word:
@@ -52,66 +62,33 @@ def kappa_prefix(alphabet: Alphabet, length: int, start: Optional[int] = None) -
         start = alphabet.b
     if start not in (alphabet.a, alphabet.b):
         raise ValueError(f"start letter {start} not in {alphabet}")
-    gen = _kappa_letters(alphabet, start)
-    return Word(alphabet, bytes(next(gen) for _ in range(length)))
-
-
-class _CoupledState:
-    """Shared buffers for a coupled pair of self-reading words.
-
-    x starts with 1 and reads its exponents off y; y starts with b and reads
-    off x.  Runs are primed from the seeds: x opens with 1^b because y's
-    first letter is b, and y opens with b^1 because x's first letter is 1.
-    """
-
-    def __init__(self, alphabet: Alphabet):
-        if alphabet.a != 1 or alphabet.b % 2 == 0 or alphabet.b < 3:
-            raise ValueError(
-                f"coupled pair needs alphabet {{1, b}} with odd b >= 3, got {alphabet}"
-            )
-        self.alphabet = alphabet
-        b = alphabet.b
-        self.x = bytearray([1] * b)
-        self.y = bytearray([b])
-        self.x_runs = 1  # runs emitted so far, also the next read index
-        self.y_runs = 1
-
-    def _emit_y_run(self) -> None:
-        j = self.y_runs
-        if j >= len(self.x):
-            # The seeds keep x ahead of y's read cursor; reaching this line
-            # means the invariant broke.
-            raise ConstructionError("coupled generator starved: y needs unseen x letters")
-        exp = self.x[j]
-        letter = self.alphabet.b if j % 2 == 0 else 1
-        self.y += bytes([letter]) * exp
-        self.y_runs += 1
-
-    def _emit_x_run(self) -> None:
-        i = self.x_runs
-        while len(self.y) <= i:
-            self._emit_y_run()
-        exp = self.y[i]
-        letter = self.alphabet.b if i % 2 == 1 else 1
-        self.x += bytes([letter]) * exp
-        self.x_runs += 1
-
-    def ensure(self, n: int) -> None:
-        while len(self.x) < n:
-            self._emit_x_run()
-        while len(self.y) < n:
-            self._emit_y_run()
+    other = alphabet.other(start)
+    # Runs 0 and 1 read positions 0 and 1, which they write themselves;
+    # position 1 holds `other` when start is 1.
+    word = bytearray(_spell(bytes([start, start if start > 1 else other]),
+                            start, other))
+    runs = 2
+    while len(word) < length:
+        runs = _extend(word, runs, word, start, other)
+    del word[length:]
+    return Word(alphabet, bytes(word))
 
 
 def coupled_pair_prefix(alphabet: Alphabet, length: int) -> tuple[Word, Word]:
     """Length-n prefixes of the coupled pair (x, y) seeded by (1, b)."""
     _check_size("length", length, MAX_PREFIX_LETTERS)
-    state = _CoupledState(alphabet)
-    state.ensure(length)
-    return (
-        Word(alphabet, bytes(state.x[:length])),
-        Word(alphabet, bytes(state.y[:length])),
-    )
+    if alphabet.a != 1 or alphabet.b % 2 == 0 or alphabet.b < 3:
+        raise ValueError(
+            f"coupled pair needs alphabet {{1, b}} with odd b >= 3, got {alphabet}"
+        )
+    b = alphabet.b
+    x, y = bytearray([1] * b), bytearray([b])  # run 0 of each reads the other
+    x_runs = y_runs = 1
+    while len(x) < length or len(y) < length:
+        y_runs = _extend(y, y_runs, x, b, 1)
+        x_runs = _extend(x, x_runs, y, 1, b)
+    del x[length:], y[length:]
+    return Word(alphabet, bytes(x)), Word(alphabet, bytes(y))
 
 
 def build_smooth_from_r(seed: Word, length: int) -> Word:

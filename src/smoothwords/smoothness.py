@@ -14,7 +14,7 @@ from typing import Optional
 
 from .derivation import _F, _R, _derive_bytes
 from .errors import ConstructionError, _check_size
-from .words import Alphabet, Word, _bytes_runs
+from .words import Alphabet, Word, _bytes_runs, _spell
 
 DEFAULT_LENGTH_CAP = 64
 
@@ -122,21 +122,6 @@ def right_extensions(word: Word) -> tuple[int, ...]:
     )
 
 
-def _alternating_runs(alphabet: Alphabet, exponents: list[int], anchor: int,
-                      anchor_letter: int) -> bytes:
-    """Spell runs with the given exponents and alternating letters.
-
-    The run at index `anchor` carries `anchor_letter`; letters alternate away
-    from it in both directions.
-    """
-    other = alphabet.other(anchor_letter)
-    out = bytearray()
-    for i, e in enumerate(exponents):
-        letter = anchor_letter if (i - anchor) % 2 == 0 else other
-        out += bytes([letter]) * e
-    return bytes(out)
-
-
 def embed_left(word: Word) -> EmbeddingWitness:
     """Left extension turning an f-smooth word into an r-smooth one.
 
@@ -164,14 +149,16 @@ def embed_left(word: Word) -> EmbeddingWitness:
         v_letters = combined[: len(combined) - len(d)]
         runs = _bytes_runs(u.letters)
         first_letter, p1 = runs[0]
-        tail = [e for _, e in runs[1:]]
+        tail = bytes(e for _, e in runs[1:])
         if p1 <= a:
-            exponents = list(v_letters) + tail
+            exponents = v_letters + tail
             anchor = len(v_letters) - 1  # run absorbing u's first run
         else:
-            exponents = list(v_letters) + [b] + tail
+            exponents = v_letters + bytes([b]) + tail
             anchor = len(v_letters)
-        combined = _alternating_runs(ab, exponents, anchor, first_letter)
+        # the run at index `anchor` carries u's first letter
+        first = first_letter if anchor % 2 == 0 else ab.other(first_letter)
+        combined = _spell(exponents, first, ab.other(first))
         if not combined.endswith(u.letters):
             raise ConstructionError(
                 f"embedding step for {u.render()!r} lost the original suffix"

@@ -167,6 +167,11 @@ class TestTreeGenerations:
                 with pytest.raises(ResourceCapError):
                     build(ab, "T", 4, generation_cap=3)
 
+    def test_negative_generation_cap_is_a_bad_argument(self):
+        with pytest.raises(ValueError,
+                           match="cap on generation must be nonnegative, got -1"):
+            generation_stats(AB12, "T", 0, generation_cap=-1)
+
     def test_letter_budget_refusal_names_its_numbers(self, monkeypatch):
         # refused before any level is built: building one would call None
         monkeypatch.setattr(bispecial, "_primitive_bytes", None)
@@ -357,6 +362,19 @@ class TestComplexity:
             # refused before the horizon-long arrays are allocated
             with pytest.raises(ResourceCapError):
                 build(AB12, 10 ** 9)
+
+    def test_enumeration_horizon_is_refused_before_any_work(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started before the cap check")
+
+        monkeypatch.setattr(bispecial, "tree_complexity", unreachable)
+        monkeypatch.setattr(bispecial, "f_smooth_count", unreachable)
+        with pytest.raises(ResourceCapError, match=(
+                "enumeration length 65 above cap 64; pass a larger cap "
+                "explicitly")):
+            exact_complexity(AB12, 65)
+        with pytest.raises(ResourceCapError, match="above cap 9"):
+            exact_complexity(AB12, 10, cap=9)
 
     def test_provenance_labels(self):
         assert exact_complexity(AB12, 3).provenance == "enumeration"

@@ -201,6 +201,20 @@ class TestComplexity:
         assert out == ""
         assert "cap" in err
 
+    def test_enumeration_cap_is_checked_before_any_work(self, monkeypatch):
+        from smoothwords import bispecial
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started before the cap check")
+
+        monkeypatch.setattr(bispecial, "tree_complexity", unreachable)
+        monkeypatch.setattr(bispecial, "f_smooth_count", unreachable)
+        code, out, err = run_cli("complexity", "--max", "63")
+        assert code == 3
+        assert out == ""
+        assert err == ("error: enumeration length 65 above cap 64; pass a "
+                       "larger cap explicitly\n")
+
     def test_tree_only_matches_enumeration(self):
         _, exact, _ = run_cli("--alphabet", "1,4", "complexity", "--max", "9",
                               "--format", "csv")

@@ -1,8 +1,11 @@
+from itertools import groupby, islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from smoothwords import (
     Alphabet,
+    ConstructionError,
     ResourceCapError,
     check_smooth_depth,
     coupled_pair_prefix,
@@ -10,7 +13,8 @@ from smoothwords import (
     is_r_smooth,
     kappa_prefix,
 )
-from smoothwords.generators import MAX_PREFIX_LETTERS
+from smoothwords import generators
+from smoothwords.generators import _STEP_RUNS, MAX_PREFIX_LETTERS
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -71,6 +75,59 @@ class TestKappa:
                 assert s[p:] != s[:-p], (ab, start, p)
 
 
+def kappa_letters(alphabet, start):
+    """Reference for `kappa_prefix`: the fixed point one letter at a time.
+
+    A read cursor walks the emitted letters; each value read is the exponent
+    of the next run, and when the cursor reaches the write position the
+    exponent is the letter about to be written.
+    """
+    seq = bytearray()
+    letter = start
+    read = 0
+    while True:
+        exp = seq[read] if read < len(seq) else letter
+        read += 1
+        for _ in range(exp):
+            seq.append(letter)
+            yield letter
+        letter = alphabet.other(letter)
+
+
+def run_exponents(letters):
+    """Exponents of the complete runs; the final run may still be growing."""
+    return bytes([len(list(g)) for _, g in groupby(letters)][:-1])
+
+
+class TestKappaAcrossSteps:
+    @pytest.mark.parametrize("a, b", [(1, 2), (1, 3), (2, 5), (1, 12),
+                                      (100, 255)])
+    def test_matches_letter_by_letter_reference(self, a, b):
+        # runs are at most b letters long, so this prefix spans four steps
+        ab = Alphabet(a, b)
+        n = 4 * _STEP_RUNS * b + 5_000
+        for start in (a, b):
+            expected = bytes(islice(kappa_letters(ab, start), n))
+            assert kappa_prefix(ab, n, start=start).letters == expected, start
+
+    @pytest.mark.parametrize("step", [1, 2, 3])
+    def test_short_steps_spell_the_same_words(self, monkeypatch, step):
+        # a step may end on either run parity and at any source length
+        expected = {ab: (kappa_prefix(ab, 3000, start=ab.a),
+                         kappa_prefix(ab, 3000, start=ab.b))
+                    for ab in (AB12, AB25, Alphabet(1, 12))}
+        pair = coupled_pair_prefix(AB13, 3000)
+        monkeypatch.setattr(generators, "_STEP_RUNS", step)
+        for ab, (from_a, from_b) in expected.items():
+            assert kappa_prefix(ab, 3000, start=ab.a) == from_a
+            assert kappa_prefix(ab, 3000, start=ab.b) == from_b
+        assert coupled_pair_prefix(AB13, 3000) == pair
+
+    def test_a_step_without_unread_exponents_starves(self):
+        with pytest.raises(ConstructionError, match="starved"):
+            generators._extend(bytearray([1, 2]), 2, bytearray([1, 2]), 1, 2)
+
+
 class TestCoupledPair:
     def test_reference_pair(self):
         x, y = coupled_pair_prefix(AB13, 67)
@@ -88,6 +145,15 @@ class TestCoupledPair:
         x, y = coupled_pair_prefix(AB13, 3000)
         x_exps = bytes([len(list(g)) for _, g in groupby(x.letters)][:-1])
         y_exps = bytes([len(list(g)) for _, g in groupby(y.letters)][:-1])
+        assert x_exps == y.letters[:len(x_exps)]
+        assert y_exps == x.letters[:len(y_exps)]
+
+    @pytest.mark.parametrize("b", [5, 9, 255])
+    def test_mutual_reading_across_steps(self, b):
+        x, y = coupled_pair_prefix(Alphabet(1, b), 100_000)
+        assert (x.letters[0], y.letters[0]) == (1, b)
+        x_exps, y_exps = run_exponents(x.letters), run_exponents(y.letters)
+        assert len(x_exps) > _STEP_RUNS or len(y_exps) > _STEP_RUNS
         assert x_exps == y.letters[:len(x_exps)]
         assert y_exps == x.letters[:len(y_exps)]
 

@@ -86,6 +86,13 @@ class TestEnumeration:
         with pytest.raises(ResourceCapError):
             f_smooth_count(AB12, 5, cap=4)
 
+    def test_negative_cap_is_a_bad_argument(self):
+        for count in (enumerate_f_smooth, f_smooth_count):
+            with pytest.raises(ValueError,
+                               match="cap on enumeration length must be "
+                                     "nonnegative, got -1"):
+                count(AB12, 0, cap=-1)
+
     def test_negative_length_is_refused(self):
         f_smooth_count(AB12, 10)  # a cached level must not answer for n < 0
         for n in (-1, -3):

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from smoothwords import Alphabet, Parity, Word
+from smoothwords.words import _bytes_runs, _spell
 
 
 def alphabets():
@@ -137,3 +140,27 @@ def test_parity_counts_total(w):
 @given(alphabets().flatmap(lambda ab: words_over(ab, max_len=25)))
 def test_render_parse_roundtrip(w):
     assert w.alphabet.word(w.render()) == w
+
+
+def spell_by_loop(exponents, first, second):
+    """Reference for `_spell`: one run per exponent, letters alternating."""
+    out = bytearray()
+    letter = first
+    for e in exponents:
+        out += bytes([letter]) * e
+        letter = second if letter == first else first
+    return bytes(out)
+
+
+@pytest.mark.parametrize("first, second", [
+    (1, 2), (2, 1), (1, 255), (255, 1), (254, 255), (255, 254), (7, 200)])
+def test_spell_matches_loop(first, second):
+    rng = random.Random(first * 256 + second)
+    for n in range(65):  # odd and even run counts, including none
+        for high in (2, 255):
+            exponents = bytes(rng.randint(1, high) for _ in range(n))
+            spelled = _spell(exponents, first, second)
+            assert spelled == spell_by_loop(exponents, first, second)
+            assert bytes(e for _, e in _bytes_runs(spelled)) == exponents
+    assert _spell(bytes(range(1, 256)), first, second) == spell_by_loop(
+        bytes(range(1, 256)), first, second)
