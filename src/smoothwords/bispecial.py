@@ -28,7 +28,7 @@ from .errors import InvalidFamilyError, ResourceCapError, _check_size
 from .smoothness import (
     DEFAULT_LENGTH_CAP,
     _is_smooth_bytes,
-    enumerate_f_smooth,
+    _language,
     f_smooth_count,
     left_extensions,
     right_extensions,
@@ -59,10 +59,19 @@ def primitive(word: Word, first_letter: int) -> Word:
 
     Runs alternate from the chosen letter and carry exponents a, then the
     letters of `word`, then a.  The two-sided derivative inverts it exactly.
+    Its length, 2a plus the letter sum of `word`, is checked against the
+    letter budget before any letter is spelled.
     """
     ab = word.alphabet
     if first_letter not in (ab.a, ab.b):
         raise ValueError(f"letter {first_letter} not in {ab}")
+    letters = 2 * ab.a + sum(word.letters)
+    if letters > MATERIALIZE_LETTER_LIMIT:
+        raise ResourceCapError(
+            f"primitive of a {len(word):,}-letter word over {ab} would have "
+            f"{letters:,} letters, above the budget of "
+            f"{MATERIALIZE_LETTER_LIMIT:,}"
+        )
     return Word(
         ab,
         _primitive_bytes(word.letters, first_letter, ab.a, ab.other(first_letter)),
@@ -92,9 +101,23 @@ def multiplicity(word: Word) -> int:
 
 
 def bispecial_multiplicity_sum(alphabet: Alphabet, n: int) -> int:
-    """Sum of multiplicities over all bispecial words of length n."""
-    return sum(_extension_count(w) - 3
-               for w in enumerate_f_smooth(alphabet, n) if is_bispecial(w))
+    """Sum of multiplicities over all bispecial words of length n.
+
+    Read from the derivative trie grown to n + 2: w + y is a child of w,
+    and x + w and x + w + y are found by walking down from the node of x.
+    """
+    _check_size("enumeration length", n, DEFAULT_LENGTH_CAP,
+                "; pass a larger cap explicitly")
+    a, b = alphabet.a, alphabet.b
+    trie = _language(alphabet, n + 2)
+    ca, cb = trie.child[a], trie.child[b]
+    left_a, left_b = trie.prepended(a, n), trie.prepended(b, n)
+    total = 0
+    for w in trie.level(n):
+        xa, xb = left_a[w], left_b[w]
+        if min(ca[w], cb[w], xa, xb) >= 0:  # bispecial
+            total += (ca[xa] >= 0) + (cb[xa] >= 0) + (ca[xb] >= 0) + (cb[xb] >= 0) - 3
+    return total
 
 
 # -- tree families --------------------------------------------------------

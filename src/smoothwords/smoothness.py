@@ -9,11 +9,14 @@ on.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
+from operator import itemgetter
 from typing import Optional
 
 from .derivation import _F, _R, _derive_bytes
-from .errors import ConstructionError, _check_size
+from .errors import ConstructionError, ResourceCapError, _check_size
 from .words import Alphabet, Word, _bytes_runs, _spell
 
 DEFAULT_LENGTH_CAP = 64
@@ -68,40 +71,163 @@ def is_r_smooth(word: Word) -> bool:
     return _is_smooth_bytes(word.letters, word.alphabet.a, word.alphabet.b, _R)
 
 
-# Language levels are cached per alphabet: level n holds the sorted byte
-# strings of all f-smooth words of length n.
-_LEVEL_CACHE: dict[Alphabet, list[list[bytes]]] = {}
+# Most nodes one alphabet's trie may hold, checked before each level: about
+# 19 bytes a node, so {1,2} stops after length 189 at 89 MB peak RSS.
+TRIE_NODE_LIMIT = 1 << 22
 
 
-def _language_levels(alphabet: Alphabet, n: int) -> list[list[bytes]]:
-    levels = _LEVEL_CACHE.setdefault(alphabet, [[b""]])
-    a, b = alphabet.a, alphabet.b
-    while len(levels) <= n:
-        prev = levels[-1]
-        nxt = []
-        for w in prev:
-            for c in (a, b):
-                cand = w + bytes([c])
-                if _is_smooth_bytes(cand, a, b, _F):
-                    nxt.append(cand)
-        levels.append(nxt)
-    return levels
+class _Trie:
+    """The f-smooth words of one alphabet as a trie of node ids.
+
+    Node 0 is the empty word; every other node is an f-smooth word w, the
+    child of w without its last letter.  Levels are built in order, a-child
+    before b-child, so the nodes of length n are the ids offsets[n] to
+    offsets[n + 1] - 1 in lexicographic order.  Besides its children and
+    parent, a node stores the letter and exponent of its last run, whether
+    that run is its only one, and `inner`: the node of its derivative
+    without the last run's cut (cut of the first run, then the interior
+    exponents; the root for a single run).
+
+    Membership of a child w + x is one lookup: the derivative D(w + x) is
+    shorter than w + x and the language is factorial, so w + x is f-smooth
+    exactly when D(w + x) is an already built node.
+    """
+
+    def __init__(self, alphabet: Alphabet):
+        a, b = alphabet.a, alphabet.b
+        self.alphabet = alphabet
+        self.offsets = [0, 1, 3]  # the root, then the words a and b
+        self.child = {a: array("i", (1, -1, -1)), b: array("i", (2, -1, -1))}
+        self.parent = array("i", (-1, 0, 0))
+        self.letter = array("B", (0, a, b))
+        self.exponent = array("B", (0, 1, 1))
+        self.single = array("B", (0, 1, 1))
+        self.inner = array("i", (0, 0, 0))
+
+    def grow(self, n: int) -> None:
+        """Build every level up to length n, refusing a level that could
+        take the trie past TRIE_NODE_LIMIT before building it."""
+        offsets = self.offsets
+        while len(offsets) <= n + 1:
+            lo, hi = offsets[-2], offsets[-1]
+            bound = 2 * (hi - lo)
+            if hi + bound > TRIE_NODE_LIMIT:
+                raise ResourceCapError(
+                    f"level {len(offsets) - 1} of the f-smooth words over "
+                    f"{self.alphabet} could add {bound:,} trie nodes to "
+                    f"{hi:,}, above the budget of {TRIE_NODE_LIMIT:,}"
+                )
+            try:
+                self._build(lo, hi)
+            except BaseException:  # leave the trie as it was before the level
+                for column in self._columns():
+                    del column[hi:]
+                for column in self.child.values():
+                    column[lo:hi] = array("i", [-1]) * (hi - lo)
+                raise
+            offsets.append(len(self.parent))
+
+    def _columns(self) -> tuple[array, ...]:
+        """Every per-node array."""
+        return (*self.child.values(), self.parent, self.letter, self.exponent,
+                self.single, self.inner)
+
+    def _build(self, lo: int, hi: int) -> None:
+        """Append the children of nodes lo .. hi - 1 (one whole level)."""
+        a, b = self.alphabet.a, self.alphabet.b
+        parent, letter, exponent = self.parent, self.letter, self.exponent
+        single, inner, child = self.single, self.inner, self.child
+        ca, cb = child[a], child[b]
+        node = hi
+        for w in range(lo, hi):
+            c, e, up = letter[w], exponent[w], inner[w]
+            # the last run grows: D(w + c) = inner + cut(e + 1)
+            same = up if e < a else cb[up] if e < b else -1
+            # a new run starts: D = inner + e (e now interior), or cut(e)
+            # when w is one run; the new run's cut(1) is empty
+            if single[w]:
+                new = 0 if e <= a else 2
+            else:
+                new = ca[up] if e == a else cb[up] if e == b else -1
+            for x, d in ((a, same), (b, new)) if c == a else ((a, new), (b, same)):
+                if d < 0:
+                    continue
+                child[x][w] = node
+                node += 1
+                parent.append(w)
+                letter.append(x)
+                if x == c:
+                    exponent.append(e + 1)
+                    single.append(single[w])
+                    inner.append(up)
+                else:
+                    exponent.append(1)
+                    single.append(0)
+                    inner.append(d)
+        ca.extend(repeat(-1, node - hi))
+        cb.extend(repeat(-1, node - hi))
+
+    def level(self, n: int) -> range:
+        """Node ids of the words of length n."""
+        return range(self.offsets[n], self.offsets[n + 1])
+
+    def spell(self, n: int) -> list[bytes]:
+        """The words of length n, read off their parent chains one letter
+        position at a time, last position first, at C speed."""
+        if not n:
+            return [b""]
+        # at least two ids, so itemgetter returns tuples: the language is
+        # closed under swapping the letters
+        ids = self.level(n)
+        letters = bytearray(n * len(ids))  # letter k of word i at i * n + k
+        for k in reversed(range(n)):
+            get = itemgetter(*ids)
+            letters[k::n] = bytes(get(self.letter))
+            ids = get(self.parent)
+        letters = bytes(letters)
+        return [letters[i:i + n] for i in range(0, len(letters), n)]
+
+    def prepended(self, x: int, n: int) -> list[int]:
+        """For every node id w of length at most n, the node of x + w, or -1.
+
+        Walks down the trie from the node of x along each word: x + w is a
+        child of x + parent(w) whenever that exists.
+        """
+        child, parent, letter = self.child, self.parent, self.letter
+        nodes = [child[x][0]]
+        for w in range(1, self.offsets[n + 1]):
+            up = nodes[parent[w]]
+            nodes.append(up if up < 0 else child[letter[w]][up])
+        return nodes
+
+
+_TRIES: dict[Alphabet, _Trie] = {}
+
+
+def _language(alphabet: Alphabet, n: int) -> _Trie:
+    """The alphabet's trie, grown to length n."""
+    trie = _TRIES.get(alphabet)
+    if trie is None:
+        trie = _TRIES[alphabet] = _Trie(alphabet)
+    trie.grow(n)
+    return trie
 
 
 def enumerate_f_smooth(alphabet: Alphabet, n: int, *, cap: int = DEFAULT_LENGTH_CAP) -> list[Word]:
     """All f-smooth words of length n, lexicographically ordered.
 
-    Builds up from length n-1 members by single-letter extension, which is
-    sound and complete because the language is factorial and extendable.
+    Spelled from the alphabet's derivative trie, which is built up from
+    length n-1 members by single-letter extension; that is sound and
+    complete because the language is factorial and extendable.
     """
     _check_size("enumeration length", n, cap, "; pass a larger cap explicitly")
-    return [Word(alphabet, w) for w in _language_levels(alphabet, n)[n]]
+    return [Word(alphabet, w) for w in _language(alphabet, n).spell(n)]
 
 
 def f_smooth_count(alphabet: Alphabet, n: int, *, cap: int = DEFAULT_LENGTH_CAP) -> int:
     """Number of f-smooth words of length n (the factor complexity value)."""
     _check_size("enumeration length", n, cap, "; pass a larger cap explicitly")
-    return len(_language_levels(alphabet, n)[n])
+    return len(_language(alphabet, n).level(n))
 
 
 def left_extensions(word: Word) -> tuple[int, ...]:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,8 @@ from smoothwords import (
     tree_generation,
 )
 from smoothwords import bispecial
+from smoothwords.smoothness import enumerate_f_smooth
+from smoothwords.words import Word
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -59,6 +62,17 @@ class TestPrimitive:
         u = AB14.word(letters)
         shorter = u[:len(u) - 1]
         assert primitive(shorter, 1).is_prefix_of(primitive(u, 1))
+
+    def test_refused_past_the_letter_budget_before_spelling(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("runs spelled before the budget check")
+
+        monkeypatch.setattr(bispecial, "_spell", unreachable)
+        ab = Alphabet(100, 255)
+        with pytest.raises(ResourceCapError, match=re.escape(
+                "primitive of a 400,000-letter word over {100,255} would have "
+                "102,000,200 letters, above the budget of 80,000,000")):
+            primitive(Word(ab, bytes([255]) * 400_000), 100)
 
 
 class TestBispecialPredicates:
@@ -242,6 +256,14 @@ class TestMultiplicitySums:
                 b_n = (p[n + 2] - p[n + 1]) - (p[n + 1] - p[n])
                 assert bispecial_multiplicity_sum(ab, n) == b_n, (ab, n)
 
+    @pytest.mark.parametrize("ab", [AB12, AB13, AB24, Alphabet(2, 5)])
+    def test_trie_sum_matches_per_word_probes(self, ab):
+        # the per-word probes re-derive every extension from scratch
+        for n in range(21):
+            expect = sum(bispecial._extension_count(w) - 3
+                         for w in enumerate_f_smooth(ab, n) if is_bispecial(w))
+            assert bispecial_multiplicity_sum(ab, n) == expect, (ab, n)
+
 
 class TestGenerationStats:
     def test_total_letters_recurrence(self):
@@ -327,6 +349,12 @@ class TestComplexity:
                       (Alphabet(1, 5), 40), (Alphabet(3, 5), 40),
                       (Alphabet(3, 8), 40)):
             assert tree_derived_complexity(ab, n).p == exact_complexity(ab, n).p, ab
+
+    @pytest.mark.parametrize("ab", [AB12, AB13, AB14, AB24, Alphabet(2, 5),
+                                    Alphabet(1, 6), Alphabet(3, 5)])
+    def test_tree_derived_matches_enumeration_to_120(self, ab):
+        assert (tree_derived_complexity(ab, 120).p
+                == exact_complexity(ab, 120, cap=120).p)
 
     def test_each_level_is_built_once(self, monkeypatch):
         # levels 1..11 of {1,2}/T, each built once (level 11 is the first

@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,9 @@ from smoothwords import (
     left_extensions,
     right_extensions,
 )
+from smoothwords import smoothness
+from smoothwords.derivation import _F
+from smoothwords.smoothness import _is_smooth_bytes
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -104,6 +108,67 @@ class TestEnumeration:
         for n in range(7):
             for w in enumerate_f_smooth(AB14, n):
                 assert is_f_smooth(w) is not None
+
+
+class TestTrieAgainstOracle:
+    """The derivative trie against from-scratch derivation chains."""
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 4), (1, 4), (2, 5), (3, 5)])
+    def test_every_word_filtered(self, a, b):
+        ab = Alphabet(a, b)
+        for n in range(15):
+            expect = [bytes(w) for w in product((a, b), repeat=n)
+                      if _is_smooth_bytes(bytes(w), a, b, _F)]
+            assert [w.letters for w in enumerate_f_smooth(ab, n)] == expect, n
+
+    @pytest.mark.parametrize("a,b", [(1, 255), (254, 255), (100, 255)])
+    def test_long_words_over_wide_alphabets(self, a, b):
+        # every word of length n extends one of length n - 1 (the language
+        # is factorial), so filtering the extensions of the previous level
+        # filters every word of length n
+        ab = Alphabet(a, b)
+        expect = [b""]
+        for n in range(301):
+            assert [w.letters for w in enumerate_f_smooth(ab, n, cap=300)] == expect, n
+            expect = [w + bytes([c]) for w in expect for c in (a, b)
+                      if _is_smooth_bytes(w + bytes([c]), a, b, _F)]
+
+    def test_node_budget_refuses_before_building(self, monkeypatch):
+        monkeypatch.setattr(smoothness, "_TRIES", {})
+        f_smooth_count(AB12, 10)
+        trie = smoothness._TRIES[AB12]
+        nodes, offsets = len(trie.parent), list(trie.offsets)
+        bound = 2 * f_smooth_count(AB12, 10)
+        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound - 1)
+        with pytest.raises(ResourceCapError, match=re.escape(
+                f"level 11 of the f-smooth words over {{1,2}} could add "
+                f"{bound} trie nodes to {nodes}, above the budget of "
+                f"{nodes + bound - 1}")):
+            f_smooth_count(AB12, 11)
+        assert trie.offsets == offsets
+        assert {len(column) for column in trie._columns()} == {nodes}
+        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound)
+        assert f_smooth_count(AB12, 11) == 62
+
+
+    def test_interrupted_level_leaves_the_trie_as_it_was(self, monkeypatch):
+        monkeypatch.setattr(smoothness, "_TRIES", {})
+        f_smooth_count(AB13, 10)
+        trie = smoothness._TRIES[AB13]
+        before = [list(column) for column in trie._columns()], list(trie.offsets)
+
+        def interrupted(*args):  # called once the level's nodes are appended
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(smoothness, "repeat", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                f_smooth_count(AB13, 11)
+        assert ([list(column) for column in trie._columns()],
+                trie.offsets) == before
+        assert [w.letters for w in enumerate_f_smooth(AB13, 12)] == [
+            bytes(w) for w in product((1, 3), repeat=12)
+            if _is_smooth_bytes(bytes(w), 1, 3, _F)]
 
 
 class TestCubeFree:
