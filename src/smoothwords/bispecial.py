@@ -106,8 +106,7 @@ def bispecial_multiplicity_sum(alphabet: Alphabet, n: int) -> int:
     Read from the derivative trie grown to n + 2: w + y is a child of w,
     and x + w and x + w + y are found by walking down from the node of x.
     """
-    _check_size("enumeration length", n, DEFAULT_LENGTH_CAP,
-                "; pass a larger cap explicitly")
+    _check_size("enumeration length", n, DEFAULT_LENGTH_CAP)
     a, b = alphabet.a, alphabet.b
     trie = _language(alphabet, n + 2)
     ca, cb = trie.child[a], trie.child[b]

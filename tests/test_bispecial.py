@@ -9,8 +9,10 @@ from smoothwords import (
     FAMILIES,
     InvalidFamilyError,
     ResourceCapError,
+    Word,
     bispecial_multiplicity_sum,
     derive_f,
+    enumerate_f_smooth,
     exact_complexity,
     generation_stats,
     generation_swap,
@@ -23,8 +25,6 @@ from smoothwords import (
     tree_generation,
 )
 from smoothwords import bispecial
-from smoothwords.smoothness import enumerate_f_smooth
-from smoothwords.words import Word
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -255,6 +255,12 @@ class TestMultiplicitySums:
             for n in range(11):
                 b_n = (p[n + 2] - p[n + 1]) - (p[n + 1] - p[n])
                 assert bispecial_multiplicity_sum(ab, n) == b_n, (ab, n)
+
+    def test_length_past_the_default_cap_is_refused(self):
+        # no cap parameter, so the refusal advises none
+        with pytest.raises(ResourceCapError,
+                           match=r"^enumeration length 65 above cap 64$"):
+            bispecial_multiplicity_sum(AB12, 65)
 
     @pytest.mark.parametrize("ab", [AB12, AB13, AB24, Alphabet(2, 5)])
     def test_trie_sum_matches_per_word_probes(self, ab):

@@ -150,7 +150,6 @@ class TestTrieAgainstOracle:
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound)
         assert f_smooth_count(AB12, 11) == 62
 
-
     def test_interrupted_level_leaves_the_trie_as_it_was(self, monkeypatch):
         monkeypatch.setattr(smoothness, "_TRIES", {})
         f_smooth_count(AB13, 10)
