@@ -23,16 +23,20 @@ on it break otherwise.  The prefix rule treats the final run as possibly
 unfinished: it only has to fit in [1, b] and is dropped.
 
 Every rule contracts the length of any nonempty word, so iteration terminates.
+
+One step reads the exponents as a `bytes` object from `words._bytes_runs`,
+whose boundary marks assume the letters lie in {a, b}; every caller passes
+a word of the alphabet.  A run longer than 255 cannot be a byte, and since
+b <= 255 it is outside the domain of every rule, so the step refuses it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Optional
 
 from .errors import NotDerivableError, NotRDerivableError
-from .words import Word
+from .words import Word, _bytes_runs
 
 
 @dataclass(frozen=True)
@@ -82,17 +86,26 @@ def _check(exps: list[int], a: int, b: int, rule) -> Optional[int]:
 
 
 def _derive_bytes(letters: bytes, a: int, b: int, rule) -> Optional[bytes]:
-    """One derivation step on raw letters under `rule`; None off the domain."""
+    """One derivation step on raw letters over {a, b} under `rule`; None off
+    the domain."""
     if not letters:
         return b""
-    exps = [len(list(g)) for _, g in groupby(letters)]
-    if _check(exps, a, b, rule) is not None:
+    try:
+        exps = bytes(_bytes_runs(letters, a, b))
+    except ValueError:  # a run longer than 255, so longer than b
         return None
     first, last = rule
-    tail = last(exps.pop(), a, b)
-    if first is None or not exps:
-        return bytes(exps) + tail
-    return first(exps[0], a, b) + bytes(exps[1:]) + tail
+    if exps[-1] > b:
+        return None
+    if first is None:
+        if exps[:-1].translate(None, bytes((a, b))):
+            return None
+        return exps[:-1] + last(exps[-1], a, b)
+    if len(exps) == 1:
+        return last(exps[0], a, b)
+    if exps[0] > b or exps[1:-1].translate(None, bytes((a, b))):
+        return None
+    return first(exps[0], a, b) + exps[1:-1] + last(exps[-1], a, b)
 
 
 def derivability(word: Word, kind: str = "f") -> DerivabilityReport:

@@ -273,9 +273,8 @@ def embed_left(word: Word) -> EmbeddingWitness:
     # witness of its derivative.
     for u, d in zip(reversed(cert.chain[:-1]), reversed(cert.chain[1:])):
         v_letters = combined[: len(combined) - len(d)]
-        runs = _bytes_runs(u.letters)
-        first_letter, p1 = runs[0]
-        tail = bytes(e for _, e in runs[1:])
+        exps = bytes(_bytes_runs(u.letters, a, b))  # u derives: runs <= b
+        first_letter, p1, tail = u.letters[0], exps[0], exps[1:]
         if p1 <= a:
             exponents = v_letters + tail
             anchor = len(v_letters) - 1  # run absorbing u's first run

@@ -203,27 +203,58 @@ OPERATORS = (
 )
 
 
+def ref_report(letters, ab, kind):
+    """Index and exponent of the first run outside the domain of `kind`."""
+    exps = [len(list(g)) for _, g in groupby(letters)]
+    last = len(exps) - 1
+    for i, p in enumerate(exps):
+        cut = i == last or (i == 0 and kind != "r")
+        if p > ab.b if cut else p not in (ab.a, ab.b):
+            return i, p
+    return None
+
+
+def assert_matches_definitions(w):
+    ab, letters = w.alphabet, w.letters
+    for kind, op, error in OPERATORS:
+        expected = ref_derive(letters, ab, kind)
+        assert derivability(w, kind).derivable == (expected is not None)
+        if expected is None:
+            with pytest.raises(error) as info:
+                op(w)
+            report = info.value.report
+            assert not report.derivable
+            assert (report.offending_run_index, report.offending_exponent) == (
+                ref_report(letters, ab, kind)), (kind, w)
+        else:
+            assert op(w).letters == expected, (kind, w)
+    cert = is_f_smooth(w)
+    chain = ref_chain(letters, ab, "f")
+    if chain is None:
+        assert cert is None, w
+    else:
+        assert [c.letters for c in cert.chain] == chain
+        assert cert.height == len(chain) - 1
+    assert is_r_smooth(w) == (ref_chain(letters, ab, "r") is not None)
+    for depth in (1, 2, 3):
+        assert check_smooth_depth(w, depth) == ref_depth(letters, ab, depth)
+
+
 @pytest.mark.parametrize("a,b", DIFFERENTIAL_ALPHABETS)
 def test_operators_match_definitions_on_all_short_words(a, b):
     ab = Alphabet(a, b)
     for n in range(11):
         for letters in map(bytes, product((a, b), repeat=n)):
-            w = Word(ab, letters)
-            for kind, op, error in OPERATORS:
-                expected = ref_derive(letters, ab, kind)
-                assert derivability(w, kind).derivable == (expected is not None)
-                if expected is None:
-                    with pytest.raises(error):
-                        op(w)
-                else:
-                    assert op(w).letters == expected, (kind, w)
-            cert = is_f_smooth(w)
-            chain = ref_chain(letters, ab, "f")
-            if chain is None:
-                assert cert is None, w
-            else:
-                assert [c.letters for c in cert.chain] == chain
-                assert cert.height == len(chain) - 1
-            assert is_r_smooth(w) == (ref_chain(letters, ab, "r") is not None)
-            for depth in (1, 2, 3):
-                assert check_smooth_depth(w, depth) == ref_depth(letters, ab, depth)
+            assert_matches_definitions(Word(ab, letters))
+
+
+@pytest.mark.parametrize("a,b", [(1, 255), (254, 255), (1, 2)])
+def test_operators_match_definitions_on_runs_past_a_byte(a, b):
+    # the step reads exponents as bytes: runs of 256 and more cannot be one
+    for long in (254, 255, 256, 300):
+        for exponents in ([long], [long, a, b], [a, long, a], [b, a, long]):
+            for first, second in ((a, b), (b, a)):
+                letters = b"".join(
+                    bytes([first if i % 2 == 0 else second]) * e
+                    for i, e in enumerate(exponents))
+                assert_matches_definitions(Word(Alphabet(a, b), letters))

@@ -1,4 +1,5 @@
 import random
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -161,6 +162,59 @@ def test_spell_matches_loop(first, second):
             exponents = bytes(rng.randint(1, high) for _ in range(n))
             spelled = _spell(exponents, first, second)
             assert spelled == spell_by_loop(exponents, first, second)
-            assert bytes(e for _, e in _bytes_runs(spelled)) == exponents
+            if exponents:
+                assert bytes(_bytes_runs(spelled, first, second)) == exponents
     assert _spell(bytes(range(1, 256)), first, second) == spell_by_loop(
         bytes(range(1, 256)), first, second)
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 5), (1, 255)])
+def test_bytes_runs_matches_groupby(a, b):
+    for n in range(1, 13):
+        for letters in map(bytes, product((a, b), repeat=n)):
+            expected = [len(list(g)) for _, g in groupby(letters)]
+            assert list(_bytes_runs(letters, a, b)) == expected
+
+
+def test_runs_past_a_byte_are_exact():
+    ab = Alphabet(1, 255)
+    w = ab.word(bytes([255]) * 300 + bytes([1]) * 256 + bytes([255]))
+    assert w.runs.exponents() == (300, 256, 1)
+    assert [r.letter for r in w.runs] == [255, 1, 255]
+
+
+def parse_by_loop(alphabet, text):
+    """Text parsing with one `int()` per letter, the reference for the
+    digit fast path of `Alphabet.word`."""
+    text = text.strip()
+    if not text:
+        return b""
+    if "," in text:
+        parts = text.split(",")
+    elif alphabet.b < 10:
+        parts = list(text)
+    else:
+        parts = [text]
+    letters = []
+    for part in parts:
+        try:
+            letters.append(int(part))
+        except ValueError:
+            raise ValueError(f"letter {part!r} is not an integer") from None
+    bad = next((x for x in letters if x != alphabet.a and x != alphabet.b), None)
+    if bad is not None:
+        raise ValueError(f"letter {bad} not in alphabet {alphabet}")
+    return bytes(letters)
+
+
+@given(st.sampled_from([Alphabet(1, 2), Alphabet(1, 3), Alphabet(1, 12)]),
+       st.text(alphabet="123, x\u0661", max_size=12))
+def test_parsing_matches_the_letter_loop(ab, text):
+    try:
+        expected = parse_by_loop(ab, text)
+    except ValueError as error:
+        with pytest.raises(ValueError) as info:
+            ab.word(text)
+        assert str(info.value) == str(error)
+    else:
+        assert ab.word(text).letters == expected
