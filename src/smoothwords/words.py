@@ -146,7 +146,8 @@ def _runs_to_bytes(runs: Iterable[Run]) -> bytes:
 
 @cache
 def _run_marks(a: int, b: int) -> tuple[bytes, bytes, bytes, bytes]:
-    """The boundaries ab and ba, each followed by itself with byte 0 inside."""
+    """The run boundaries ab and ba, each followed by its marked form, with
+    byte 0 between the two letters."""
     return bytes((a, b)), bytes((a, 0, b)), bytes((b, a)), bytes((b, 0, a))
 
 
@@ -155,7 +156,7 @@ def _bytes_runs(letters: bytes, a: int, b: int) -> Iterator[int]:
 
     The inverse of `_spell`, at C speed: two `bytes.replace` passes put byte
     0, never a letter, at every run boundary, and `split` cuts the word
-    there.  Its scratch holds one `bytes` object per run.
+    there.  Its working memory holds one `bytes` object per run.
     """
     ab, a0b, ba, b0a = _run_marks(a, b)
     return map(len, letters.replace(ab, a0b).replace(ba, b0a).split(b"\0"))

@@ -208,7 +208,7 @@ def parse_by_loop(alphabet, text):
 
 
 @given(st.sampled_from([Alphabet(1, 2), Alphabet(1, 3), Alphabet(1, 12)]),
-       st.text(alphabet="123, x\u0661", max_size=12))
+       st.text(alphabet="123, x\u0661\udc80", max_size=12))
 def test_parsing_matches_the_letter_loop(ab, text):
     try:
         expected = parse_by_loop(ab, text)
