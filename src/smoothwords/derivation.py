@@ -33,7 +33,7 @@ b <= 255 it is outside the domain of every rule, so the step refuses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .errors import NotDerivableError, NotRDerivableError
 from .words import Word, _bytes_runs
@@ -73,15 +73,20 @@ _PREFIX = (None, _drop)
 _RULES = {"f": _F, "r": _R, "huang": _HUANG}
 
 
-def _check(exps: list[int], a: int, b: int, rule) -> Optional[int]:
-    """Index of the first run outside the rule's domain, or None."""
+def _check(exps: Sequence[int], a: int, b: int, rule) -> Optional[int]:
+    """Index of the first run outside the rule's domain, or None.
+
+    Exponents given as `bytes` have their interior runs checked with one
+    `translate`; the loop then only runs to find an offender's index.
+    """
     last = len(exps) - 1
     lo = 0 if rule[0] is None else 1
     if lo and exps[0] > b:
         return 0
-    for i in range(lo, last):
-        if exps[i] != a and exps[i] != b:
-            return i
+    if not isinstance(exps, bytes) or exps[lo:last].translate(None, bytes((a, b))):
+        for i in range(lo, last):
+            if exps[i] != a and exps[i] != b:
+                return i
     return last if exps[last] > b else None
 
 
@@ -94,17 +99,13 @@ def _derive_bytes(letters: bytes, a: int, b: int, rule) -> Optional[bytes]:
         exps = bytes(_bytes_runs(letters, a, b))
     except ValueError:  # a run longer than 255, so longer than b
         return None
-    first, last = rule
-    if exps[-1] > b:
+    if _check(exps, a, b, rule) is not None:
         return None
+    first, last = rule
     if first is None:
-        if exps[:-1].translate(None, bytes((a, b))):
-            return None
         return exps[:-1] + last(exps[-1], a, b)
     if len(exps) == 1:
         return last(exps[0], a, b)
-    if exps[0] > b or exps[1:-1].translate(None, bytes((a, b))):
-        return None
     return first(exps[0], a, b) + exps[1:-1] + last(exps[-1], a, b)
 
 

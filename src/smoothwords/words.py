@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import cycle
+from itertools import chain, cycle
 from typing import Iterable, Iterator, NamedTuple, Union
 
 
@@ -55,15 +55,6 @@ class Alphabet:
     def _swap_table(self) -> bytes:
         return bytes.maketrans(bytes([self.a, self.b]), bytes([self.b, self.a]))
 
-    @cached_property
-    def _digit_table(self) -> bytes:
-        """For b < 10: takes each letter's digit to the letter and every other
-        byte to 0, which is never a letter."""
-        table = bytearray(256)
-        table[ord(str(self.a))] = self.a
-        table[ord(str(self.b))] = self.b
-        return bytes(table)
-
     def word(self, letters: Union[str, bytes, Iterable[int]] = b"") -> "Word":
         """Build a word; accepts rendered text, bytes, or an iterable of letters."""
         if isinstance(letters, str):
@@ -79,6 +70,10 @@ class Alphabet:
         return f"{{{self.a},{self.b}}}"
 
 
+# Takes each ASCII digit to its value and every other byte to 0, never a letter.
+_DIGITS = bytes(48) + bytes(range(10)) + bytes(198)
+
+
 def _parse_text(alphabet: Alphabet, text: str) -> bytes:
     text = text.strip()
     if not text:
@@ -87,8 +82,8 @@ def _parse_text(alphabet: Alphabet, text: str) -> bytes:
         parts = text.split(",")
     elif alphabet.b < 10:
         if text.isascii():
-            letters = text.encode().translate(alphabet._digit_table)
-            if 0 not in letters:
+            letters = text.encode().translate(_DIGITS)
+            if not letters.translate(None, bytes((alphabet.a, alphabet.b))):
                 return letters
         parts = list(text)
     else:
@@ -151,15 +146,34 @@ def _run_marks(a: int, b: int) -> tuple[bytes, bytes, bytes, bytes]:
     return bytes((a, b)), bytes((a, 0, b)), bytes((b, a)), bytes((b, 0, a))
 
 
+_SLICE = 2**16  # marked bytes `_bytes_runs` splits at once
+
+
 def _bytes_runs(letters: bytes, a: int, b: int) -> Iterator[int]:
-    """Lengths of the maximal runs of a nonempty word over {a, b}, in order.
+    """Lengths of the maximal runs of a word over {a, b}, in order.
 
     The inverse of `_spell`, at C speed: two `bytes.replace` passes put byte
     0, never a letter, at every run boundary, and `split` cuts the word
-    there.  Its working memory holds one `bytes` object per run.
+    there.  `split` holds one `bytes` object per run, so a long word is
+    split one piece of about `_SLICE` bytes at a time.
     """
+    if not letters:
+        return iter(())
     ab, a0b, ba, b0a = _run_marks(a, b)
-    return map(len, letters.replace(ab, a0b).replace(ba, b0a).split(b"\0"))
+    marked = letters.replace(ab, a0b).replace(ba, b0a)
+    if len(marked) <= _SLICE:
+        return map(len, marked.split(b"\0"))
+    return chain.from_iterable(map(len, piece.split(b"\0")) for piece in _pieces(marked))
+
+
+def _pieces(marked: bytes) -> Iterator[bytes]:
+    """Consecutive pieces of a marked word, cut at the first mark at least
+    `_SLICE` bytes into each; the marks cut at are dropped."""
+    start = 0
+    while (end := marked.find(0, start + _SLICE)) >= 0:
+        yield marked[start:end]
+        start = end + 1
+    yield marked[start:]
 
 
 @cache

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smoothwords import Alphabet, Parity, Word
+from smoothwords import words
 from smoothwords.words import _bytes_runs, _spell
 
 
@@ -162,18 +163,37 @@ def test_spell_matches_loop(first, second):
             exponents = bytes(rng.randint(1, high) for _ in range(n))
             spelled = _spell(exponents, first, second)
             assert spelled == spell_by_loop(exponents, first, second)
-            if exponents:
-                assert bytes(_bytes_runs(spelled, first, second)) == exponents
+            assert bytes(_bytes_runs(spelled, first, second)) == exponents
     assert _spell(bytes(range(1, 256)), first, second) == spell_by_loop(
         bytes(range(1, 256)), first, second)
 
 
 @pytest.mark.parametrize("a, b", [(1, 2), (2, 5), (1, 255)])
 def test_bytes_runs_matches_groupby(a, b):
-    for n in range(1, 13):
+    for n in range(13):
         for letters in map(bytes, product((a, b), repeat=n)):
             expected = [len(list(g)) for _, g in groupby(letters)]
             assert list(_bytes_runs(letters, a, b)) == expected
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 2, 3, 5])
+def test_bytes_runs_in_pieces_matches_groupby(monkeypatch, slice_bytes):
+    """Tiny pieces put a cut at every position of short words."""
+    monkeypatch.setattr(words, "_SLICE", slice_bytes)
+    for n in range(11):
+        for letters in map(bytes, product((1, 2), repeat=n)):
+            expected = [len(list(g)) for _, g in groupby(letters)]
+            assert list(_bytes_runs(letters, 1, 2)) == expected
+
+
+def test_bytes_runs_of_a_word_longer_than_a_piece():
+    rng = random.Random(9)
+    runs = [70_000 if i % 9_000 == 0 else rng.randint(1, 3) for i in range(40_000)]
+    letters = b"".join(bytes([x]) * e for x, e in zip((1, 255) * 20_000, runs))
+    assert len(letters) > 4 * words._SLICE
+    assert list(_bytes_runs(letters, 1, 255)) == runs
+    one_run = bytes([7]) * (3 * words._SLICE)
+    assert list(_bytes_runs(one_run, 7, 9)) == [3 * words._SLICE]
 
 
 def test_runs_past_a_byte_are_exact():
@@ -210,11 +230,13 @@ def parse_by_loop(alphabet, text):
 @given(st.sampled_from([Alphabet(1, 2), Alphabet(1, 3), Alphabet(1, 12)]),
        st.text(alphabet="123, x\u0661\udc80", max_size=12))
 def test_parsing_matches_the_letter_loop(ab, text):
-    try:
-        expected = parse_by_loop(ab, text)
-    except ValueError as error:
-        with pytest.raises(ValueError) as info:
-            ab.word(text)
-        assert str(info.value) == str(error)
-    else:
-        assert ab.word(text).letters == expected
+    # the parser alone as well, since `Word` refuses foreign letters again
+    for parse in (lambda t: ab.word(t).letters, lambda t: words._parse_text(ab, t)):
+        try:
+            expected = parse_by_loop(ab, text)
+        except ValueError as error:
+            with pytest.raises(ValueError) as info:
+                parse(text)
+            assert str(info.value) == str(error)
+        else:
+            assert parse(text) == expected
