@@ -168,22 +168,17 @@ def test_spell_matches_loop(first, second):
         bytes(range(1, 256)), first, second)
 
 
-@pytest.mark.parametrize("a, b", [(1, 2), (2, 5), (1, 255)])
-def test_bytes_runs_matches_groupby(a, b):
+@pytest.mark.parametrize("a, b, slice_bytes", [
+    (1, 2, None), (2, 5, None), (1, 255, None),
+    # tiny pieces put a cut at every position of these short words
+    (1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 2, 5)])
+def test_bytes_runs_matches_groupby(monkeypatch, a, b, slice_bytes):
+    if slice_bytes is not None:
+        monkeypatch.setattr(words, "_SLICE", slice_bytes)
     for n in range(13):
         for letters in map(bytes, product((a, b), repeat=n)):
             expected = [len(list(g)) for _, g in groupby(letters)]
             assert list(_bytes_runs(letters, a, b)) == expected
-
-
-@pytest.mark.parametrize("slice_bytes", [1, 2, 3, 5])
-def test_bytes_runs_in_pieces_matches_groupby(monkeypatch, slice_bytes):
-    """Tiny pieces put a cut at every position of short words."""
-    monkeypatch.setattr(words, "_SLICE", slice_bytes)
-    for n in range(11):
-        for letters in map(bytes, product((1, 2), repeat=n)):
-            expected = [len(list(g)) for _, g in groupby(letters)]
-            assert list(_bytes_runs(letters, 1, 2)) == expected
 
 
 def test_bytes_runs_of_a_word_longer_than_a_piece():
