@@ -15,6 +15,13 @@ Level statistics are computed two ways: materializing the words, or walking
 exact parity-count states (possible when both letters share a parity, since
 the child counts are then a linear function of the parent state).  The two
 routes are cross-checked in the test suite.
+
+The complexity walk stops at its horizon: both children of a vertex w have
+length 2a + sum(w), so a vertex whose children pass the horizon is not
+expanded, and over a mixed alphabet a child is spelled only when its own
+children are within the horizon.  The unpruned level walks behind
+`tree_generation` and `generation_stats` remain, with their generation and
+size budgets, as the oracle the pruned walk is tested against.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, count, islice
+from math import log
 
 from .derivation import _F, derive_f
 from .errors import InvalidFamilyError, ResourceCapError, _check_size
@@ -41,8 +49,15 @@ MATERIALIZE_LETTER_LIMIT = 80_000_000
 # Distinct parity-count states of one level; 2^g at generation g over {1,3},
 # so every level up to the default generation cap fits.
 STATE_LIMIT = 2 ** DEFAULT_GENERATION_CAP
-# Longest complexity horizon; every family keeps one array of this length.
-MAX_HORIZON = 20_000
+# Longest complexity horizon.  Every family keeps one array of this length,
+# and the pruned state walk over {1,3}, the costliest, builds its whole table
+# at this horizon in about a second.
+MAX_HORIZON = 100_000
+# Budget on horizon^(log(a+b) / log((a+b)/2)), Sing's growth exponent, which
+# the letters a pruned walk over a mixed alphabet builds grow like: between
+# 1526^e and 1527^e for {1,2}, the largest horizon that alphabet reached
+# under the 80,000,000-letter level budget of the unpruned walk.
+MIXED_WALK_LIMIT = 423_000_000
 
 
 # -- primitives -----------------------------------------------------------
@@ -259,21 +274,32 @@ def _state_child_a(state: tuple[int, int, int, int], a: int, b: int,
     raise ValueError("state recurrence needs both letters of one parity")
 
 
+def _root_states(alphabet: Alphabet, family: str) -> Counter:
+    """Level 0 of the state walk: the root's parity counts, once."""
+    return Counter({family_root(alphabet, family).parity_counts().as_tuple(): 1})
+
+
+def _state_children(states, alphabet: Alphabet) -> Counter:
+    """The next level of (state, multiplicity) pairs: each state's a-rooted
+    child and its complemented sibling."""
+    a, b, parity_class = alphabet.a, alphabet.b, alphabet.parity
+    nxt: Counter = Counter()
+    for state, mult in states:
+        ca = _state_child_a(state, a, b, parity_class)
+        nxt[ca] += mult
+        nxt[(ca[2], ca[3], ca[0], ca[1])] += mult  # complemented sibling
+    return nxt
+
+
 def _state_levels(alphabet: Alphabet, family: str, generation_cap: int):
     """Yield levels 0, 1, 2, ... as Counters of parity-count states; no
     words are built."""
-    a, b, parity_class = alphabet.a, alphabet.b, alphabet.parity
-    level = Counter({family_root(alphabet, family).parity_counts().as_tuple(): 1})
+    level = _root_states(alphabet, family)
     for generation in count(1):
         yield level
         _check_level(alphabet, family, generation, generation_cap, False,
                      len(level))
-        nxt: Counter = Counter()
-        for state, mult in level.items():
-            ca = _state_child_a(state, a, b, parity_class)
-            nxt[ca] += mult
-            nxt[(ca[2], ca[3], ca[0], ca[1])] += mult  # complemented sibling
-        level = nxt
+        level = _state_children(level.items(), alphabet)
 
 
 def _state_histogram(level: Counter) -> Counter:
@@ -378,24 +404,81 @@ def _complexity_counts(hist: dict[int, int], horizon: int) -> tuple[int, ...]:
     return tuple(islice(accumulate(s, initial=0), horizon + 1))
 
 
+def _pruned_state_histogram(alphabet: Alphabet, family: str,
+                            horizon: int) -> Counter:
+    """Length histogram of the vertices, complete up to the horizon, from
+    parity-count states: a state is expanded only when its children, of
+    length 2a + a(ae + ao) + b(be + bo), are within the horizon."""
+    a, b = alphabet.a, alphabet.b
+    hist: Counter = Counter()
+    level = _root_states(alphabet, family)
+    while level:
+        hist.update(_state_histogram(level))
+        level = _state_children(
+            ((state, mult) for state, mult in level.items()
+             if 2 * a + a * (state[0] + state[1]) + b * (state[2] + state[3])
+             <= horizon),
+            alphabet)
+    return hist
+
+
+def _pruned_word_histogram(alphabet: Alphabet, family: str,
+                           horizon: int) -> Counter:
+    """Length histogram of the vertices, complete up to the horizon, spelling
+    only the vertices whose children are within it.
+
+    Both children of w have length 2a + sum(w).  With S1 and S2 the sums of
+    the letters of w at even and odd indices, the child with first letter x
+    (other letter y) has letter sum a*x + y*S1 + x*S2 + a*(x if len(w) is odd
+    else y), so its children's length is known before it is spelled: a child
+    whose children pass the horizon is counted by its length alone.
+    """
+    a, b = alphabet.a, alphabet.b
+    root = family_root(alphabet, family).letters
+    hist = Counter([len(root)])
+    level = [root]
+    while level:
+        nxt = []
+        for w in level:
+            s1, s2 = sum(w[0::2]), sum(w[1::2])
+            hist[2 * a + s1 + s2] += 2
+            for x, y in ((a, b), (b, a)):
+                last = x if len(w) & 1 else y
+                if 2 * a + a * x + y * s1 + x * s2 + a * last <= horizon:
+                    nxt.append(_primitive_bytes(w, x, a, y))
+        level = nxt
+    return hist
+
+
 def tree_complexity(alphabet: Alphabet, family: str, horizon: int) -> TreeComplexity:
     """Count vertices by length up to the horizon, over all generations.
 
-    Levels stop as soon as their minimum length passes the horizon; child
-    words are strictly longer than parents, so that is final.  The count
-    array is linear in the histogram, so the levels' histograms are summed
-    first and counted once.
+    The walk stops at the horizon: both children of a vertex w have length
+    2a + sum(w), longer than w, so a vertex whose children pass the horizon
+    has no descendant within it and is not expanded.  Single-parity
+    alphabets walk parity-count states, mixed ones materialize words with a
+    two-level length lookahead.  The horizon is refused before any work when
+    the materialized walk would grow past its budget.  The unpruned level
+    walks of `tree_generation` and `generation_stats` are the oracle the
+    tests compare this walk with.  The count array is linear in the
+    histogram, so it is counted once from the summed lengths.
     """
     _check_size("horizon", horizon, MAX_HORIZON)
-    levels, histogram = _walk(alphabet, family, "auto", DEFAULT_GENERATION_CAP)
-    total: Counter = Counter()
-    for level in levels:
-        hist = histogram(level)
-        if min(hist) > horizon:
-            break
-        total.update(hist)
+    if alphabet.parity is Parity.MIXED:
+        a_plus_b = alphabet.a + alphabet.b
+        exponent = log(a_plus_b) / log(a_plus_b / 2)
+        growth = horizon ** exponent
+        if growth > MIXED_WALK_LIMIT:
+            raise ResourceCapError(
+                f"horizon {horizon} over {alphabet}: its materialized tree walk "
+                f"grows like horizon^{exponent:.4f} = {growth:,.0f}, above the "
+                f"budget of {MIXED_WALK_LIMIT:,}"
+            )
+        hist = _pruned_word_histogram(alphabet, family, horizon)
+    else:
+        hist = _pruned_state_histogram(alphabet, family, horizon)
     return TreeComplexity(alphabet, family, horizon,
-                          _complexity_counts(total, horizon))
+                          _complexity_counts(hist, horizon))
 
 
 @dataclass(frozen=True)

@@ -51,10 +51,6 @@ class Alphabet:
             return self.a
         raise ValueError(f"letter {letter} not in alphabet {self}")
 
-    @cached_property
-    def _swap_table(self) -> bytes:
-        return bytes.maketrans(bytes([self.a, self.b]), bytes([self.b, self.a]))
-
     def word(self, letters: Union[str, bytes, Iterable[int]] = b"") -> "Word":
         """Build a word; accepts rendered text, bytes, or an iterable of letters."""
         if isinstance(letters, str):
@@ -68,6 +64,12 @@ class Alphabet:
 
     def __str__(self) -> str:
         return f"{{{self.a},{self.b}}}"
+
+
+@cache
+def _swap_table(a: int, b: int) -> bytes:
+    """Translation table exchanging the letters a and b, one per alphabet."""
+    return bytes.maketrans(bytes((a, b)), bytes((b, a)))
 
 
 # Takes each ASCII digit to its value and every other byte to 0, never a letter.
@@ -288,7 +290,8 @@ class Word:
 
     def complement(self) -> "Word":
         """Swap the two letters everywhere."""
-        return Word(self.alphabet, self.letters.translate(self.alphabet._swap_table))
+        ab = self.alphabet
+        return Word(ab, self.letters.translate(_swap_table(ab.a, ab.b)))
 
     def reversal(self) -> "Word":
         return Word(self.alphabet, self.letters[::-1])

@@ -1,5 +1,7 @@
 import re
+from collections import Counter
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -194,6 +196,22 @@ class TestTreeGenerations:
                 r"172,186,884 letters, above the budget of 80,000,000")):
             tree_generation(AB12, "T", 16, generation_cap=30)
 
+    def test_mixed_horizon_refusal_names_its_numbers(self, monkeypatch):
+        # refused before any level is built: building one would call None
+        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        with pytest.raises(ResourceCapError, match=re.escape(
+                "horizon 1527 over {1,2}: its materialized tree walk grows "
+                "like horizon^2.7095 = 423,299,564, above the budget of "
+                "423,000,000")):
+            tree_complexity(AB12, "T", 1527)
+        # the budget refuses no horizon the unpruned walk answered: {1,2} up
+        # to 1526, every other mixed alphabet up to 20,000
+        monkeypatch.setattr(bispecial, "_pruned_word_histogram",
+                            lambda *args: Counter())
+        for ab, horizon in ((AB12, 1526), (Alphabet(2, 3), 20_000),
+                            (AB14, 20_000), (Alphabet(1, 6), 20_000)):
+            tree_complexity(ab, "T", horizon)
+
     def test_state_budget_refusal_names_its_numbers(self, monkeypatch):
         # {1,3}/T holds 2^g distinct states at generation g; {2,4} holds one
         monkeypatch.setattr(bispecial, "STATE_LIMIT", 64)
@@ -202,8 +220,11 @@ class TestTreeGenerations:
                 r"generation 7 of T over \{1,3\} could hold 128 distinct "
                 r"parity-count states, above the budget of 64")):
             generation_stats(AB13, "T", 7, method="state")
-        with pytest.raises(ResourceCapError, match="parity-count states"):
-            tree_complexity(AB13, "T", 20_000)
+        # the pruned walk is bounded by the horizon cap, not the state budget
+        assert tree_complexity(AB13, "T", 20_000).p[20_000] > 0
+        with pytest.raises(ResourceCapError,
+                           match=r"^horizon 100001 above cap 100000$"):
+            tree_complexity(AB13, "T", bispecial.MAX_HORIZON + 1)
         assert generation_stats(AB24, "T", 12).count == 2 ** 12
 
     def test_roots(self):
@@ -363,19 +384,85 @@ class TestComplexity:
                 == exact_complexity(ab, 120, cap=120).p)
 
     def test_each_level_is_built_once(self, monkeypatch):
-        # levels 1..11 of {1,2}/T, each built once (level 11 is the first
-        # whose minimum length passes 240): 2 + 4 + ... + 2^11 words
-        calls = 0
+        # the walk spells exactly the vertices below the root whose children,
+        # of length 2a + sum(w), are within the horizon, each once; the others
+        # are counted from their parent's letter sums
+        spelled = []
         build = bispecial._primitive_bytes
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return build(*args)
+        def recorded(*args):
+            spelled.append(build(*args))
+            return spelled[-1]
 
-        monkeypatch.setattr(bispecial, "_primitive_bytes", counted)
-        tree_complexity(AB12, "T", 240)
-        assert calls == 2 ** 12 - 2
+        for ab, family, horizon in ((AB12, "T", 240), (AB14, "T3", 300),
+                                    (Alphabet(2, 5), "T1", 400),
+                                    (Alphabet(1, 6), "T2", 500)):
+            spelled.clear()
+            monkeypatch.setattr(bispecial, "_primitive_bytes", recorded)
+            tree_complexity(ab, family, horizon)
+            monkeypatch.undo()
+            expect = []
+            for g in count(1):
+                level = [n.word.letters for n in tree_generation(ab, family, g)]
+                if min(map(len, level)) > horizon:
+                    break
+                expect += [w for w in level if 2 * ab.a + sum(w) <= horizon]
+            assert sorted(spelled) == sorted(expect), (ab, family)
+            if ab == AB12:
+                # the unpruned walk built levels 1..11: 2^12 - 2 = 4,094 words
+                assert len(spelled) == 966
+
+    def test_pruned_states_are_those_with_children_within_the_horizon(
+            self, monkeypatch):
+        # the state walk expands one state per distinct parity count of a
+        # level's vertices whose children are within the horizon
+        expanded = []
+        child = bispecial._state_child_a
+
+        def recorded(state, *args):
+            expanded.append(state)
+            return child(state, *args)
+
+        monkeypatch.setattr(bispecial, "_state_child_a", recorded)
+        for ab in (AB13, Alphabet(3, 5)):
+            for family in FAMILIES:
+                expanded.clear()
+                tree_complexity(ab, family, 200)
+                expect = []
+                for g in count():
+                    level = tree_generation(ab, family, g)
+                    if min(len(node.word) for node in level) > 200:
+                        break
+                    expect += {node.word.parity_counts().as_tuple()
+                               for node in level
+                               if 2 * ab.a + sum(node.word.letters) <= 200}
+                assert sorted(expanded) == sorted(expect), (ab, family)
+
+    @pytest.mark.parametrize("ab", [AB12, AB13, AB14, AB24, Alphabet(2, 5),
+                                    Alphabet(1, 6), Alphabet(3, 5)])
+    def test_pruned_walk_matches_the_unpruned_levels(self, ab):
+        # horizons at every vertex length of levels 0..3, and around each
+        # child length 2a + sum(w): the walk prunes past it, and p[h] first
+        # counts the child at h = 2a + sum(w) + 2
+        a = ab.a
+        families = ("T",) if a == ab.b - 1 else FAMILIES
+        for family in families:
+            horizons = {0, 1, 2, 3}
+            for g in range(4):
+                for node in tree_generation(ab, family, g):
+                    children = 2 * a + sum(node.word.letters)
+                    horizons |= {len(node.word), children - 1, children,
+                                 children + 1, children + 2}
+            hists = []  # the unpruned levels, by generation_stats
+            for horizon in sorted(horizons):
+                while not hists or min(hists[-1]) <= horizon:
+                    hists.append(generation_stats(ab, family, len(hists)).histogram)
+                total = Counter()
+                for hist in hists:
+                    total.update(hist)
+                expect = bispecial._complexity_counts(total, horizon)
+                assert tree_complexity(ab, family, horizon).p == expect, \
+                    (ab, family, horizon)
 
     def test_closed_form_beyond_max_length(self):
         for ab in (AB12, AB13, AB24):

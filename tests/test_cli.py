@@ -201,6 +201,16 @@ class TestComplexity:
         assert out == ""
         assert "cap" in err
 
+    def test_tree_walk_budget_is_checked_before_any_level(self, monkeypatch):
+        from smoothwords import bispecial
+
+        # building a level would call None
+        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        code, out, err = run_cli("complexity", "--max", "1525", "--tree-only")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: horizon 1527 over {1,2}: ")
+
     def test_enumeration_cap_is_checked_before_any_work(self, monkeypatch):
         from smoothwords import bispecial
 

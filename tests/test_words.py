@@ -79,6 +79,13 @@ class TestWord:
         ab = Alphabet(1, 3)
         assert ab.word("1331").complement() == ab.word("3113")
 
+    def test_equal_alphabets_share_one_swap_table(self):
+        words._swap_table.cache_clear()
+        for ab in (Alphabet(1, 3), Alphabet(1, 3)):
+            assert ab.word("13").complement() == ab.word("31")
+        info = words._swap_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
     def test_reversal(self):
         ab = Alphabet(1, 2)
         assert ab.word("112").reversal() == ab.word("211")
