@@ -409,7 +409,7 @@ class TestComplexity:
                 expect += [w for w in level if 2 * ab.a + sum(w) <= horizon]
             assert sorted(spelled) == sorted(expect), (ab, family)
             if ab == AB12:
-                # the unpruned walk built levels 1..11: 2^12 - 2 = 4,094 words
+                # unpruned, levels 1..11 would be built: 2^12 - 2 = 4,094 words
                 assert len(spelled) == 966
 
     def test_pruned_states_are_those_with_children_within_the_horizon(
