@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, count, islice
+from itertools import accumulate, islice
 from math import log
 
-from .derivation import _F, derive_f
+from .derivation import _F, _derive_bytes, derive_f
 from .errors import InvalidFamilyError, ResourceCapError, _check_size
 from .smoothness import (
     DEFAULT_LENGTH_CAP,
@@ -170,53 +170,37 @@ def family_multiplicity(family: str) -> int:
     return -1 if family in ("T3", "T4") else 1
 
 
-def _check_level(alphabet: Alphabet, family: str, generation: int,
-                 generation_cap: int, words: bool, parent_states: int = 0) -> None:
-    """Refuse a level past the generation cap or, when its words are built,
-    past the letter budget, or, when it is built from `parent_states`
-    distinct parity-count states, past the state budget."""
+def _word_level(alphabet: Alphabet, family: str, generation: int,
+                generation_cap: int) -> list[bytes]:
+    """Level `generation` as a list of byte strings, refused up front past
+    the generation cap or the letter budget.  The budget's estimate,
+    2^g * scale * ((a + b) / 2)^g, grows with g, so checking the level asked
+    for covers every level built on the way."""
     _check_size("generation", generation, generation_cap,
                 "; pass a larger cap explicitly")
-    if 2 * parent_states > STATE_LIMIT:
-        raise ResourceCapError(
-            f"generation {generation} of {family} over {alphabet} could hold "
-            f"{2 * parent_states:,} distinct parity-count states, above the "
-            f"budget of {STATE_LIMIT:,}"
-        )
-    if words:
-        a, b = alphabet.a, alphabet.b
-        scale = len(family_root(alphabet, family)) + 4 * a / (a + b - 2)
-        letters = (2 ** generation) * scale * ((a + b) / 2) ** generation
-        if letters > MATERIALIZE_LETTER_LIMIT:
-            raise ResourceCapError(
-                f"generation {generation} of {family} over {alphabet} would "
-                f"materialize about {letters:,.0f} letters, above the budget "
-                f"of {MATERIALIZE_LETTER_LIMIT:,}"
-            )
-
-
-def _word_levels(alphabet: Alphabet, family: str, generation_cap: int):
-    """Yield materialized levels 0, 1, 2, ..., each a list of byte strings."""
     a, b = alphabet.a, alphabet.b
-    level = [family_root(alphabet, family).letters]
-    for generation in count(1):
-        yield level
-        _check_level(alphabet, family, generation, generation_cap, True)
+    root = family_root(alphabet, family).letters
+    scale = len(root) + 4 * a / (a + b - 2)
+    letters = (2 ** generation) * scale * ((a + b) / 2) ** generation
+    if letters > MATERIALIZE_LETTER_LIMIT:
+        raise ResourceCapError(
+            f"generation {generation} of {family} over {alphabet} would "
+            f"materialize about {letters:,.0f} letters, above the budget "
+            f"of {MATERIALIZE_LETTER_LIMIT:,}"
+        )
+    level = [root]
+    for _ in range(generation):
         level = [child for w in level
                  for child in (_primitive_bytes(w, a, a, b),
                                _primitive_bytes(w, b, a, a))]
-
-
-def _word_histogram(level: list[bytes]) -> Counter:
-    return Counter(map(len, level))
+    return level
 
 
 def tree_generation(alphabet: Alphabet, family: str, generation: int, *,
                     generation_cap: int = DEFAULT_GENERATION_CAP
                     ) -> list[BispecialNode]:
     """All vertices at the given depth, sorted, as BispecialNode values."""
-    levels, _ = _walk(alphabet, family, "words", generation_cap, generation)
-    level = next(islice(levels, generation, None))
+    level = _word_level(alphabet, family, generation, generation_cap)
     mult = family_multiplicity(family)
     return [
         BispecialNode(Word(alphabet, w), family, generation, mult)
@@ -291,15 +275,23 @@ def _state_children(states, alphabet: Alphabet) -> Counter:
     return nxt
 
 
-def _state_levels(alphabet: Alphabet, family: str, generation_cap: int):
-    """Yield levels 0, 1, 2, ... as Counters of parity-count states; no
-    words are built."""
+def _state_level(alphabet: Alphabet, family: str, generation: int,
+                 generation_cap: int) -> Counter:
+    """Level `generation` as a Counter of parity-count states; no words are
+    built.  The state budget is checked before each level, since it depends
+    on how many distinct states the walk finds."""
+    _check_size("generation", generation, generation_cap,
+                "; pass a larger cap explicitly")
     level = _root_states(alphabet, family)
-    for generation in count(1):
-        yield level
-        _check_level(alphabet, family, generation, generation_cap, False,
-                     len(level))
+    for g in range(1, generation + 1):
+        if 2 * len(level) > STATE_LIMIT:
+            raise ResourceCapError(
+                f"generation {g} of {family} over {alphabet} could hold "
+                f"{2 * len(level):,} distinct parity-count states, above the "
+                f"budget of {STATE_LIMIT:,}"
+            )
         level = _state_children(level.items(), alphabet)
+    return level
 
 
 def _state_histogram(level: Counter) -> Counter:
@@ -307,26 +299,6 @@ def _state_histogram(level: Counter) -> Counter:
     for state, mult in level.items():
         hist[sum(state)] += mult
     return hist
-
-
-def _walk(alphabet: Alphabet, family: str, method: str, generation_cap: int,
-          generation: int = 0):
-    """The lazy level walk that `method` selects (see generation_stats) and
-    its length-histogram function.  `generation` is checked before anything
-    is built; the walk checks each later level before it builds it."""
-    if method == "auto":
-        method = "words" if alphabet.parity is Parity.MIXED else "state"
-    _check_level(alphabet, family, generation, generation_cap, method == "words")
-    if method == "words":
-        return _word_levels(alphabet, family, generation_cap), _word_histogram
-    if method != "state":
-        raise ValueError(f"unknown method {method!r}")
-    if alphabet.parity is Parity.MIXED:
-        raise ValueError(
-            "state-based statistics need both letters of one parity; "
-            "use method='words'"
-        )
-    return _state_levels(alphabet, family, generation_cap), _state_histogram
 
 
 def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
@@ -337,8 +309,21 @@ def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
     'auto' walks exact parity-count states when both letters share a parity
     and materializes words otherwise (mixed parity breaks the recurrence).
     """
-    levels, histogram = _walk(alphabet, family, method, generation_cap, generation)
-    hist = histogram(next(islice(levels, generation, None)))
+    if method == "auto":
+        method = "words" if alphabet.parity is Parity.MIXED else "state"
+    if method == "words":
+        hist = Counter(map(len, _word_level(alphabet, family, generation,
+                                            generation_cap)))
+    elif method != "state":
+        raise ValueError(f"unknown method {method!r}")
+    elif alphabet.parity is Parity.MIXED:
+        raise ValueError(
+            "state-based statistics need both letters of one parity; "
+            "use method='words'"
+        )
+    else:
+        hist = _state_histogram(_state_level(alphabet, family, generation,
+                                             generation_cap))
     return GenerationStats(
         family=family,
         generation=generation,
@@ -358,18 +343,18 @@ def root_of(word: Word) -> tuple[Word, str, int]:
     if not is_bispecial(word):
         raise ValueError(f"{word.render()!r} is not bispecial")
     ab = word.alphabet
+    a, b = ab.a, ab.b
     steps = 0
-    cur = word
-    while cur.factorized_length >= 2:
-        cur = derive_f(cur)
+    cur = word.letters
+    while a in cur and b in cur:  # two runs or more
+        cur = _derive_bytes(cur, a, b, _F)
         steps += 1
-    for family in FAMILIES:
-        if family != "T" and ab.a == ab.b - 1:
-            continue
-        if cur == family_root(ab, family):
-            return cur, family, steps
+    root = Word(ab, cur)
+    for family in FAMILIES[:1] if a == b - 1 else FAMILIES:
+        if root == family_root(ab, family):
+            return root, family, steps
     raise ValueError(
-        f"{word.render()!r} reduces to {cur.render()!r}, which is not a "
+        f"{word.render()!r} reduces to {root.render()!r}, which is not a "
         "strong or weak root; the input was a neutral bispecial word"
     )
 
@@ -440,7 +425,9 @@ def _pruned_word_histogram(alphabet: Alphabet, family: str,
     while level:
         nxt = []
         for w in level:
-            s1, s2 = sum(w[0::2]), sum(w[1::2])
+            even, odd = w[0::2], w[1::2]
+            s1 = a * len(even) + (b - a) * even.count(b)
+            s2 = a * len(odd) + (b - a) * odd.count(b)
             hist[2 * a + s1 + s2] += 2
             for x, y in ((a, b), (b, a)):
                 last = x if len(w) & 1 else y

@@ -14,7 +14,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Optional
 
 from .bispecial import (
@@ -26,7 +26,8 @@ from .bispecial import (
     tree_derived_complexity,
     tree_generation,
 )
-from .derivation import derive_f, derive_huang, derive_r, derivative_chain
+from .derivation import (_F, _HUANG, _derive_bytes, derive_f, derive_huang,
+                         derive_r, derivative_chain)
 from .errors import NotDerivableError
 from .generators import build_smooth_from_r, coupled_pair_prefix, kappa_prefix
 from .smoothness import embed_left, enumerate_f_smooth, is_f_smooth, is_r_smooth
@@ -228,26 +229,13 @@ def check_cut_rule_comparison(failures, alphabets, seed):
     ab12 = Alphabet(1, 2)
     if ab12 in alphabets:
         compared = 0
-        stack = [b""]
-        while stack:
-            w = stack.pop()
-            if len(w) <= 13:
-                stack.append(w + bytes([1]))
-                stack.append(w + bytes([2]))
-            word = Word(ab12, w)
-            compared += 1
-            try:
-                expect = derive_f(word)
-            except NotDerivableError:
-                try:
-                    derive_huang(word)
-                    failures.append(f"cut rules disagree on failure at "
-                                    f"{word.render()}")
-                except NotDerivableError:
-                    pass
-                continue
-            if derive_huang(word) != expect:
-                failures.append(f"cut rules disagree at {word.render()}")
+        for n in range(15):
+            # the rules of derive_f and derive_huang; None where not derivable
+            for w in map(bytes, product((1, 2), repeat=n)):
+                compared += 1
+                if _derive_bytes(w, 1, 2, _F) != _derive_bytes(w, 1, 2, _HUANG):
+                    failures.append(
+                        f"cut rules disagree at {Word(ab12, w).render()}")
         parts.append(f"rules agree on all {compared} words of "
                      "length <= 14 over {1,2}")
     return "; ".join(parts)
@@ -352,17 +340,19 @@ def check_average_length(failures, alphabets, seed):
     closed form beyond the maximal length."""
     for ab in alphabets:
         a, b = ab.a, ab.b
-        c = Fraction(4 * a, a + b - 2)
+        # the closed forms' constant 4a / (a + b - 2) is c / d: both sides
+        # are multiplied through by d
+        c, d = 4 * a, a + b - 2
         stats = [generation_stats(ab, "T", i) for i in range(11)]
         for i, level in enumerate(stats):
-            if level.total_len != c * (a + b) ** i - c * 2 ** i:
+            if d * level.total_len != c * (a + b) ** i - c * 2 ** i:
                 failures.append(f"total letters off at {ab} i={i}")
         horizon = stats[8].max_len + 6
         for i in range(9):
             p = _complexity_counts(stats[i].histogram, horizon)
             for n in range(stats[i].max_len + 1, horizon + 1):
-                expect = (n + c - 1) * 2 ** i - c * (a + b) ** i
-                if p[n] != expect:
+                expect = ((n - 1) * d + c) * 2 ** i - c * (a + b) ** i
+                if d * p[n] != expect:
                     failures.append(f"closed form off at {ab} i={i} n={n}")
                     break
     return (f"{len(alphabets)} alphabets: totals for i <= 10 and closed-form "
@@ -374,11 +364,12 @@ def check_even_lengths(failures, alphabets, seed):
     """Even alphabets: one length per trunk generation, balanced letters."""
     for ab in alphabets:
         a, b = ab.a, ab.b
-        c = Fraction(4 * a, a + b - 2)
+        # as in criterion 7; both letters are even, so (a + b) / 2 is whole
+        c, d = 4 * a, a + b - 2
         for i in range(9):
             stats = generation_stats(ab, "T", i, method="state")
-            expect = c * Fraction(a + b, 2) ** i - c
-            if not stats.min_len == stats.max_len == expect:
+            expect = c * ((a + b) // 2) ** i - c
+            if not d * stats.min_len == d * stats.max_len == expect:
                 failures.append(f"length collapse fails at {ab} i={i}")
         for g in range(6):
             for node in tree_generation(ab, "T", g):
@@ -413,9 +404,8 @@ def check_odd_lengths(failures, alphabets, seed):
         for _ in range(250):
             n = rng.randrange(0, 17, 2)
             u = ab.word([rng.choice((ab.a, ab.b)) for _ in range(n)])
-            v = tuple(Fraction(x) for x in u.parity_counts().as_tuple())
-            expect = tuple(int(x) for x in
-                           vec_add(mat_vec(mats.m.entries, v), mats.n))
+            v = u.parity_counts().as_tuple()
+            expect = vec_add(mat_vec(mats.m.entries, v), mats.n)
             recurrence_checked += 1
             if primitive(u, ab.a).parity_counts().as_tuple() != expect:
                 failures.append(f"count recurrence fails over {ab} at "

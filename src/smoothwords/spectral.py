@@ -6,10 +6,11 @@ part M (with offset N and letter-swap permutation P) governs the growth of
 the minimal level lengths; for a = 1 the system degenerates and a reduced
 3 x 3 block R carries the growth instead.
 
-Matrix entries are exact rationals; eigenvalue extraction runs in floating
-point via power iteration and is cross-checked against closed forms: the
-dominant growth rate is (1 + sqrt(2b - 1)) / 2 when a = 1, otherwise the
-dominant root of X^3 - ((a + b) / 2) X^2 + (b - a)^2 / 4.
+Every matrix entry, (a +- 1) / 2 or (b +- 1) / 2 with both letters odd, is
+an integer; eigenvalue extraction runs in floating point via power
+iteration and is cross-checked against closed forms: the dominant growth
+rate is (1 + sqrt(2b - 1)) / 2 when a = 1, otherwise the dominant root of
+X^3 - ((a + b) / 2) X^2 + (b - a)^2 / 4.
 
 Complexity exponents reported here:
 
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from .errors import (
@@ -36,13 +36,13 @@ from .errors import (
 )
 from .words import Alphabet, Parity
 
-Matrix = tuple[tuple[Fraction, ...], ...]
-Vector = tuple[Fraction, ...]
+Matrix = tuple[tuple[int, ...], ...]
+Vector = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class CountMatrix:
-    """Labelled exact-rational matrix."""
+    """Labelled integer matrix."""
 
     label: str
     entries: Matrix
@@ -85,32 +85,31 @@ class GrowthMatrices:
 
 
 def build_matrices(alphabet: Alphabet) -> GrowthMatrices:
-    """Recurrence matrices for an odd alphabet, exact rationals throughout."""
+    """Recurrence matrices for an odd alphabet, integers throughout."""
     if alphabet.parity is not Parity.ODD:
         raise ValueError(f"growth matrices need both letters odd, got {alphabet}")
     a, b = alphabet.a, alphabet.b
-    f = Fraction
-    dam, dap = f(a - 1, 2), f(a + 1, 2)
-    dbm, dbp = f(b - 1, 2), f(b + 1, 2)
+    dam, dap = (a - 1) // 2, (a + 1) // 2
+    dbm, dbp = (b - 1) // 2, (b + 1) // 2
     m = CountMatrix("M", (
-        (dam, f(0), dbm, f(0)),
-        (dap, f(0), dbp, f(0)),
-        (f(0), dap, f(0), dbp),
-        (f(0), dam, f(0), dbm),
+        (dam, 0, dbm, 0),
+        (dap, 0, dbp, 0),
+        (0, dap, 0, dbp),
+        (0, dam, 0, dbm),
     ))
     n = (dam, dap, dap, dam)
     p = CountMatrix("P", (
-        (f(0), f(0), f(1), f(0)),
-        (f(0), f(0), f(0), f(1)),
-        (f(1), f(0), f(0), f(0)),
-        (f(0), f(1), f(0), f(0)),
+        (0, 0, 1, 0),
+        (0, 0, 0, 1),
+        (1, 0, 0, 0),
+        (0, 1, 0, 0),
     ))
     r = None
     if a == 1:
         r = CountMatrix("R", (
-            (f(0), f(0), dbm),
-            (f(1), f(0), dbp),
-            (f(0), f(1), f(0)),
+            (0, 0, dbm),
+            (1, 0, dbp),
+            (0, 1, 0),
         ))
     return GrowthMatrices(m=m, n=n, p=p, r=r)
 
@@ -222,11 +221,11 @@ def minimal_length_sequence(alphabet: Alphabet, count: int) -> list[int]:
     """
     mats = build_matrices(alphabet)
     m, n = mats.m.entries, mats.n
-    v: Vector = (Fraction(0),) * 4
+    v: Vector = (0,) * 4
     out = [0]
     for _ in range(count):
         v = vec_add(mat_vec(m, v), n)
-        out.append(int(sum(v)))
+        out.append(sum(v))
     return out
 
 

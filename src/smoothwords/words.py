@@ -284,10 +284,6 @@ class Word:
         exponents = _bytes_runs(self.letters, ab.a, ab.b)
         return RunFactorization(tuple(map(Run, letters, exponents)))
 
-    @property
-    def factorized_length(self) -> int:
-        return len(self.runs)
-
     def complement(self) -> "Word":
         """Swap the two letters everywhere."""
         ab = self.alphabet

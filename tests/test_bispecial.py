@@ -235,11 +235,14 @@ class TestTreeGenerations:
 
 class TestRootOf:
     def test_recovers_generation_and_family(self):
-        for fam in FAMILIES:
-            for g in range(4):
-                for node in tree_generation(AB14, fam, g):
-                    root, fam2, steps = root_of(node.word)
-                    assert (fam2, steps) == (fam, g)
+        for ab in (AB12, AB13, AB14, Alphabet(2, 5)):
+            families = ("T",) if ab.a == ab.b - 1 else FAMILIES
+            for fam in families:
+                for g in range(4):
+                    for node in tree_generation(ab, fam, g):
+                        root, fam2, steps = root_of(node.word)
+                        assert (fam2, steps) == (fam, g), (ab, node.word)
+                        assert root == bispecial.family_root(ab, fam)
 
     def test_rejects_neutral_terminal(self):
         with pytest.raises(ValueError):
@@ -327,6 +330,10 @@ class TestGenerationStats:
     def test_state_engine_rejects_mixed_parity(self):
         with pytest.raises(ValueError):
             generation_stats(AB12, "T", 3, method="state")
+
+    def test_unknown_method_is_refused(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            generation_stats(AB13, "T", 2, method="bogus")
 
     def test_even_alphabet_trunk_lengths_collapse(self):
         # over even alphabets every trunk word of one generation has the same

@@ -33,14 +33,18 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def run_module(*argv):
-    """Run `python -m smoothwords.cli` in a fresh interpreter that imports
-    this checkout's package."""
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "smoothwords.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def run_module(*argv):
+    """Run `python -m smoothwords.cli` in a fresh interpreter."""
+    return run_python("-m", "smoothwords.cli", *argv)
 
 
 class TestDerive:
@@ -418,3 +422,11 @@ def test_console_entry_point():
 def test_argparse_usage_error_exits_2():
     proc = run_module("derive", "--op", "zzz", "22")
     assert proc.returncode == 2
+
+
+def test_cli_import_leaves_out_fractions():
+    # every count is an integer, so start-up needs no rational arithmetic
+    proc = run_python("-c", "import sys, smoothwords.cli; "
+                            "print('fractions' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

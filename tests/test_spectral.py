@@ -49,11 +49,12 @@ class TestBuildMatrices:
     def test_r_absent_for_larger_a(self):
         assert build_matrices(AB35).r is None
 
-    def test_denominators_divide_two(self):
+    def test_entries_are_nonnegative_ints(self):
         for ab in (AB13, AB35, Alphabet(3, 7), Alphabet(5, 9)):
             mats = build_matrices(ab)
-            entries = [e for row in mats.m.entries for e in row] + list(mats.n)
-            assert all(e.denominator in (1, 2) and e >= 0 for e in entries)
+            rows = mats.m.entries + (mats.n,) + (mats.r.entries if mats.r else ())
+            entries = [e for row in rows for e in row]
+            assert all(type(e) is int and e >= 0 for e in entries)
 
     def test_recurrence_on_random_even_length_words(self):
         import random

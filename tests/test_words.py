@@ -73,7 +73,7 @@ class TestWord:
         assert runs.exponents() == (2, 2, 1, 1, 2, 1)
         assert [r.letter for r in runs] == [2, 1, 2, 1, 2, 1]
         assert runs.reconstruct(ab) == w
-        assert w.factorized_length == 6
+        assert len(w.runs) == 6
 
     def test_complement(self):
         ab = Alphabet(1, 3)
