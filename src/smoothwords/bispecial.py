@@ -49,6 +49,10 @@ MATERIALIZE_LETTER_LIMIT = 80_000_000
 # Distinct parity-count states of one level; 2^g at generation g over {1,3},
 # so every level up to the default generation cap fits.
 STATE_LIMIT = 2 ** DEFAULT_GENERATION_CAP
+# Deepest level the unpruned walks build, whatever the generation cap: over
+# an even alphabet the state walk keeps one state a level, so nothing else
+# bounds it.  Every count of a level this deep has under 2,710 digits.
+MAX_GENERATION = 1_000
 # Longest complexity horizon.  Every family keeps one array of this length,
 # and the pruned state walk over {1,3}, the costliest, builds its whole table
 # at this horizon in about a second.
@@ -170,23 +174,29 @@ def family_multiplicity(family: str) -> int:
     return -1 if family in ("T3", "T4") else 1
 
 
+def _check_generation(generation: int, generation_cap: int) -> None:
+    _check_size("generation", generation, generation_cap,
+                "; pass a larger cap explicitly")
+    _check_size("generation", generation, MAX_GENERATION,
+                ", the ceiling whatever the cap")
+
+
 def _word_level(alphabet: Alphabet, family: str, generation: int,
                 generation_cap: int) -> list[bytes]:
     """Level `generation` as a list of byte strings, refused up front past
     the generation cap or the letter budget.  The budget's estimate,
-    2^g * scale * ((a + b) / 2)^g, grows with g, so checking the level asked
-    for covers every level built on the way."""
-    _check_size("generation", generation, generation_cap,
-                "; pass a larger cap explicitly")
+    (len(root) + 4a / d) * (a + b)^g with d = a + b - 2, grows with g, so
+    checking the level asked for covers every level built on the way."""
+    _check_generation(generation, generation_cap)
     a, b = alphabet.a, alphabet.b
     root = family_root(alphabet, family).letters
-    scale = len(root) + 4 * a / (a + b - 2)
-    letters = (2 ** generation) * scale * ((a + b) / 2) ** generation
-    if letters > MATERIALIZE_LETTER_LIMIT:
+    d = a + b - 2
+    letters = (len(root) * d + 4 * a) * (a + b) ** generation
+    if letters > MATERIALIZE_LETTER_LIMIT * d:
         raise ResourceCapError(
             f"generation {generation} of {family} over {alphabet} would "
-            f"materialize about {letters:,.0f} letters, above the budget "
-            f"of {MATERIALIZE_LETTER_LIMIT:,}"
+            f"materialize about {(2 * letters + d) // (2 * d):,} letters, "
+            f"above the budget of {MATERIALIZE_LETTER_LIMIT:,}"
         )
     level = [root]
     for _ in range(generation):
@@ -260,7 +270,7 @@ def _state_child_a(state: tuple[int, int, int, int], a: int, b: int,
 
 def _root_states(alphabet: Alphabet, family: str) -> Counter:
     """Level 0 of the state walk: the root's parity counts, once."""
-    return Counter({family_root(alphabet, family).parity_counts().as_tuple(): 1})
+    return Counter({family_root(alphabet, family).parity_counts(): 1})
 
 
 def _state_children(states, alphabet: Alphabet) -> Counter:
@@ -280,8 +290,7 @@ def _state_level(alphabet: Alphabet, family: str, generation: int,
     """Level `generation` as a Counter of parity-count states; no words are
     built.  The state budget is checked before each level, since it depends
     on how many distinct states the walk finds."""
-    _check_size("generation", generation, generation_cap,
-                "; pass a larger cap explicitly")
+    _check_generation(generation, generation_cap)
     level = _root_states(alphabet, family)
     for g in range(1, generation + 1):
         if 2 * len(level) > STATE_LIMIT:
@@ -371,16 +380,6 @@ def generation_swap(word: Word) -> Word:
 # -- complexity -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TreeComplexity:
-    """Complexity array of one family's vertices up to a horizon."""
-
-    alphabet: Alphabet
-    family: str
-    horizon: int
-    p: tuple[int, ...]
-
-
 def _complexity_counts(hist: dict[int, int], horizon: int) -> tuple[int, ...]:
     """Count array p of a length histogram: p[n] sums, over m < n, the number
     of vertices shorter than m."""
@@ -437,8 +436,9 @@ def _pruned_word_histogram(alphabet: Alphabet, family: str,
     return hist
 
 
-def tree_complexity(alphabet: Alphabet, family: str, horizon: int) -> TreeComplexity:
-    """Count vertices by length up to the horizon, over all generations.
+def tree_complexity(alphabet: Alphabet, family: str,
+                    horizon: int) -> tuple[int, ...]:
+    """Count array p of one family's vertices by length up to the horizon.
 
     The walk stops at the horizon: both children of a vertex w have length
     2a + sum(w), longer than w, so a vertex whose children pass the horizon
@@ -464,8 +464,7 @@ def tree_complexity(alphabet: Alphabet, family: str, horizon: int) -> TreeComple
         hist = _pruned_word_histogram(alphabet, family, horizon)
     else:
         hist = _pruned_state_histogram(alphabet, family, horizon)
-    return TreeComplexity(alphabet, family, horizon,
-                          _complexity_counts(hist, horizon))
+    return _complexity_counts(hist, horizon)
 
 
 @dataclass(frozen=True)
@@ -502,7 +501,7 @@ def exact_complexity(alphabet: Alphabet, horizon: int, *,
     """Brute-force complexity table from language enumeration."""
     # enumeration runs to length `horizon`: refuse it before any work
     _check_size("enumeration length", horizon, cap, "; pass a larger cap explicitly")
-    p_T = tree_complexity(alphabet, "T", horizon).p
+    p_T = tree_complexity(alphabet, "T", horizon)
     p = tuple(f_smooth_count(alphabet, n, cap=cap) for n in range(horizon + 1))
     return _table(alphabet, horizon, p, p_T, "enumeration")
 
@@ -515,12 +514,12 @@ def tree_derived_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable
     two weak families subtract: p(n) = 1 + n + p_T + p_T1 + p_T2 - p_T3 - p_T4.
     Both identities are exact, not bounds.
     """
-    p_T = tree_complexity(alphabet, "T", horizon).p
+    p_T = tree_complexity(alphabet, "T", horizon)
     if alphabet.a == alphabet.b - 1:
         p = tuple(1 + n + p_T[n] for n in range(horizon + 1))
     else:
         parts = {
-            fam: tree_complexity(alphabet, fam, horizon).p
+            fam: tree_complexity(alphabet, fam, horizon)
             for fam in ("T1", "T2", "T3", "T4")
         }
         p = tuple(

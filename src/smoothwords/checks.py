@@ -404,10 +404,9 @@ def check_odd_lengths(failures, alphabets, seed):
         for _ in range(250):
             n = rng.randrange(0, 17, 2)
             u = ab.word([rng.choice((ab.a, ab.b)) for _ in range(n)])
-            v = u.parity_counts().as_tuple()
-            expect = vec_add(mat_vec(mats.m.entries, v), mats.n)
+            expect = vec_add(mat_vec(mats.m, u.parity_counts()), mats.n)
             recurrence_checked += 1
-            if primitive(u, ab.a).parity_counts().as_tuple() != expect:
+            if primitive(u, ab.a).parity_counts() != expect:
                 failures.append(f"count recurrence fails over {ab} at "
                                 f"{u.render()}")
         if ab == ab13:

@@ -40,24 +40,6 @@ Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CountMatrix:
-    """Labelled integer matrix."""
-
-    label: str
-    entries: Matrix
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
-    def __matmul__(self, other: "CountMatrix") -> "CountMatrix":
-        return CountMatrix(
-            f"{self.label}{other.label}",
-            mat_mul(self.entries, other.entries),
-        )
-
-
 def mat_mul(x: Matrix, y: Matrix) -> Matrix:
     n = len(x)
     return tuple(
@@ -78,10 +60,10 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 class GrowthMatrices:
     """The recurrence data (M, N, P) and, when a = 1, the reduced block R."""
 
-    m: CountMatrix
+    m: Matrix
     n: Vector
-    p: CountMatrix
-    r: Optional[CountMatrix]
+    p: Matrix
+    r: Optional[Matrix]
 
 
 def build_matrices(alphabet: Alphabet) -> GrowthMatrices:
@@ -91,26 +73,26 @@ def build_matrices(alphabet: Alphabet) -> GrowthMatrices:
     a, b = alphabet.a, alphabet.b
     dam, dap = (a - 1) // 2, (a + 1) // 2
     dbm, dbp = (b - 1) // 2, (b + 1) // 2
-    m = CountMatrix("M", (
+    m = (
         (dam, 0, dbm, 0),
         (dap, 0, dbp, 0),
         (0, dap, 0, dbp),
         (0, dam, 0, dbm),
-    ))
+    )
     n = (dam, dap, dap, dam)
-    p = CountMatrix("P", (
+    p = (
         (0, 0, 1, 0),
         (0, 0, 0, 1),
         (1, 0, 0, 0),
         (0, 1, 0, 0),
-    ))
+    )
     r = None
     if a == 1:
-        r = CountMatrix("R", (
+        r = (
             (0, 0, dbm),
             (1, 0, dbp),
             (0, 1, 0),
-        ))
+        )
     return GrowthMatrices(m=m, n=n, p=p, r=r)
 
 
@@ -154,28 +136,26 @@ def _power_iteration(entries: Matrix) -> float:
     )
 
 
-def spectral_radius(matrix: CountMatrix) -> float:
+def spectral_radius(matrix: Matrix) -> float:
     """Dominant eigenvalue of a primitive nonnegative matrix.
 
     Primitivity is checked by looking for a strictly positive power up to
     the eighth; NotPrimitiveError otherwise.
     """
-    if any(e < 0 for row in matrix.entries for e in row):
+    if any(e < 0 for row in matrix for e in row):
         raise ValueError("spectral radius here expects a nonnegative matrix")
-    if not _is_primitive(matrix.entries):
-        raise NotPrimitiveError(
-            f"matrix {matrix.label} has no strictly positive power up to 8"
-        )
-    return _power_iteration(matrix.entries)
+    if not _is_primitive(matrix):
+        raise NotPrimitiveError("matrix has no strictly positive power up to 8")
+    return _power_iteration(matrix)
 
 
 def lambda_of(alphabet: Alphabet) -> float:
     """Dominant growth rate of minimal level lengths, odd alphabets.
 
     Closed form (1 + sqrt(2b - 1)) / 2 for a = 1; otherwise the dominant
-    root of X^3 - ((a + b) / 2) X^2 + (b - a)^2 / 4, found by bisection on
-    ((a + b)/2 - 1, (a + b)/2) with adaptive widening, then polished with a
-    few Newton steps.
+    root q of X^3 - s X^2 + (b - a)^2 / 4 with s = (a + b) / 2.  Since
+    q(s - 1) = -(a - 1)(b - 1) < 0 < q(s), bisection on (s - 1, s) finds it,
+    and a few Newton steps polish it.
     """
     if alphabet.parity is not Parity.ODD:
         raise ValueError(f"lambda is defined for odd alphabets, got {alphabet}")
@@ -192,12 +172,6 @@ def lambda_of(alphabet: Alphabet) -> float:
         return 3 * x ** 2 - 2 * s * x
 
     lo, hi = s - 1, s
-    widen = 1.0
-    while q(lo) > 0:
-        widen *= 2
-        lo = s - widen
-        if widen > 16 * s:
-            raise NoConvergenceError("no sign change found for the cubic")
     while hi - lo > 1e-12:
         mid = (lo + hi) / 2
         if q(mid) > 0:
@@ -220,7 +194,7 @@ def minimal_length_sequence(alphabet: Alphabet, count: int) -> list[int]:
     state vector after i steps from the zero state.
     """
     mats = build_matrices(alphabet)
-    m, n = mats.m.entries, mats.n
+    m, n = mats.m, mats.n
     v: Vector = (0,) * 4
     out = [0]
     for _ in range(count):
@@ -233,16 +207,27 @@ def lower_bound_constants(alphabet: Alphabet) -> tuple[float, float]:
     """Constants (C, D) with l_i >= C lambda^i - D - 1 on the fitted range.
 
     C is the dominant-growth scale of the exact sequence (the ratio at the
-    last fitted generation); D absorbs the transient.  The bound is checked
-    against the exact lengths before returning.
+    last fitted generation); D, the exact maximum of C lambda^i - l_i - 1
+    with the floats C and lambda read as rationals, rounded up, absorbs the
+    transient.  The bound is checked exactly before returning.
     """
     generations = 14
     lam = lambda_of(alphabet)
     seq = minimal_length_sequence(alphabet, generations)
     c = seq[generations] / lam ** generations
-    d = max(0.0, max(c * lam ** i - seq[i] - 1 for i in range(generations + 1)))
+    (cn, cd), (ln, ld) = c.as_integer_ratio(), lam.as_integer_ratio()
+    # C lambda^i - l_i - 1 = gaps[i] / den
+    den = cd * ld ** generations
+    gaps = [cn * ln ** i * ld ** (generations - i) - (l_i + 1) * den
+            for i, l_i in enumerate(seq)]
+    top = max(0, *gaps)
+    d = top / den  # correctly rounded, so at most one step below
+    dn, dd = d.as_integer_ratio()
+    if dn * den < top * dd:
+        d = math.nextafter(d, math.inf)
+        dn, dd = d.as_integer_ratio()
     for i, l_i in enumerate(seq):
-        if l_i < c * lam ** i - d - 1 - 1e-9:
+        if gaps[i] * dd > dn * den:
             raise BoundViolationError(
                 f"fitted bound fails at generation {i}: {l_i} < "
                 f"{c * lam ** i - d - 1}"
@@ -259,7 +244,7 @@ def max_length_growth_radius(alphabet: Alphabet) -> float:
     block's growth rate.
     """
     mats = build_matrices(alphabet)
-    return _power_iteration((mats.m @ mats.p @ mats.m).entries)
+    return _power_iteration(mat_mul(mat_mul(mats.m, mats.p), mats.m))
 
 
 # -- exponents ------------------------------------------------------------

@@ -218,9 +218,6 @@ class ParityCountVector(NamedTuple):
     b_even: int
     b_odd: int
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return tuple(self)
-
     @property
     def total(self) -> int:
         return sum(self)

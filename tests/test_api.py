@@ -14,7 +14,6 @@ PUBLIC = [
     "BoundViolationError",
     "ComplexityTable",
     "ConstructionError",
-    "CountMatrix",
     "DerivabilityReport",
     "DerivationError",
     "EmbeddingWitness",
@@ -34,7 +33,6 @@ PUBLIC = [
     "Run",
     "RunFactorization",
     "SmoothWordsError",
-    "TreeComplexity",
     "Word",
     "bispecial_multiplicity_sum",
     "build_matrices",

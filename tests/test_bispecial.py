@@ -196,6 +196,29 @@ class TestTreeGenerations:
                 r"172,186,884 letters, above the budget of 80,000,000")):
             tree_generation(AB12, "T", 16, generation_cap=30)
 
+    def test_letter_budget_is_decided_in_integers(self, monkeypatch):
+        # the float estimate overflowed here, or printed "about inf letters"
+        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        refusal = r"would materialize about [\d,]+ letters, above the budget"
+        for ab, generation in ((AB12, 1000), (AB24, 647),
+                               (Alphabet(100, 255), 138)):
+            with pytest.raises(ResourceCapError, match=refusal):
+                tree_generation(ab, "T", generation, generation_cap=1000)
+            with pytest.raises(ResourceCapError, match=refusal):
+                generation_stats(ab, "T", generation, method="words",
+                                 generation_cap=1000)
+
+    def test_generation_ceiling_holds_whatever_the_cap(self, monkeypatch):
+        # one state a level over {2,4}: only the ceiling bounds the walk
+        monkeypatch.setattr(bispecial, "_root_states", None)
+        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        for build in (tree_generation, generation_stats):
+            with pytest.raises(ResourceCapError, match=(
+                    r"^generation 1001 above cap 1000, the ceiling whatever "
+                    r"the cap$")):
+                build(AB24, "T", bispecial.MAX_GENERATION + 1,
+                      generation_cap=2_000)
+
     def test_mixed_horizon_refusal_names_its_numbers(self, monkeypatch):
         # refused before any level is built: building one would call None
         monkeypatch.setattr(bispecial, "_primitive_bytes", None)
@@ -221,7 +244,7 @@ class TestTreeGenerations:
                 r"parity-count states, above the budget of 64")):
             generation_stats(AB13, "T", 7, method="state")
         # the pruned walk is bounded by the horizon cap, not the state budget
-        assert tree_complexity(AB13, "T", 20_000).p[20_000] > 0
+        assert tree_complexity(AB13, "T", 20_000)[20_000] > 0
         with pytest.raises(ResourceCapError,
                            match=r"^horizon 100001 above cap 100000$"):
             tree_complexity(AB13, "T", bispecial.MAX_HORIZON + 1)
@@ -364,12 +387,12 @@ class TestComplexity:
         assert exact_complexity(AB12, 3).p == (1, 2, 4, 6)
 
     def test_tree_trunk_reference_value(self):
-        assert tree_complexity(AB12, "T", 3).p[3] == 2
+        assert tree_complexity(AB12, "T", 3)[3] == 2
 
     def test_bounds_and_equality(self):
         for ab, equality in ((AB12, True), (AB13, False), (AB24, False)):
             exact = exact_complexity(ab, 14).p
-            trunk = tree_complexity(ab, "T", 14).p
+            trunk = tree_complexity(ab, "T", 14)
             for n in range(15):
                 lower = 1 + n + trunk[n]
                 upper = 1 + n + 3 * trunk[n]
@@ -440,7 +463,7 @@ class TestComplexity:
                     level = tree_generation(ab, family, g)
                     if min(len(node.word) for node in level) > 200:
                         break
-                    expect += {node.word.parity_counts().as_tuple()
+                    expect += {node.word.parity_counts()
                                for node in level
                                if 2 * ab.a + sum(node.word.letters) <= 200}
                 assert sorted(expanded) == sorted(expect), (ab, family)
@@ -468,7 +491,7 @@ class TestComplexity:
                 for hist in hists:
                     total.update(hist)
                 expect = bispecial._complexity_counts(total, horizon)
-                assert tree_complexity(ab, family, horizon).p == expect, \
+                assert tree_complexity(ab, family, horizon) == expect, \
                     (ab, family, horizon)
 
     def test_closed_form_beyond_max_length(self):

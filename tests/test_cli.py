@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from smoothwords.cli import main
 
@@ -422,6 +423,87 @@ def test_console_entry_point():
 def test_argparse_usage_error_exits_2():
     proc = run_module("derive", "--op", "zzz", "22")
     assert proc.returncode == 2
+
+
+HUGE = 10 ** 20
+_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+_NUMBERS = st.one_of(st.integers(max_value=-1), st.integers(min_value=10 ** 8))
+# Values no size flag takes: negative, above every cap (in ASCII or
+# Arabic-Indic digits, which int() reads too), or not an integer at all.
+BAD_SIZES = st.one_of(
+    _NUMBERS.map(str),
+    _NUMBERS.map(lambda n: str(n).translate(_INDIC)),
+    st.sampled_from(["", "x", "1.5", "1e3", "0x10", "½", "٣.٥", "--", "-x"]),
+)
+BAD_ALPHABETS = st.one_of(
+    st.sampled_from(["0,1", "1,1", "1,256", f"1,{HUGE}", "-1,2", "1;2", "x,2",
+                     "1,2,3", "", ",", "1,", "١,٠", "٣٠٠,١"]),
+    st.tuples(st.integers(), st.integers())
+      .filter(lambda t: not 1 <= min(t) < max(t) <= 255)
+      .map(lambda t: f"{t[0]},{t[1]}"),
+)
+# Words over {1,2} with one token that is no letter of it.
+BAD_WORDS = st.builds(
+    "".join,
+    st.tuples(st.text("12", max_size=4),
+              st.sampled_from(["0", "3", "9", "x", "٣", ",,", "-", "12,"]),
+              st.text("12", max_size=4)))
+GOOD_COMMANDS = [["derive", "12"], ["check", "12"], ["kappa", "--length", "5"],
+                 ["pair", "--length", "5"], ["enumerate", "--length", "3"],
+                 ["complexity", "--max", "3"], ["tree", "--generation", "2"],
+                 ["exponents"], ["verify", "--suite", "table"]]
+SIZED = [["kappa", "--length"], ["kappa", "--length", "5", "--start"],
+         ["--alphabet", "1,3", "pair", "--length"], ["enumerate", "--length"],
+         ["complexity", "--max"], ["complexity", "--tree-only", "--max"],
+         ["tree", "--generation"], ["tree", "--stats", "--generation"]]
+CAPPED = [["enumerate", "--length", "3"], ["complexity", "--max", "3"],
+          ["tree", "--generation", "2"]]
+BAD_ARGV = st.one_of(
+    st.builds(lambda ab, cmd: ["--alphabet", ab, *cmd],
+              BAD_ALPHABETS, st.sampled_from(GOOD_COMMANDS)),
+    st.builds(lambda cmd, word: [cmd, word],
+              st.sampled_from(["derive", "check"]), BAD_WORDS),
+    st.builds(lambda cmd, value: [*cmd, value], st.sampled_from(SIZED), BAD_SIZES),
+    st.builds(lambda cmd, cap: [*cmd, "--cap", cap], st.sampled_from(CAPPED),
+              st.integers(max_value=-1).map(str)),
+    st.builds(lambda flag, value: ["verify", flag, value],
+              st.sampled_from(["--suite", "--seed"]),
+              st.sampled_from(["", "x", "1.5", "bogus"])),
+    # generations past the ceiling, with caps up to and past them
+    st.builds(lambda ab, family, g, cap, stats: [
+        "--alphabet", ab, "tree", "--family", family, "--generation", str(g),
+        "--cap", cap, *stats],
+        st.sampled_from(["1,2", "1,3", "2,4", "100,255"]),
+        st.sampled_from(["T", "T1", "T3"]), st.sampled_from([1001, 1024, 5526, 6000]),
+        st.sampled_from(["0", "20", "1000", "6000", str(HUGE)]),
+        st.sampled_from([[], ["--stats"]])),
+)
+
+
+@given(BAD_ARGV)
+@example(["--alphabet", "1,2", "tree", "--generation", "1024", "--cap", "1024"])
+@example(["--alphabet", "1,2", "tree", "--generation", "1024", "--cap", "1024",
+          "--stats"])
+@example(["--alphabet", "1,2", "tree", "--generation", "1000", "--cap", "1000"])
+@example(["--alphabet", "2,4", "tree", "--generation", "647", "--cap", "1000"])
+@example(["--alphabet", "2,4", "tree", "--generation", "1001", "--cap", "2000",
+          "--stats"])
+@example(["--alphabet", "2,4", "tree", "--generation", "5526", "--cap", "6000",
+          "--stats"])
+@example(["--alphabet", "100,255", "tree", "--generation", "138", "--cap", "200"])
+@example(["kappa", "--length", str(HUGE)])
+@settings(max_examples=300, deadline=None)
+def test_bad_input_is_refused_with_one_message(argv):
+    code, out, err = run_cli(*argv)
+    assert code in (2, 3), (code, err)
+    assert out == ""
+    lines = err.splitlines()
+    if lines[0].startswith("usage: "):  # argparse's own error
+        assert code == 2
+        assert ": error: " in lines[-1]
+    else:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not re.search(r"\binf\b", err)
 
 
 def test_cli_import_leaves_out_fractions():
