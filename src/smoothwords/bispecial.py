@@ -20,8 +20,8 @@ The complexity walk stops at its horizon: both children of a vertex w have
 length 2a + sum(w), so a vertex whose children pass the horizon is not
 expanded, and over a mixed alphabet a child is spelled only when its own
 children are within the horizon.  The unpruned level walks behind
-`tree_generation` and `generation_stats` remain, with their generation and
-size budgets, as the oracle the pruned walk is tested against.
+`tree_generation` and `generation_stats` remain, with their size budgets,
+as the oracle the pruned walk is tested against.
 """
 
 from __future__ import annotations
@@ -44,14 +44,13 @@ from .smoothness import (
 from .words import Alphabet, Parity, Word, _spell
 
 FAMILIES = ("T", "T1", "T2", "T3", "T4")
-DEFAULT_GENERATION_CAP = 20
 MATERIALIZE_LETTER_LIMIT = 80_000_000
-# Distinct parity-count states of one level; 2^g at generation g over {1,3},
-# so every level up to the default generation cap fits.
-STATE_LIMIT = 2 ** DEFAULT_GENERATION_CAP
-# Deepest level the unpruned walks build, whatever the generation cap: over
-# an even alphabet the state walk keeps one state a level, so nothing else
-# bounds it.  Every count of a level this deep has under 2,710 digits.
+# Distinct parity-count states of one level: exactly 2^g at generation g
+# over odd letters, one per vertex, and at most two over even letters.
+STATE_LIMIT = 2 ** 20
+# Deepest level the unpruned walks build: over an even alphabet the state
+# walk keeps at most two states a level, so nothing else bounds it.  Every
+# count of a level this deep has under 2,710 digits.
 MAX_GENERATION = 1_000
 # Longest complexity horizon.  Every family keeps one array of this length,
 # and the pruned state walk over {1,3}, the costliest, builds its whole table
@@ -105,18 +104,16 @@ def is_bispecial(word: Word) -> bool:
     return len(left_extensions(word)) == 2 and len(right_extensions(word)) == 2
 
 
-def _extension_count(word: Word) -> int:
-    """Number of two-sided extensions x u y of the word u in the language."""
-    ab = word.alphabet
-    return sum(_is_smooth_bytes(bytes([x]) + word.letters + bytes([y]), ab.a, ab.b, _F)
-               for x in (ab.a, ab.b) for y in (ab.a, ab.b))
-
-
 def multiplicity(word: Word) -> int:
-    """Two-sided extension count minus three; defined for bispecial words."""
-    if not is_bispecial(word):
+    """Two-sided extension count minus three, for bispecial words: as the
+    language is factorial and extendable, those whose 2x2 grid of extensions
+    x u y in it has no empty row or column."""
+    ab = word.alphabet
+    grid = [[_is_smooth_bytes(bytes([x]) + word.letters + bytes([y]), ab.a, ab.b, _F)
+             for y in (ab.a, ab.b)] for x in (ab.a, ab.b)]
+    if not all(map(any, [*grid, *zip(*grid)])):
         raise ValueError(f"{word.render()!r} is not bispecial")
-    return _extension_count(word) - 3
+    return sum(map(sum, grid)) - 3
 
 
 def bispecial_multiplicity_sum(alphabet: Alphabet, n: int) -> int:
@@ -174,20 +171,21 @@ def family_multiplicity(family: str) -> int:
     return -1 if family in ("T3", "T4") else 1
 
 
-def _check_generation(generation: int, generation_cap: int) -> None:
-    _check_size("generation", generation, generation_cap,
-                "; pass a larger cap explicitly")
-    _check_size("generation", generation, MAX_GENERATION,
-                ", the ceiling whatever the cap")
+def _about(n: int) -> str:
+    """n with separators up to 15 digits, else like 5.82e503, with no float."""
+    digits = str(n)
+    if len(digits) <= 15:
+        return f"{n:,}"
+    lead = str((int(digits[:4]) + 5) // 10)  # 1000 when 9995 rounds up
+    return f"{lead[0]}.{lead[1:3]}e{len(digits) + len(lead) - 4}"
 
 
-def _word_level(alphabet: Alphabet, family: str, generation: int,
-                generation_cap: int) -> list[bytes]:
+def _word_level(alphabet: Alphabet, family: str, generation: int) -> list[bytes]:
     """Level `generation` as a list of byte strings, refused up front past
-    the generation cap or the letter budget.  The budget's estimate,
+    the ceiling or the letter budget.  The budget's estimate,
     (len(root) + 4a / d) * (a + b)^g with d = a + b - 2, grows with g, so
     checking the level asked for covers every level built on the way."""
-    _check_generation(generation, generation_cap)
+    _check_size("generation", generation, MAX_GENERATION)
     a, b = alphabet.a, alphabet.b
     root = family_root(alphabet, family).letters
     d = a + b - 2
@@ -195,8 +193,8 @@ def _word_level(alphabet: Alphabet, family: str, generation: int,
     if letters > MATERIALIZE_LETTER_LIMIT * d:
         raise ResourceCapError(
             f"generation {generation} of {family} over {alphabet} would "
-            f"materialize about {(2 * letters + d) // (2 * d):,} letters, "
-            f"above the budget of {MATERIALIZE_LETTER_LIMIT:,}"
+            f"materialize about {_about((2 * letters + d) // (2 * d))} "
+            f"letters, above the budget of {MATERIALIZE_LETTER_LIMIT:,}"
         )
     level = [root]
     for _ in range(generation):
@@ -206,11 +204,10 @@ def _word_level(alphabet: Alphabet, family: str, generation: int,
     return level
 
 
-def tree_generation(alphabet: Alphabet, family: str, generation: int, *,
-                    generation_cap: int = DEFAULT_GENERATION_CAP
-                    ) -> list[BispecialNode]:
+def tree_generation(alphabet: Alphabet, family: str,
+                    generation: int) -> list[BispecialNode]:
     """All vertices at the given depth, sorted, as BispecialNode values."""
-    level = _word_level(alphabet, family, generation, generation_cap)
+    level = _word_level(alphabet, family, generation)
     mult = family_multiplicity(family)
     return [
         BispecialNode(Word(alphabet, w), family, generation, mult)
@@ -285,20 +282,20 @@ def _state_children(states, alphabet: Alphabet) -> Counter:
     return nxt
 
 
-def _state_level(alphabet: Alphabet, family: str, generation: int,
-                 generation_cap: int) -> Counter:
+def _state_level(alphabet: Alphabet, family: str, generation: int) -> Counter:
     """Level `generation` as a Counter of parity-count states; no words are
-    built.  The state budget is checked before each level, since it depends
-    on how many distinct states the walk finds."""
-    _check_generation(generation, generation_cap)
+    built.  A level holds 2^g distinct states over odd letters, one per
+    vertex, and at most two over even ones, so its budget is decided first."""
+    _check_size("generation", generation, MAX_GENERATION)
+    family_root(alphabet, family)  # an unknown family is named before the budget
+    if alphabet.parity is Parity.ODD and 2 ** generation > STATE_LIMIT:
+        raise ResourceCapError(
+            f"generation {generation} of {family} over {alphabet} could hold "
+            f"{2 ** generation:,} distinct parity-count states, above the "
+            f"budget of {STATE_LIMIT:,}"
+        )
     level = _root_states(alphabet, family)
-    for g in range(1, generation + 1):
-        if 2 * len(level) > STATE_LIMIT:
-            raise ResourceCapError(
-                f"generation {g} of {family} over {alphabet} could hold "
-                f"{2 * len(level):,} distinct parity-count states, above the "
-                f"budget of {STATE_LIMIT:,}"
-            )
+    for _ in range(generation):
         level = _state_children(level.items(), alphabet)
     return level
 
@@ -311,8 +308,7 @@ def _state_histogram(level: Counter) -> Counter:
 
 
 def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
-                     method: str = "auto",
-                     generation_cap: int = DEFAULT_GENERATION_CAP) -> GenerationStats:
+                     method: str = "auto") -> GenerationStats:
     """Level statistics, via 'words', 'state', or 'auto' dispatch.
 
     'auto' walks exact parity-count states when both letters share a parity
@@ -321,8 +317,7 @@ def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
     if method == "auto":
         method = "words" if alphabet.parity is Parity.MIXED else "state"
     if method == "words":
-        hist = Counter(map(len, _word_level(alphabet, family, generation,
-                                            generation_cap)))
+        hist = Counter(map(len, _word_level(alphabet, family, generation)))
     elif method != "state":
         raise ValueError(f"unknown method {method!r}")
     elif alphabet.parity is Parity.MIXED:
@@ -331,8 +326,7 @@ def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
             "use method='words'"
         )
     else:
-        hist = _state_histogram(_state_level(alphabet, family, generation,
-                                             generation_cap))
+        hist = _state_histogram(_state_level(alphabet, family, generation))
     return GenerationStats(
         family=family,
         generation=generation,

@@ -17,7 +17,6 @@ import sys
 from typing import Optional
 
 from .bispecial import (
-    DEFAULT_GENERATION_CAP,
     FAMILIES,
     exact_complexity,
     generation_stats,
@@ -186,8 +185,7 @@ def _cmd_complexity(args, alphabet: Alphabet) -> int:
 
 def _cmd_tree(args, alphabet: Alphabet) -> int:
     if args.stats:
-        stats = generation_stats(alphabet, args.family, args.generation,
-                                 generation_cap=args.cap)
+        stats = generation_stats(alphabet, args.family, args.generation)
         header = ["family", "generation", "count", "min_len", "max_len",
                   "total_len"]
         row = [args.family, args.generation, stats.count, stats.min_len,
@@ -201,8 +199,7 @@ def _cmd_tree(args, alphabet: Alphabet) -> int:
                "histogram": histogram},
               header, [row], lines)
         return 0
-    nodes = tree_generation(alphabet, args.family, args.generation,
-                            generation_cap=args.cap)
+    nodes = tree_generation(alphabet, args.family, args.generation)
     words = [n.word.render() for n in nodes]
     _emit(args.format,
           {"alphabet": str(alphabet), "family": args.family,
@@ -331,7 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generation", type=int, required=True)
     p.add_argument("--stats", action="store_true",
                    help="lengths and totals instead of the word listing")
-    p.add_argument("--cap", type=int, default=DEFAULT_GENERATION_CAP)
 
     p = sub.add_parser("exponents", help="growth exponents of the alphabet")
     p.add_argument("--reference-table", action="store_true",

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import smoothwords
@@ -80,10 +81,12 @@ def test_all_is_pinned():
 
 def test_benchmark_imports_resolve():
     # perfbench/rounds.py runs outside the unit tests; a name it imports
-    # that the package no longer has would only fail there.
+    # that the package no longer has, or a keyword it passes (method=,
+    # start=) that the name no longer takes, would only fail there.
+    tree = ast.parse(ROUNDS.read_text())
     imported = [
         (node.module, alias.name)
-        for node in ast.walk(ast.parse(ROUNDS.read_text()))
+        for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         and node.module in ("smoothwords", "smoothwords.checks")
         for alias in node.names
@@ -93,3 +96,18 @@ def test_benchmark_imports_resolve():
     missing = [f"{module}.{name}" for module, name in imported
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+    # keywords of every call to an imported name, direct or via rec.call
+    names = {name for module, name in imported if module == "smoothwords"}
+    bound = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        fn = node.func
+        if (getattr(fn, "attr", getattr(fn, "id", None)) == "call"
+                and len(node.args) > 1):
+            fn = node.args[1]
+        if isinstance(fn, ast.Name) and fn.id in names:
+            keywords = {k.arg: None for k in node.keywords if k.arg}
+            inspect.signature(getattr(smoothwords, fn.id)).bind_partial(**keywords)
+            bound.extend(keywords)
+    assert {"method", "start"} <= set(bound)

@@ -1,7 +1,7 @@
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import count
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +19,7 @@ from smoothwords import (
     generation_stats,
     generation_swap,
     is_bispecial,
+    is_f_smooth,
     multiplicity,
     primitive,
     root_of,
@@ -97,6 +98,28 @@ class TestBispecialPredicates:
         with pytest.raises(ValueError):
             multiplicity(AB12.word("11"))
 
+    def test_multiplicity_matches_one_sided_probes(self):
+        # every word up to 12 letters (10 over the wider alphabets): the
+        # grid of x u y decides bispeciality as the one-sided probes do
+        bispecials = 0
+        for ab, longest in [*((Alphabet(a, b), 12) for a, b in
+                              ((1, 2), (1, 3), (2, 3))),
+                            *((Alphabet(a, b), 10) for a, b in
+                              ((2, 5), (1, 4), (3, 5), (1, 6), (2, 4)))]:
+            for n in range(longest + 1):
+                for letters in product((ab.a, ab.b), repeat=n):
+                    w = ab.word(list(letters))
+                    if not is_bispecial(w):
+                        with pytest.raises(ValueError, match="not bispecial"):
+                            multiplicity(w)
+                        continue
+                    bispecials += 1
+                    two_sided = sum(
+                        is_f_smooth(ab.word([x, *letters, y])) is not None
+                        for x in (ab.a, ab.b) for y in (ab.a, ab.b))
+                    assert multiplicity(w) == two_sided - 3, (ab, letters)
+        assert bispecials == 188
+
 
 def short_labels(ab):
     """Label every word c^n, 0 <= n <= b (the empty word once): 'strong',
@@ -173,6 +196,8 @@ class TestTreeGenerations:
             tree_generation(AB12, "T1", 1)
         with pytest.raises(InvalidFamilyError):
             tree_generation(AB12, "nope", 1)
+        with pytest.raises(InvalidFamilyError):  # before the state budget
+            generation_stats(AB13, "nope", 21)
 
     def test_generation_outside_zero_to_cap_is_refused(self):
         # AB12 lists words on both routes; AB13 takes the state route for stats.
@@ -181,12 +206,7 @@ class TestTreeGenerations:
                 with pytest.raises(ValueError, match="nonnegative"):
                     build(ab, "T", -1)
                 with pytest.raises(ResourceCapError):
-                    build(ab, "T", 4, generation_cap=3)
-
-    def test_negative_generation_cap_is_a_bad_argument(self):
-        with pytest.raises(ValueError,
-                           match="cap on generation must be nonnegative, got -1"):
-            generation_stats(AB12, "T", 0, generation_cap=-1)
+                    build(ab, "T", bispecial.MAX_GENERATION + 1)
 
     def test_letter_budget_refusal_names_its_numbers(self, monkeypatch):
         # refused before any level is built: building one would call None
@@ -194,30 +214,51 @@ class TestTreeGenerations:
         with pytest.raises(ResourceCapError, match=(
                 r"generation 16 of T over \{1,2\} would materialize about "
                 r"172,186,884 letters, above the budget of 80,000,000")):
-            tree_generation(AB12, "T", 16, generation_cap=30)
+            tree_generation(AB12, "T", 16)
 
     def test_letter_budget_is_decided_in_integers(self, monkeypatch):
         # the float estimate overflowed here, or printed "about inf letters"
         monkeypatch.setattr(bispecial, "_primitive_bytes", None)
-        refusal = r"would materialize about [\d,]+ letters, above the budget"
+        refusal = (r"would materialize about (\d\.\d\de\d+|[\d,]+) letters, "
+                   r"above the budget")
         for ab, generation in ((AB12, 1000), (AB24, 647),
                                (Alphabet(100, 255), 138)):
             with pytest.raises(ResourceCapError, match=refusal):
-                tree_generation(ab, "T", generation, generation_cap=1000)
+                tree_generation(ab, "T", generation)
             with pytest.raises(ResourceCapError, match=refusal):
-                generation_stats(ab, "T", generation, method="words",
-                                 generation_cap=1000)
+                generation_stats(ab, "T", generation, method="words")
 
-    def test_generation_ceiling_holds_whatever_the_cap(self, monkeypatch):
-        # one state a level over {2,4}: only the ceiling bounds the walk
+    def test_estimate_is_rounded_past_15_digits(self):
+        for n, text in ((10 ** 15 - 1, "999,999,999,999,999"),
+                        (10 ** 15, "1.00e15"), (123_456 * 10 ** 12, "1.23e17"),
+                        (99_950 * 10 ** 12, "1.00e17"),
+                        (99_949 * 10 ** 12, "9.99e16")):
+            assert bispecial._about(n) == text
+
+    def test_generation_ceiling_is_refused_before_any_work(self, monkeypatch):
+        # at most two states a level over {2,4}: only the ceiling bounds it
         monkeypatch.setattr(bispecial, "_root_states", None)
         monkeypatch.setattr(bispecial, "_primitive_bytes", None)
         for build in (tree_generation, generation_stats):
-            with pytest.raises(ResourceCapError, match=(
-                    r"^generation 1001 above cap 1000, the ceiling whatever "
-                    r"the cap$")):
-                build(AB24, "T", bispecial.MAX_GENERATION + 1,
-                      generation_cap=2_000)
+            with pytest.raises(ResourceCapError,
+                               match=r"^generation 1001 above cap 1000$"):
+                build(AB24, "T", bispecial.MAX_GENERATION + 1)
+
+    def test_distinct_states_per_level(self):
+        # the bound the state budget is decided from: 2^g over odd letters,
+        # one state a vertex, and at most two over even letters
+        for ab, depth in [*((Alphabet(a, b), 12) for a, b in
+                            ((1, 3), (3, 5), (1, 5), (5, 7), (1, 9))),
+                          *((Alphabet(a, b), 40) for a, b in
+                            ((2, 4), (2, 6), (4, 6), (2, 8)))]:
+            for family in FAMILIES:
+                level = bispecial._root_states(ab, family)
+                for g in range(depth + 1):
+                    if ab.a % 2:
+                        assert len(level) == 2 ** g, (ab, family, g)
+                    else:
+                        assert len(level) <= 2, (ab, family, g)
+                    level = bispecial._state_children(level.items(), ab)
 
     def test_mixed_horizon_refusal_names_its_numbers(self, monkeypatch):
         # refused before any level is built: building one would call None
@@ -313,7 +354,7 @@ class TestMultiplicitySums:
     def test_trie_sum_matches_per_word_probes(self, ab):
         # the per-word probes re-derive every extension from scratch
         for n in range(21):
-            expect = sum(bispecial._extension_count(w) - 3
+            expect = sum(multiplicity(w)
                          for w in enumerate_f_smooth(ab, n) if is_bispecial(w))
             assert bispecial_multiplicity_sum(ab, n) == expect, (ab, n)
 

@@ -256,9 +256,55 @@ class TestTree:
                              "--generation", "2")
         assert code == 2
 
-    def test_generation_cap_exits_3(self):
-        code, _, _ = run_cli("tree", "--family", "T", "--generation", "25")
+    def test_letter_budget_exits_3(self):
+        code, _, err = run_cli("tree", "--family", "T", "--generation", "25")
         assert code == 3
+        assert err.endswith(" letters, above the budget of 80,000,000\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--alphabet", "1,3", "tree", "--stats", "--generation", "21"],
+         "could hold 2,097,152 distinct parity-count states"),
+        (["--alphabet", "3,5", "tree", "--stats", "--generation", "21"],
+         "could hold 2,097,152 distinct parity-count states"),
+        (["tree", "--generation", "16"], "about 172,186,884 letters"),
+        (["tree", "--stats", "--generation", "16"], "about 172,186,884 letters"),
+        (["tree", "--generation", "5000"], "generation 5000 above cap 1000"),
+        (["tree", "--stats", "--generation", "5000"],
+         "generation 5000 above cap 1000"),
+        (["--alphabet", "2,4", "tree", "--generation", "647"],
+         "about 5.82e503 letters"),
+        (["--alphabet", "254,255", "tree", "--generation", "1000"],
+         " letters, above the budget"),
+        (["--alphabet", "2,4", "tree", "--stats", "--generation", "1001"],
+         "generation 1001 above cap 1000"),
+        (["--alphabet", "2,4", "tree", "--generation", "1001"],
+         "generation 1001 above cap 1000"),
+    ])
+    def test_refusal_is_one_short_line_before_any_work(self, monkeypatch,
+                                                       argv, message):
+        from smoothwords import bispecial
+
+        # building a level would call None on either route
+        monkeypatch.setattr(bispecial, "_root_states", None)
+        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        code, out, err = run_cli(*argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 200 and message in err
+
+    @pytest.mark.parametrize("family", ["T", "T3"])
+    def test_even_alphabet_stats_reach_the_ceiling(self, family):
+        code, out, _ = run_cli("--alphabet", "2,4", "tree", "--stats",
+                               "--family", family, "--generation", "1000")
+        assert code == 0
+        assert f"count: {2 ** 1000}\n" in out
+
+    def test_tree_takes_no_cap(self):
+        code, out, err = run_cli("tree", "--generation", "2", "--cap", "30")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --cap 30" in err
 
     @pytest.mark.parametrize("stats", [[], ["--stats"]])
     def test_negative_generation_is_usage_error(self, stats):
@@ -271,7 +317,6 @@ class TestTree:
 @pytest.mark.parametrize("argv", [
     ("enumerate", "--length", "0", "--cap", "-1"),
     ("complexity", "--max", "3", "--cap", "-2"),
-    ("tree", "--generation", "0", "--cap", "-5"),
 ])
 def test_negative_cap_is_usage_error(argv):
     code, out, err = run_cli(*argv)
@@ -456,8 +501,7 @@ SIZED = [["kappa", "--length"], ["kappa", "--length", "5", "--start"],
          ["--alphabet", "1,3", "pair", "--length"], ["enumerate", "--length"],
          ["complexity", "--max"], ["complexity", "--tree-only", "--max"],
          ["tree", "--generation"], ["tree", "--stats", "--generation"]]
-CAPPED = [["enumerate", "--length", "3"], ["complexity", "--max", "3"],
-          ["tree", "--generation", "2"]]
+CAPPED = [["enumerate", "--length", "3"], ["complexity", "--max", "3"]]
 BAD_ARGV = st.one_of(
     st.builds(lambda ab, cmd: ["--alphabet", ab, *cmd],
               BAD_ALPHABETS, st.sampled_from(GOOD_COMMANDS)),
@@ -469,28 +513,25 @@ BAD_ARGV = st.one_of(
     st.builds(lambda flag, value: ["verify", flag, value],
               st.sampled_from(["--suite", "--seed"]),
               st.sampled_from(["", "x", "1.5", "bogus"])),
-    # generations past the ceiling, with caps up to and past them
-    st.builds(lambda ab, family, g, cap, stats: [
+    # generations past the ceiling
+    st.builds(lambda ab, family, g, stats: [
         "--alphabet", ab, "tree", "--family", family, "--generation", str(g),
-        "--cap", cap, *stats],
+        *stats],
         st.sampled_from(["1,2", "1,3", "2,4", "100,255"]),
         st.sampled_from(["T", "T1", "T3"]), st.sampled_from([1001, 1024, 5526, 6000]),
-        st.sampled_from(["0", "20", "1000", "6000", str(HUGE)]),
         st.sampled_from([[], ["--stats"]])),
 )
 
 
 @given(BAD_ARGV)
-@example(["--alphabet", "1,2", "tree", "--generation", "1024", "--cap", "1024"])
-@example(["--alphabet", "1,2", "tree", "--generation", "1024", "--cap", "1024",
-          "--stats"])
-@example(["--alphabet", "1,2", "tree", "--generation", "1000", "--cap", "1000"])
-@example(["--alphabet", "2,4", "tree", "--generation", "647", "--cap", "1000"])
-@example(["--alphabet", "2,4", "tree", "--generation", "1001", "--cap", "2000",
-          "--stats"])
-@example(["--alphabet", "2,4", "tree", "--generation", "5526", "--cap", "6000",
-          "--stats"])
-@example(["--alphabet", "100,255", "tree", "--generation", "138", "--cap", "200"])
+@example(["--alphabet", "1,2", "tree", "--generation", "1024"])
+@example(["--alphabet", "1,2", "tree", "--generation", "1024", "--stats"])
+@example(["--alphabet", "1,2", "tree", "--generation", "1000"])
+@example(["--alphabet", "2,4", "tree", "--generation", "647"])
+@example(["--alphabet", "2,4", "tree", "--generation", "1001", "--stats"])
+@example(["--alphabet", "2,4", "tree", "--generation", "5526", "--stats"])
+@example(["--alphabet", "100,255", "tree", "--generation", "138"])
+@example(["--alphabet", "1,3", "tree", "--generation", "21", "--stats"])
 @example(["kappa", "--length", str(HUGE)])
 @settings(max_examples=300, deadline=None)
 def test_bad_input_is_refused_with_one_message(argv):
