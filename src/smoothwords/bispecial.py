@@ -30,8 +30,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import log
+from operator import add, sub
 
-from .derivation import _F, _derive_bytes, derive_f
+from .derivation import _F, _derivatives, derive_f
 from .errors import InvalidFamilyError, ResourceCapError, _check_size
 from .smoothness import (
     DEFAULT_LENGTH_CAP,
@@ -148,10 +149,15 @@ class BispecialNode:
     multiplicity: int
 
 
+def _families(alphabet: Alphabet) -> tuple[str, ...]:
+    """The families over the alphabet: only T when the letters are consecutive."""
+    return FAMILIES[:1] if alphabet.a == alphabet.b - 1 else FAMILIES
+
+
 def family_root(alphabet: Alphabet, family: str) -> Word:
     if family not in FAMILIES:
         raise InvalidFamilyError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family != "T" and alphabet.a == alphabet.b - 1:
+    if family not in _families(alphabet):
         raise InvalidFamilyError(
             f"family {family} does not exist over {alphabet}: "
             "only the empty-rooted tree when the letters are consecutive"
@@ -347,13 +353,11 @@ def root_of(word: Word) -> tuple[Word, str, int]:
         raise ValueError(f"{word.render()!r} is not bispecial")
     ab = word.alphabet
     a, b = ab.a, ab.b
-    steps = 0
-    cur = word.letters
-    while a in cur and b in cur:  # two runs or more
-        cur = _derive_bytes(cur, a, b, _F)
-        steps += 1
+    for steps, cur in enumerate(_derivatives(word.letters, a, b, _F)):
+        if a not in cur or b not in cur:  # fewer than two runs
+            break
     root = Word(ab, cur)
-    for family in FAMILIES[:1] if a == b - 1 else FAMILIES:
+    for family in _families(ab):
         if root == family_root(ab, family):
             return root, family, steps
     raise ValueError(
@@ -509,16 +513,8 @@ def tree_derived_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable
     Both identities are exact, not bounds.
     """
     p_T = tree_complexity(alphabet, "T", horizon)
-    if alphabet.a == alphabet.b - 1:
-        p = tuple(1 + n + p_T[n] for n in range(horizon + 1))
-    else:
-        parts = {
-            fam: tree_complexity(alphabet, fam, horizon)
-            for fam in ("T1", "T2", "T3", "T4")
-        }
-        p = tuple(
-            1 + n + p_T[n] + parts["T1"][n] + parts["T2"][n]
-            - parts["T3"][n] - parts["T4"][n]
-            for n in range(horizon + 1)
-        )
-    return _table(alphabet, horizon, p, p_T, "tree-derived")
+    p = range(1, horizon + 2)  # 1 + n
+    for family in _families(alphabet):
+        counts = p_T if family == "T" else tree_complexity(alphabet, family, horizon)
+        p = map(add if family_multiplicity(family) > 0 else sub, p, counts)
+    return _table(alphabet, horizon, tuple(p), p_T, "tree-derived")

@@ -24,25 +24,27 @@ from .bispecial import (
     tree_derived_complexity,
 )
 from .checks import REFERENCE_EXPONENT_TABLE, SUITES, _display_decimals, run_suite
-from .derivation import derive_f, derive_huang, derive_r
-from .errors import (
-    DerivationError,
-    InvalidFamilyError,
-    ResourceCapError,
-    SmoothWordsError,
-)
+from .derivation import _RULES, _derivatives, derivability, derive_f, derive_huang, derive_r
+from .errors import InvalidFamilyError, ResourceCapError, SmoothWordsError
 from .generators import coupled_pair_prefix, kappa_prefix
 from .smoothness import DEFAULT_LENGTH_CAP, enumerate_f_smooth, is_f_smooth, is_r_smooth
 from .spectral import exponent_report
-from .words import Alphabet
+from .words import Alphabet, Word
 
 _OPS = {"f": derive_f, "r": derive_r, "huang": derive_huang}
 
 
+def _integer(text: str) -> int:
+    """`int`, but of an optional '-' and ASCII digits only."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _parse_alphabet(text: str) -> Alphabet:
     try:
-        x, y = (int(p) for p in text.split(","))
-    except ValueError:
+        x, y = map(_integer, text.split(","))
+    except (ValueError, argparse.ArgumentTypeError):
         raise ValueError(
             f"alphabet must be two comma-separated integers, got {text!r}"
         ) from None
@@ -89,27 +91,19 @@ def _cmd_derive(args, alphabet: Alphabet) -> int:
               ["input", "operation", "result"],
               [[payload["input"], args.op, result]], [result or "(empty)"])
         return 0
-    chain = [word]
-    error: Optional[str] = None
-    while len(chain[-1]):
-        try:
-            chain.append(op(chain[-1]))
-        except DerivationError as exc:
-            error = f"step {len(chain)}: {chain[-1].render()} not derivable"
-            if exc.report is not None:
-                error += f" ({exc.report.reason})"
-            break
-    steps = [w.render() for w in chain]
-    payload["chain"] = steps
-    if error is None:
-        payload["height"] = len(chain) - 1
-    else:
+    chain = [Word(alphabet, w) for w in _derivatives(
+        word.letters, alphabet.a, alphabet.b, _RULES[args.op])]
+    steps = payload["chain"] = [w.render() for w in chain]
+    if chain[-1]:  # the walk ends at the word it could not derive
         payload["failed_at_step"] = len(chain)
-        payload["error"] = error
+        payload["error"] = (f"step {len(chain)}: {steps[-1]} not derivable "
+                            f"({derivability(chain[-1], args.op).reason})")
+    else:
+        payload["height"] = len(chain) - 1
     _emit(args.format, payload, ["step", "word"], list(enumerate(steps)),
           [f"{i}: {step or '(empty)'}" for i, step in enumerate(steps)])
-    if error is not None:
-        print(error, file=sys.stderr)
+    if chain[-1]:
+        print(payload["error"], file=sys.stderr)
         return 1
     return 0
 
@@ -301,31 +295,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("f", "r"), default="f")
 
     p = sub.add_parser("kappa", help="prefix of the self-reading fixed point")
-    p.add_argument("--start", type=int, default=None,
+    p.add_argument("--start", type=_integer, default=None,
                    help="first letter (default: the larger letter)")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_integer, required=True)
 
     p = sub.add_parser("pair", help="coupled pair of self-reading words")
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_integer, required=True)
 
     p = sub.add_parser("enumerate", help="all f-smooth words of one length")
-    p.add_argument("--length", type=int, required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_LENGTH_CAP,
+    p.add_argument("--length", type=_integer, required=True)
+    p.add_argument("--cap", type=_integer, default=DEFAULT_LENGTH_CAP,
                    help=f"length cap (default {DEFAULT_LENGTH_CAP})")
 
     p = sub.add_parser("complexity", help="factor complexity with bounds")
-    p.add_argument("--max", type=int, required=True, metavar="N")
+    p.add_argument("--max", type=_integer, required=True, metavar="N")
     p.add_argument("--tree-only", action="store_true",
                    help="derive counts from the bispecial trees instead of "
                         "enumerating")
-    p.add_argument("--cap", type=int, default=DEFAULT_LENGTH_CAP,
+    p.add_argument("--cap", type=_integer, default=DEFAULT_LENGTH_CAP,
                    help=f"cap on the enumerated length, --max + 2 (default "
                         f"{DEFAULT_LENGTH_CAP}); --tree-only enumerates "
                         "nothing, so the cap does not apply")
 
     p = sub.add_parser("tree", help="one generation of a bispecial family")
     p.add_argument("--family", choices=FAMILIES, default="T")
-    p.add_argument("--generation", type=int, required=True)
+    p.add_argument("--generation", type=_integer, required=True)
     p.add_argument("--stats", action="store_true",
                    help="lengths and totals instead of the word listing")
 
@@ -335,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), default="all")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
 
     for sp in sub.choices.values():
         _add_common(sp, suppress=True)

@@ -23,6 +23,8 @@ on it break otherwise.  The prefix rule treats the final run as possibly
 unfinished: it only has to fit in [1, b] and is dropped.
 
 Every rule contracts the length of any nonempty word, so iteration terminates.
+Every iteration (membership, reduction to roots, the depth check and the
+CLI's chain) reads the one walk `_derivatives`.
 
 One step reads the exponents as a `bytes` object from `words._bytes_runs`,
 whose boundary marks assume the letters lie in {a, b}; every caller passes
@@ -33,7 +35,7 @@ b <= 255 it is outside the domain of every rule, so the step refuses it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import NotDerivableError, NotRDerivableError
 from .words import Word, _bytes_runs
@@ -109,6 +111,21 @@ def _derive_bytes(letters: bytes, a: int, b: int, rule) -> Optional[bytes]:
     return first(exps[0], a, b) + exps[1:-1] + last(exps[-1], a, b)
 
 
+def _derivatives(letters: bytes, a: int, b: int, rule) -> Iterator[bytes]:
+    """`letters`, then each derivative under `rule` in turn.
+
+    Stops after the empty word, or after the first word outside the rule's
+    domain, which comes last: the walk ends in the empty word exactly when
+    iterated derivation reaches it.
+    """
+    yield letters
+    while letters:
+        letters = _derive_bytes(letters, a, b, rule)
+        if letters is None:
+            return
+        yield letters
+
+
 def derivability(word: Word, kind: str = "f") -> DerivabilityReport:
     """Domain check without deriving; kind is 'f', 'r', or 'huang'."""
     if not word:
@@ -116,8 +133,9 @@ def derivability(word: Word, kind: str = "f") -> DerivabilityReport:
     if kind not in _RULES:
         raise ValueError(f"unknown derivation kind {kind!r}")
     rule = _RULES[kind]
-    exps = word.runs.exponents()
-    i = _check(exps, word.alphabet.a, word.alphabet.b, rule)
+    a, b = word.alphabet.a, word.alphabet.b
+    exps = list(_bytes_runs(word.letters, a, b))
+    i = _check(exps, a, b, rule)
     if i is None:
         return _OK
     two_sided = rule[0] is not None

@@ -19,9 +19,10 @@ instead of guessing one.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Optional
 
-from .derivation import _PREFIX, _R, _derive_bytes
+from .derivation import _PREFIX, _R, _derivatives
 from .errors import ConstructionError, _check_size
 from .smoothness import _is_smooth_bytes, is_r_smooth
 from .words import Alphabet, Word, _spell
@@ -121,14 +122,10 @@ def check_smooth_depth(prefix: Word, depth: int) -> bool:
     its visible exponent already exceeds b, which is disqualifying on its
     own.  Every completed run must carry an exponent in {a, b}.  Running out
     of letters before `depth` steps counts as failure: the prefix is too
-    short to certify that depth.
+    short to certify that depth.  The walk stops after the empty word or a
+    word it cannot derive, so it reaches index `depth` just when all succeed.
     """
     ab = prefix.alphabet
-    cur = prefix.letters
-    for _ in range(depth):
-        if not cur:
-            return False
-        cur = _derive_bytes(cur, ab.a, ab.b, _PREFIX)
-        if cur is None:
-            return False
-    return True
+    words = max(depth, 0) + 1
+    walk = _derivatives(prefix.letters, ab.a, ab.b, _PREFIX)
+    return sum(1 for _ in islice(walk, words)) == words

@@ -15,7 +15,7 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Optional
 
-from .derivation import _F, _R, _derive_bytes
+from .derivation import _F, _R, _derivatives
 from .errors import ConstructionError, ResourceCapError, _check_size
 from .words import Alphabet, Word, _bytes_runs, _spell
 
@@ -45,23 +45,17 @@ class EmbeddingWitness:
 
 def _is_smooth_bytes(letters: bytes, a: int, b: int, rule) -> bool:
     """True when iterated derivation under `rule` reaches the empty word."""
-    while letters:
-        letters = _derive_bytes(letters, a, b, rule)
-        if letters is None:
-            return False
-    return True
+    for last in _derivatives(letters, a, b, rule):
+        pass
+    return not last
 
 
 def is_f_smooth(word: Word) -> Optional[FSmoothCertificate]:
     """Certificate with the full derivative chain, or None if not f-smooth."""
     ab = word.alphabet
-    chain = [word.letters]
-    cur = word.letters
-    while cur:
-        cur = _derive_bytes(cur, ab.a, ab.b, _F)
-        if cur is None:
-            return None
-        chain.append(cur)
+    chain = list(_derivatives(word.letters, ab.a, ab.b, _F))
+    if chain[-1]:
+        return None
     words = tuple(Word(ab, c) for c in chain)
     return FSmoothCertificate(word=word, height=len(chain) - 1, chain=words)
 

@@ -74,6 +74,9 @@ def _swap_table(a: int, b: int) -> bytes:
 
 # Takes each ASCII digit to its value and every other byte to 0, never a letter.
 _DIGITS = bytes(48) + bytes(range(10)) + bytes(198)
+# The mirror of _DIGITS: takes each value below 10 to its ASCII digit.
+_ASCII = b"0123456789" + bytes(246)
+_DECIMAL = tuple(map(str, range(256)))  # each letter's text, made once
 
 
 def _parse_text(alphabet: Alphabet, text: str) -> bytes:
@@ -94,10 +97,9 @@ def _parse_text(alphabet: Alphabet, text: str) -> bytes:
         parts = [text]
     letters = []
     for part in parts:
-        try:
-            letters.append(int(part))
-        except ValueError:
-            raise ValueError(f"letter {part!r} is not an integer") from None
+        if not (part.isascii() and part.isdigit()):  # int() reads more
+            raise ValueError(f"letter {part!r} is not an integer")
+        letters.append(int(part))
     bad = next((x for x in letters if x != alphabet.a and x != alphabet.b), None)
     if bad is not None:
         raise ValueError(f"letter {bad} not in alphabet {alphabet}")
@@ -305,11 +307,9 @@ class Word:
     def render(self) -> str:
         """Canonical text form: digit string when both letters are below 10,
         comma-separated otherwise."""
-        if not self.letters:
-            return ""
         if self.alphabet.b < 10:
-            return "".join(str(x) for x in self.letters)
-        return ",".join(str(x) for x in self.letters)
+            return self.letters.translate(_ASCII).decode("ascii")
+        return ",".join([_DECIMAL[x] for x in self.letters])
 
     def __str__(self) -> str:
         return self.render()

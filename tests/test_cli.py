@@ -85,6 +85,34 @@ class TestDerive:
         assert payload["chain"][-1] == ""
 
 
+R_ERROR = "step 3: 111 not derivable (final exponent outside [1,b])"
+HUANG_ERROR = "step 3: 111 not derivable (boundary exponent outside [1,b])"
+FAILING_CHAINS = [
+    ("r", "122122", "text", "0: 122122\n1: 1212\n2: 111\n", R_ERROR),
+    ("r", "122122", "json",
+     '{\n  "alphabet": "{1,2}",\n  "operation": "r",\n  "input": "122122",\n'
+     '  "chain": [\n    "122122",\n    "1212",\n    "111"\n  ],\n'
+     f'  "failed_at_step": 3,\n  "error": "{R_ERROR}"\n}}\n', R_ERROR),
+    ("r", "122122", "csv", "step,word\n0,122122\n1,1212\n2,111\n", R_ERROR),
+    ("huang", "11211211", "text", "0: 11211211\n1: 21212\n2: 111\n",
+     HUANG_ERROR),
+    ("huang", "11211211", "json",
+     '{\n  "alphabet": "{1,2}",\n  "operation": "huang",\n'
+     '  "input": "11211211",\n  "chain": [\n    "11211211",\n    "21212",\n'
+     f'    "111"\n  ],\n  "failed_at_step": 3,\n  "error": "{HUANG_ERROR}"\n}}\n',
+     HUANG_ERROR),
+    ("huang", "11211211", "csv", "step,word\n0,11211211\n1,21212\n2,111\n",
+     HUANG_ERROR),
+]
+
+
+@pytest.mark.parametrize("op, word, fmt, out, error", FAILING_CHAINS)
+def test_failing_chain_prints_the_same_bytes(op, word, fmt, out, error):
+    # the chain ends at the word that fails; the reason goes to stderr
+    assert run_cli("derive", "--op", op, word, "--chain", "--format", fmt) == (
+        1, out, error + "\n")
+
+
 class TestCheck:
     def test_member_with_certificate(self):
         code, out, _ = run_cli("check", "221121221", "--kind", "f")
@@ -473,11 +501,12 @@ def test_argparse_usage_error_exits_2():
 HUGE = 10 ** 20
 _INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 _NUMBERS = st.one_of(st.integers(max_value=-1), st.integers(min_value=10 ** 8))
-# Values no size flag takes: negative, above every cap (in ASCII or
-# Arabic-Indic digits, which int() reads too), or not an integer at all.
+# Values no size flag takes: negative, above every cap, not in ASCII digits
+# (which int() alone reads), or not an integer at all.
 BAD_SIZES = st.one_of(
     _NUMBERS.map(str),
     _NUMBERS.map(lambda n: str(n).translate(_INDIC)),
+    st.integers(0, 99).map(lambda n: str(n).translate(_INDIC)),
     st.sampled_from(["", "x", "1.5", "1e3", "0x10", "½", "٣.٥", "--", "-x"]),
 )
 BAD_ALPHABETS = st.one_of(
@@ -533,6 +562,14 @@ BAD_ARGV = st.one_of(
 @example(["--alphabet", "100,255", "tree", "--generation", "138"])
 @example(["--alphabet", "1,3", "tree", "--generation", "21", "--stats"])
 @example(["kappa", "--length", str(HUGE)])
+# int() alone reads other decimal digits, '+', '_' and spaces
+@example(["derive", "١٢"])
+@example(["--alphabet", "١,٢", "kappa", "--length", "5"])
+@example(["kappa", "--length", "٥"])
+@example(["kappa", "--length", "1_0"])
+@example(["derive", "1,+2"])
+@example(["--alphabet", "+1,2", "kappa", "--length", "3"])
+@example(["tree", "--generation", "٣"])
 @settings(max_examples=300, deadline=None)
 def test_bad_input_is_refused_with_one_message(argv):
     code, out, err = run_cli(*argv)

@@ -17,6 +17,7 @@ from smoothwords import (
     is_f_smooth,
     is_r_smooth,
 )
+from smoothwords.derivation import _F, _HUANG, _PREFIX, _R, _derivatives
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -174,13 +175,11 @@ def ref_derive(letters, ab, kind):
     return bytes(exps[:-1] + [ab.b])
 
 
-def ref_chain(letters, ab, kind):
-    """Iterated derivatives down to the empty word, or None if one fails."""
+def ref_walk(letters, ab, kind):
+    """Iterated derivatives down to the empty word, or to the first word
+    outside the domain of `kind`."""
     chain = [letters]
-    while chain[-1]:
-        d = ref_derive(chain[-1], ab, kind)
-        if d is None:
-            return None
+    while chain[-1] and (d := ref_derive(chain[-1], ab, kind)) is not None:
         chain.append(d)
     return chain
 
@@ -228,16 +227,36 @@ def assert_matches_definitions(w):
                 ref_report(letters, ab, kind)), (kind, w)
         else:
             assert op(w).letters == expected, (kind, w)
+    for kind, rule in (("f", _F), ("r", _R), ("huang", _HUANG), ("prefix", _PREFIX)):
+        walk = list(_derivatives(letters, ab.a, ab.b, rule))
+        assert walk == ref_walk(letters, ab, kind), (kind, w)
     cert = is_f_smooth(w)
-    chain = ref_chain(letters, ab, "f")
-    if chain is None:
+    chain = ref_walk(letters, ab, "f")
+    if chain[-1]:
         assert cert is None, w
     else:
         assert [c.letters for c in cert.chain] == chain
         assert cert.height == len(chain) - 1
-    assert is_r_smooth(w) == (ref_chain(letters, ab, "r") is not None)
-    for depth in (1, 2, 3):
+    assert is_r_smooth(w) == (not ref_walk(letters, ab, "r")[-1])
+    for depth in range(-3, 7):
         assert check_smooth_depth(w, depth) == ref_depth(letters, ab, depth)
+
+
+def test_failing_derivation_builds_no_runs(monkeypatch):
+    # the domain report reads run lengths off the letters: a long word that
+    # fails would otherwise build one `Run` object per run
+    def refuse(word):
+        raise AssertionError(f"Word.runs built for {word!r}")
+
+    monkeypatch.setattr(Word, "runs", property(refuse))
+    for op, text, error in (
+        (derive_f, "11112", NotDerivableError),
+        (derive_r, "1112", NotRDerivableError),
+        (derive_huang, "21111", NotDerivableError),
+    ):
+        with pytest.raises(error) as info:
+            op(AB12.word(text))
+        assert not info.value.report.derivable
 
 
 @pytest.mark.parametrize("a,b", DIFFERENTIAL_ALPHABETS)
