@@ -11,6 +11,16 @@ b^(b-1).  Growing each root with the two primitive constructors yields five
 complete binary trees whose level populations drive the factor complexity of
 the whole language through second differences.
 
+The probes `is_bispecial`, `multiplicity` and `root_of` derive a word w
+once for all nine x·w·y with x, y in {none, a, b}.  While w has at least two
+runs, x·w·y differs from w only in its first and last runs, so it derives to
+x' + D + y': D spells the interior exponents of w, shared by all nine, and
+x' (likewise y') is empty, one letter or outside the domain, depending only
+on x and the first run of w.  Each level of that shared-middle walk is one
+run-length encoding; only the nine words of at most three runs left at its
+end are derived one by one, and the (none, none) context is w's own chain,
+which `root_of` follows down to the root.
+
 Level statistics are computed two ways: materializing the words, or walking
 exact parity-count states (possible when both letters share a parity, since
 the child counts are then a linear function of the parent state).  The two
@@ -36,11 +46,10 @@ from .derivation import _F, _derivatives, derive_f
 from .errors import InvalidFamilyError, ResourceCapError, _check_size
 from .smoothness import (
     DEFAULT_LENGTH_CAP,
-    _is_smooth_bytes,
+    _extends,
+    _extensions,
     _language,
     f_smooth_count,
-    left_extensions,
-    right_extensions,
 )
 from .words import Alphabet, Parity, Word, _spell
 
@@ -62,6 +71,8 @@ MAX_HORIZON = 100_000
 # 1526^e and 1527^e for {1,2}, the largest horizon that alphabet reached
 # under the 80,000,000-letter level budget of the unpruned walk.
 MIXED_WALK_LIMIT = 423_000_000
+# The (x, y) context pairs of a·w, b·w, w·a and w·b in the extension walk.
+_ONE_SIDED = ((1, 0), (2, 0), (0, 1), (0, 2))
 
 
 # -- primitives -----------------------------------------------------------
@@ -100,18 +111,25 @@ def primitive(word: Word, first_letter: int) -> Word:
 # -- bispecial probes -----------------------------------------------------
 
 
+def _bispecial_walk(word: Word):
+    """The extension walk of a bispecial word, or None for any other word."""
+    a, b = word.alphabet.a, word.alphabet.b
+    walk = _extensions(word.letters, a, b)
+    return walk if all(_extends(walk, x, y, a, b) for x, y in _ONE_SIDED) else None
+
+
 def is_bispecial(word: Word) -> bool:
     """Both letters extend the word on each side within the language."""
-    return len(left_extensions(word)) == 2 and len(right_extensions(word)) == 2
+    return _bispecial_walk(word) is not None
 
 
 def multiplicity(word: Word) -> int:
     """Two-sided extension count minus three, for bispecial words: as the
     language is factorial and extendable, those whose 2x2 grid of extensions
     x u y in it has no empty row or column."""
-    ab = word.alphabet
-    grid = [[_is_smooth_bytes(bytes([x]) + word.letters + bytes([y]), ab.a, ab.b, _F)
-             for y in (ab.a, ab.b)] for x in (ab.a, ab.b)]
+    a, b = word.alphabet.a, word.alphabet.b
+    walk = _extensions(word.letters, a, b)
+    grid = [[_extends(walk, x, y, a, b) for y in (1, 2)] for x in (1, 2)]
     if not all(map(any, [*grid, *zip(*grid)])):
         raise ValueError(f"{word.render()!r} is not bispecial")
     return sum(map(sum, grid)) - 3
@@ -154,14 +172,8 @@ def _families(alphabet: Alphabet) -> tuple[str, ...]:
     return FAMILIES[:1] if alphabet.a == alphabet.b - 1 else FAMILIES
 
 
-def family_root(alphabet: Alphabet, family: str) -> Word:
-    if family not in FAMILIES:
-        raise InvalidFamilyError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family not in _families(alphabet):
-        raise InvalidFamilyError(
-            f"family {family} does not exist over {alphabet}: "
-            "only the empty-rooted tree when the letters are consecutive"
-        )
+def _roots(alphabet: Alphabet) -> dict[str, bytes]:
+    """The letters of each family's root over the alphabet."""
     a, b = alphabet.a, alphabet.b
     roots = {
         "T": b"",
@@ -170,7 +182,18 @@ def family_root(alphabet: Alphabet, family: str) -> Word:
         "T3": bytes([a]) * (b - 1),
         "T4": bytes([b]) * (b - 1),
     }
-    return Word(alphabet, roots[family])
+    return {family: roots[family] for family in _families(alphabet)}
+
+
+def family_root(alphabet: Alphabet, family: str) -> Word:
+    if family not in FAMILIES:
+        raise InvalidFamilyError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    if family not in _families(alphabet):
+        raise InvalidFamilyError(
+            f"family {family} does not exist over {alphabet}: "
+            "only the empty-rooted tree when the letters are consecutive"
+        )
+    return Word(alphabet, _roots(alphabet)[family])
 
 
 def family_multiplicity(family: str) -> int:
@@ -348,17 +371,23 @@ def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
 
 
 def root_of(word: Word) -> tuple[Word, str, int]:
-    """Reduce a bispecial word to its family root: (root, family, steps)."""
-    if not is_bispecial(word):
+    """Reduce a bispecial word to its family root: (root, family, steps).
+
+    The shared levels of the extension walk are the word's own chain; the
+    rest of it starts from the walk's (none, none) context."""
+    walk = _bispecial_walk(word)
+    if walk is None:
         raise ValueError(f"{word.render()!r} is not bispecial")
     ab = word.alphabet
     a, b = ab.a, ab.b
-    for steps, cur in enumerate(_derivatives(word.letters, a, b, _F)):
+    shared, left, middle, right = walk
+    chain = _derivatives(left[0] + middle + right[0], a, b, _F)
+    for steps, cur in enumerate(chain, shared):
         if a not in cur or b not in cur:  # fewer than two runs
             break
     root = Word(ab, cur)
-    for family in _families(ab):
-        if root == family_root(ab, family):
+    for family, letters in _roots(ab).items():
+        if cur == letters:
             return root, family, steps
     raise ValueError(
         f"{word.render()!r} reduces to {root.render()!r}, which is not a "

@@ -23,8 +23,11 @@ on it break otherwise.  The prefix rule treats the final run as possibly
 unfinished: it only has to fit in [1, b] and is dropped.
 
 Every rule contracts the length of any nonempty word, so iteration terminates.
-Every iteration (membership, reduction to roots, the depth check and the
-CLI's chain) reads the one walk `_derivatives`.
+Every iteration of one word (membership, the depth check and the CLI's
+chain) reads the one walk `_derivatives`.  The bispecial probes derive a
+word together with its two-sided extensions in `smoothness._extensions`,
+which runs the two-sided rule on the shared middle and hands the short
+words left at its end to `_derivatives`.
 
 One step reads the exponents as a `bytes` object from `words._bytes_runs`,
 whose boundary marks assume the letters lie in {a, b}; every caller passes
@@ -134,7 +137,10 @@ def derivability(word: Word, kind: str = "f") -> DerivabilityReport:
         raise ValueError(f"unknown derivation kind {kind!r}")
     rule = _RULES[kind]
     a, b = word.alphabet.a, word.alphabet.b
-    exps = list(_bytes_runs(word.letters, a, b))
+    try:
+        exps = bytes(_bytes_runs(word.letters, a, b))
+    except ValueError:  # a run longer than 255: its length needs an int
+        exps = list(_bytes_runs(word.letters, a, b))
     i = _check(exps, a, b, rule)
     if i is None:
         return _OK

@@ -50,6 +50,64 @@ def _is_smooth_bytes(letters: bytes, a: int, b: int, rule) -> bool:
     return not last
 
 
+def _edge(contexts: tuple, c: int, p: int, a: int, b: int, letter: dict) -> tuple:
+    """The contexts of one side one level down, where the word's run on that
+    side is c^p.  Beside the empty context that run is the boundary; the
+    context c lengthens it by one; the other letter is a run of one, cut to
+    the empty word, which makes c^p interior."""
+    step = {
+        b"": None if p > b else b"" if p <= a else letter[b],
+        letter[c]: None if p >= b else b"" if p < a else letter[b],
+        letter[a + b - c]: letter.get(p),
+    }
+    return tuple(map(step.get, contexts))
+
+
+def _extensions(letters: bytes, a: int, b: int) -> Optional[tuple]:
+    """Derive all nine x·w·y at once, x and y in the contexts (none, a, b),
+    through the middle they share (see the `bispecial` module docstring).
+
+    Returns (steps, left, middle, right): after `steps` levels, x·w·y has
+    derived to left[x] + middle + right[y], each context being empty, one
+    letter, or None once outside the domain.  The walk stops at a middle of
+    at most one run.  Returns None when none of the nine is f-smooth: an
+    interior exponent outside {a, b} or a run past 255 rules out all nine,
+    and so do both one-letter contexts of one side, as the language is
+    extendable.
+    """
+    letter = {a: bytes((a,)), b: bytes((b,))}
+    left = right = (b"", letter[a], letter[b])
+    pair = letter[a] + letter[b]
+    steps = 0
+    while True:
+        try:
+            exps = bytes(_bytes_runs(letters, a, b))
+        except ValueError:  # a run longer than 255
+            return None
+        if len(exps) < 2:
+            return steps, left, letters, right
+        middle = exps[1:-1]
+        if middle.translate(None, pair):
+            return None
+        left = _edge(left, letters[0], exps[0], a, b, letter)
+        right = _edge(right, letters[-1], exps[-1], a, b, letter)
+        if left[1:] == (None, None) or right[1:] == (None, None):
+            return None
+        letters = middle
+        steps += 1
+
+
+def _extends(walk, x: int, y: int, a: int, b: int) -> bool:
+    """True when x·w·y is f-smooth, read off w's walk `_extensions(w, a, b)`;
+    x and y index the contexts (none, a, b)."""
+    if walk is None:
+        return False
+    _, left, middle, right = walk
+    start, end = left[x], right[y]
+    return (start is not None and end is not None
+            and _is_smooth_bytes(start + middle + end, a, b, _F))
+
+
 def is_f_smooth(word: Word) -> Optional[FSmoothCertificate]:
     """Certificate with the full derivative chain, or None if not f-smooth."""
     ab = word.alphabet

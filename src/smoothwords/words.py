@@ -79,8 +79,13 @@ _ASCII = b"0123456789" + bytes(246)
 _DECIMAL = tuple(map(str, range(256)))  # each letter's text, made once
 
 
+# The ASCII whitespace a word's text may carry around it; `str.strip()`
+# would also take Unicode spaces, which no integer flag accepts.
+_SPACES = " \t\n\r\x0b\x0c"
+
+
 def _parse_text(alphabet: Alphabet, text: str) -> bytes:
-    text = text.strip()
+    text = text.strip(_SPACES)
     if not text:
         return b""
     if "," in text:

@@ -27,12 +27,32 @@ from smoothwords import (
     tree_derived_complexity,
     tree_generation,
 )
-from smoothwords import bispecial
+from smoothwords import bispecial, derivation, smoothness
+from smoothwords.derivation import _F, _derivatives
+from smoothwords.smoothness import _extends, _extensions, _is_smooth_bytes
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
 AB14 = Alphabet(1, 4)
 AB24 = Alphabet(2, 4)
+# Every word up to 12 letters over the first three, up to 10 over the rest.
+SHORT_WORD_ALPHABETS = [
+    *(Alphabet(a, b) for a, b in ((1, 2), (1, 3), (2, 3))),
+    *(Alphabet(a, b) for a, b in ((2, 5), (1, 4), (3, 5), (1, 6), (2, 4))),
+]
+
+
+def short_words(ab):
+    longest = 12 if ab.b <= 3 else 10
+    for n in range(longest + 1):
+        yield from map(bytes, product((ab.a, ab.b), repeat=n))
+
+
+def tree_vertices(ab, generations):
+    for family in bispecial._families(ab):
+        for g in generations:
+            for node in tree_generation(ab, family, g):
+                yield g, node.word
 
 
 class TestPrimitive:
@@ -100,24 +120,25 @@ class TestBispecialPredicates:
 
     def test_multiplicity_matches_one_sided_probes(self):
         # every word up to 12 letters (10 over the wider alphabets): the
-        # grid of x u y decides bispeciality as the one-sided probes do
+        # grid of x u y decides bispeciality as membership of the four
+        # one-sided extensions does
         bispecials = 0
-        for ab, longest in [*((Alphabet(a, b), 12) for a, b in
-                              ((1, 2), (1, 3), (2, 3))),
-                            *((Alphabet(a, b), 10) for a, b in
-                              ((2, 5), (1, 4), (3, 5), (1, 6), (2, 4)))]:
-            for n in range(longest + 1):
-                for letters in product((ab.a, ab.b), repeat=n):
-                    w = ab.word(list(letters))
-                    if not is_bispecial(w):
-                        with pytest.raises(ValueError, match="not bispecial"):
-                            multiplicity(w)
-                        continue
-                    bispecials += 1
-                    two_sided = sum(
-                        is_f_smooth(ab.word([x, *letters, y])) is not None
-                        for x in (ab.a, ab.b) for y in (ab.a, ab.b))
-                    assert multiplicity(w) == two_sided - 3, (ab, letters)
+        for ab in SHORT_WORD_ALPHABETS:
+            for letters in short_words(ab):
+                w = ab.word(list(letters))
+                one_sided = [[x, *letters] for x in (ab.a, ab.b)]
+                one_sided += [[*letters, y] for y in (ab.a, ab.b)]
+                expected = all(is_f_smooth(ab.word(v)) is not None for v in one_sided)
+                assert is_bispecial(w) == expected, (ab, letters)
+                if not expected:
+                    with pytest.raises(ValueError, match="not bispecial"):
+                        multiplicity(w)
+                    continue
+                bispecials += 1
+                two_sided = sum(
+                    is_f_smooth(ab.word([x, *letters, y])) is not None
+                    for x in (ab.a, ab.b) for y in (ab.a, ab.b))
+                assert multiplicity(w) == two_sided - 3, (ab, letters)
         assert bispecials == 188
 
 
@@ -311,6 +332,88 @@ class TestRootOf:
     def test_rejects_neutral_terminal(self):
         with pytest.raises(ValueError):
             root_of(AB14.word("11"))
+
+
+def ref_root_of(word):
+    """`root_of` from the definitions: bispecial by membership of the four
+    one-sided extensions, then the word's own chain down to one run."""
+    ab, letters = word.alphabet, word.letters
+    a, b = ab.a, ab.b
+    for v in (bytes([a]) + letters, bytes([b]) + letters,
+              letters + bytes([a]), letters + bytes([b])):
+        if is_f_smooth(Word(ab, v)) is None:
+            raise ValueError(f"{word.render()!r} is not bispecial")
+    for steps, cur in enumerate(_derivatives(letters, a, b, _F)):
+        if a not in cur or b not in cur:
+            break
+    root = Word(ab, cur)
+    for family in bispecial._families(ab):
+        if root == bispecial.family_root(ab, family):
+            return root, family, steps
+    raise ValueError(
+        f"{word.render()!r} reduces to {root.render()!r}, which is not a "
+        "strong or weak root; the input was a neutral bispecial word"
+    )
+
+
+WALK_TREE_ALPHABETS = [AB12, AB13, AB14, Alphabet(2, 5)]
+
+
+class TestExtensionWalk:
+    """The shared-middle walk against membership of each x·w·y."""
+
+    @staticmethod
+    def assert_nine_match(ab, letters):
+        a, b = ab.a, ab.b
+        contexts = (b"", bytes([a]), bytes([b]))
+        walk = _extensions(letters, a, b)
+        for (i, x), (j, y) in product(enumerate(contexts), repeat=2):
+            got = _extends(walk, i, j, a, b)
+            assert got == _is_smooth_bytes(x + letters + y, a, b, _F), (ab, letters, x, y)
+
+    @pytest.mark.parametrize("ab", SHORT_WORD_ALPHABETS, ids=str)
+    def test_nine_extensions_of_short_words(self, ab):
+        for letters in short_words(ab):
+            self.assert_nine_match(ab, letters)
+
+    @pytest.mark.parametrize("ab", WALK_TREE_ALPHABETS, ids=str)
+    def test_nine_extensions_of_tree_vertices(self, ab):
+        for _, w in tree_vertices(ab, range(7)):
+            self.assert_nine_match(ab, w.letters)
+
+    @pytest.mark.parametrize("ab", [AB12, AB13, AB14, Alphabet(2, 5), Alphabet(1, 6)],
+                             ids=str)
+    def test_root_of_matches_the_reference(self, ab):
+        words = [Word(ab, v) for v in short_words(ab)]
+        words += [w for _, w in tree_vertices(ab, range(5))]
+        for w in words:
+            try:
+                expected = ref_root_of(w)
+            except ValueError as error:
+                with pytest.raises(ValueError) as info:
+                    root_of(w)
+                assert str(info.value) == str(error)
+            else:
+                assert root_of(w) == expected, w
+
+    @pytest.mark.parametrize("ab", WALK_TREE_ALPHABETS, ids=str)
+    def test_root_of_encodes_each_shared_level_once(self, ab, monkeypatch):
+        # one run-length encoding per level of the word's chain, shared by
+        # all its extensions, plus the short chains that finish them
+        calls = 0
+        runs = smoothness._bytes_runs
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return runs(*args)
+
+        monkeypatch.setattr(smoothness, "_bytes_runs", counted)
+        monkeypatch.setattr(derivation, "_bytes_runs", counted)
+        for g, w in tree_vertices(ab, range(2, 7)):
+            calls = 0
+            assert root_of(w)[2] == g
+            assert calls <= g + 9, (ab, w, calls)
 
 
 class TestGenerationSwap:

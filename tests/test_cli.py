@@ -570,6 +570,8 @@ BAD_ARGV = st.one_of(
 @example(["derive", "1,+2"])
 @example(["--alphabet", "+1,2", "kappa", "--length", "3"])
 @example(["tree", "--generation", "٣"])
+# a word's text may carry ASCII whitespace around it, not Unicode spaces
+@example(["derive", "\u300012 "])
 @settings(max_examples=300, deadline=None)
 def test_bad_input_is_refused_with_one_message(argv):
     code, out, err = run_cli(*argv)

@@ -17,6 +17,7 @@ from smoothwords import (
     is_f_smooth,
     is_r_smooth,
 )
+from smoothwords import derivation
 from smoothwords.derivation import _F, _HUANG, _PREFIX, _R, _derivatives
 
 AB12 = Alphabet(1, 2)
@@ -257,6 +258,24 @@ def test_failing_derivation_builds_no_runs(monkeypatch):
         with pytest.raises(error) as info:
             op(AB12.word(text))
         assert not info.value.report.derivable
+
+
+def test_domain_check_reads_run_lengths_as_bytes(monkeypatch):
+    # as bytes, the interior runs are checked by one `translate` rather than
+    # a loop over every run; a run past 255 keeps its length as an int
+    check = derivation._check
+    seen = []
+
+    def recorded(exps, *args):
+        seen.append(type(exps))
+        return check(exps, *args)
+
+    monkeypatch.setattr(derivation, "_check", recorded)
+    for kind, text in (("f", "11112"), ("r", "1121112"), ("huang", "21111")):
+        assert not derivability(AB12.word(text), kind).derivable
+    report = derivability(Word(AB12, b"\x01" * 300 + b"\x02"))
+    assert (report.offending_run_index, report.offending_exponent) == (0, 300)
+    assert seen == [bytes, bytes, bytes, list]
 
 
 @pytest.mark.parametrize("a,b", DIFFERENTIAL_ALPHABETS)
