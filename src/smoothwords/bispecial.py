@@ -44,13 +44,7 @@ from operator import add, sub
 
 from .derivation import _F, _derivatives, derive_f
 from .errors import InvalidFamilyError, ResourceCapError, _check_size
-from .smoothness import (
-    DEFAULT_LENGTH_CAP,
-    _extends,
-    _extensions,
-    _language,
-    f_smooth_count,
-)
+from .smoothness import _extends, _extensions, _language
 from .words import Alphabet, Parity, Word, _spell
 
 FAMILIES = ("T", "T1", "T2", "T3", "T4")
@@ -141,14 +135,14 @@ def bispecial_multiplicity_sum(alphabet: Alphabet, n: int) -> int:
     Read from the derivative trie grown to n + 2: w + y is a child of w,
     and x + w and x + w + y are found by walking down from the node of x.
     """
-    _check_size("enumeration length", n, DEFAULT_LENGTH_CAP)
+    if n < 0:
+        raise ValueError(f"enumeration length must be nonnegative, got {n}")
     a, b = alphabet.a, alphabet.b
     trie = _language(alphabet, n + 2)
     ca, cb = trie.child[a], trie.child[b]
-    left_a, left_b = trie.prepended(a, n), trie.prepended(b, n)
     total = 0
-    for w in trie.level(n):
-        xa, xb = left_a[w], left_b[w]
+    for w, xa, xb in zip(trie.level(n), trie.prepended(a, n),
+                         trie.prepended(b, n)):
         if min(ca[w], cb[w], xa, xb) >= 0:  # bispecial
             total += (ca[xa] >= 0) + (cb[xa] >= 0) + (ca[xb] >= 0) + (cb[xb] >= 0) - 3
     return total
@@ -523,14 +517,13 @@ def _table(alphabet: Alphabet, horizon: int, p: tuple[int, ...],
     return ComplexityTable(alphabet, horizon, p, s, b, lower, upper, provenance)
 
 
-def exact_complexity(alphabet: Alphabet, horizon: int, *,
-                     cap: int = DEFAULT_LENGTH_CAP) -> ComplexityTable:
-    """Brute-force complexity table from language enumeration."""
-    # enumeration runs to length `horizon`: refuse it before any work
-    _check_size("enumeration length", horizon, cap, "; pass a larger cap explicitly")
-    p_T = tree_complexity(alphabet, "T", horizon)
-    p = tuple(f_smooth_count(alphabet, n, cap=cap) for n in range(horizon + 1))
-    return _table(alphabet, horizon, p, p_T, "enumeration")
+def exact_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable:
+    """Brute-force complexity table: the level sizes of the enumeration trie."""
+    _check_size("horizon", horizon, MAX_HORIZON)
+    trie = _language(alphabet, horizon)
+    p = tuple(len(trie.level(n)) for n in range(horizon + 1))
+    return _table(alphabet, horizon, p, tree_complexity(alphabet, "T", horizon),
+                  "enumeration")
 
 
 def tree_derived_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable:

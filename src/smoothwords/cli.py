@@ -27,7 +27,7 @@ from .checks import REFERENCE_EXPONENT_TABLE, SUITES, _display_decimals, run_sui
 from .derivation import _RULES, _derivatives, derivability, derive_f, derive_huang, derive_r
 from .errors import InvalidFamilyError, ResourceCapError, SmoothWordsError
 from .generators import coupled_pair_prefix, kappa_prefix
-from .smoothness import DEFAULT_LENGTH_CAP, enumerate_f_smooth, is_f_smooth, is_r_smooth
+from .smoothness import enumerate_f_smooth, is_f_smooth, is_r_smooth
 from .spectral import exponent_report
 from .words import Alphabet, Word
 
@@ -148,8 +148,7 @@ def _cmd_pair(args, alphabet: Alphabet) -> int:
 
 
 def _cmd_enumerate(args, alphabet: Alphabet) -> int:
-    words = [w.render()
-             for w in enumerate_f_smooth(alphabet, args.length, cap=args.cap)]
+    words = [w.render() for w in enumerate_f_smooth(alphabet, args.length)]
     _emit(args.format,
           {"alphabet": str(alphabet), "length": args.length,
            "count": len(words), "words": words},
@@ -164,7 +163,7 @@ def _cmd_complexity(args, alphabet: Alphabet) -> int:
     if args.tree_only:
         table = tree_derived_complexity(alphabet, horizon + 2)
     else:
-        table = exact_complexity(alphabet, horizon + 2, cap=args.cap)
+        table = exact_complexity(alphabet, horizon + 2)
     rows = [
         [n, table.p[n], table.s[n], table.b[n], table.lower[n], table.upper[n]]
         for n in range(horizon + 1)
@@ -304,18 +303,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all f-smooth words of one length")
     p.add_argument("--length", type=_integer, required=True)
-    p.add_argument("--cap", type=_integer, default=DEFAULT_LENGTH_CAP,
-                   help=f"length cap (default {DEFAULT_LENGTH_CAP})")
 
     p = sub.add_parser("complexity", help="factor complexity with bounds")
     p.add_argument("--max", type=_integer, required=True, metavar="N")
     p.add_argument("--tree-only", action="store_true",
                    help="derive counts from the bispecial trees instead of "
                         "enumerating")
-    p.add_argument("--cap", type=_integer, default=DEFAULT_LENGTH_CAP,
-                   help=f"cap on the enumerated length, --max + 2 (default "
-                        f"{DEFAULT_LENGTH_CAP}); --tree-only enumerates "
-                        "nothing, so the cap does not apply")
 
     p = sub.add_parser("tree", help="one generation of a bispecial family")
     p.add_argument("--family", choices=FAMILIES, default="T")
@@ -353,8 +346,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         given = (_parse_alphabet(args.alphabet)
                  if args.alphabet is not None else None)
-        if getattr(args, "cap", 0) < 0:
-            raise ValueError(f"--cap must be nonnegative, got {args.cap}")
         if args.command == "verify":
             return _cmd_verify(args, given)
         return _HANDLERS[args.command](args, given or Alphabet(1, 2))

@@ -51,12 +51,9 @@ class ResourceCapError(SmoothWordsError):
     """Refused to start a computation that exceeds a configured size cap."""
 
 
-def _check_size(what: str, value: int, cap: int, hint: str = "") -> None:
-    """Refuse a negative cap, or a user-set size below zero or above its cap,
-    before any work."""
-    if cap < 0:
-        raise ValueError(f"cap on {what} must be nonnegative, got {cap}")
+def _check_size(what: str, value: int, cap: int) -> None:
+    """Refuse a user-set size below zero or above its cap, before any work."""
     if value < 0:
         raise ValueError(f"{what} must be nonnegative, got {value}")
     if value > cap:
-        raise ResourceCapError(f"{what} {value} above cap {cap}{hint}")
+        raise ResourceCapError(f"{what} {value} above cap {cap}")

@@ -11,15 +11,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Optional
 
 from .derivation import _F, _R, _derivatives
-from .errors import ConstructionError, ResourceCapError, _check_size
+from .errors import ConstructionError, ResourceCapError
 from .words import Alphabet, Word, _bytes_runs, _spell
-
-DEFAULT_LENGTH_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -123,9 +121,34 @@ def is_r_smooth(word: Word) -> bool:
     return _is_smooth_bytes(word.letters, word.alphabet.a, word.alphabet.b, _R)
 
 
-# Most nodes one alphabet's trie may hold, checked before each level: about
-# 19 bytes a node, so {1,2} stops after length 189 at 89 MB peak RSS.
+# Most nodes one alphabet's trie may hold: about 19 bytes a node, so {1,2}
+# stops after length 189 at 89 MB peak RSS.
 TRIE_NODE_LIMIT = 1 << 22
+
+
+def _check_level(alphabet: Alphabet, level: int, nodes: int, words: int) -> None:
+    """Refuse level `level` when two children for each of the `words` words
+    before it could take the trie's `nodes` nodes past TRIE_NODE_LIMIT."""
+    if nodes + 2 * words > TRIE_NODE_LIMIT:
+        raise ResourceCapError(
+            f"level {level} of the f-smooth words over {alphabet} could add "
+            f"{2 * words:,} trie nodes to {nodes:,}, above the budget of "
+            f"{TRIE_NODE_LIMIT:,}")
+
+
+def _check_budget(alphabet: Alphabet, n: int) -> None:
+    """Refuse, before any level is built, the first level up to n that
+    `_Trie.grow` would refuse, from the level sizes p(k) the bispecial trees
+    count exactly.  The count's horizon doubles from 64 up to n; as p(k) >=
+    k + 1, the trie passes its budget by level 2,895 over any alphabet."""
+    from .bispecial import tree_derived_complexity  # bispecial imports this module
+
+    horizon = 0
+    while horizon < n:
+        horizon = min(max(2 * horizon, 64), n)
+        p = tree_derived_complexity(alphabet, horizon).p
+        for level, nodes, words in zip(range(1, horizon + 1), accumulate(p), p):
+            _check_level(alphabet, level, nodes, words)
 
 
 class _Trie:
@@ -162,13 +185,7 @@ class _Trie:
         offsets = self.offsets
         while len(offsets) <= n + 1:
             lo, hi = offsets[-2], offsets[-1]
-            bound = 2 * (hi - lo)
-            if hi + bound > TRIE_NODE_LIMIT:
-                raise ResourceCapError(
-                    f"level {len(offsets) - 1} of the f-smooth words over "
-                    f"{self.alphabet} could add {bound:,} trie nodes to "
-                    f"{hi:,}, above the budget of {TRIE_NODE_LIMIT:,}"
-                )
+            _check_level(self.alphabet, len(offsets) - 1, hi, hi - lo)
             try:
                 self._build(lo, hi)
             except BaseException:  # leave the trie as it was before the level
@@ -240,16 +257,17 @@ class _Trie:
         return [letters[i:i + n] for i in range(0, len(letters), n)]
 
     def prepended(self, x: int, n: int) -> list[int]:
-        """For every node id w of length at most n, the node of x + w, or -1.
+        """For every node id w of length n, in order, the node of x + w, or -1.
 
-        Walks down the trie from the node of x along each word: x + w is a
-        child of x + parent(w) whenever that exists.
+        Walks down the trie from the node of x one level at a time: x + w is
+        a child of x + parent(w) whenever that exists.
         """
-        child, parent, letter = self.child, self.parent, self.letter
+        child, offsets = self.child, self.offsets
         nodes = [child[x][0]]
-        for w in range(1, self.offsets[n + 1]):
-            up = nodes[parent[w]]
-            nodes.append(up if up < 0 else child[letter[w]][up])
+        for k in range(1, n + 1):
+            up_lo, lo, hi = offsets[k - 1], offsets[k], offsets[k + 1]
+            nodes = [up if (up := nodes[p - up_lo]) < 0 else child[c][up]
+                     for p, c in zip(self.parent[lo:hi], self.letter[lo:hi])]
         return nodes
 
 
@@ -257,28 +275,29 @@ _TRIES: dict[Alphabet, _Trie] = {}
 
 
 def _language(alphabet: Alphabet, n: int) -> _Trie:
-    """The alphabet's trie, grown to length n."""
-    trie = _TRIES.get(alphabet)
-    if trie is None:
-        trie = _TRIES[alphabet] = _Trie(alphabet)
-    trie.grow(n)
+    """The alphabet's trie, grown to length n once its budget admits n."""
+    if n < 0:
+        raise ValueError(f"enumeration length must be nonnegative, got {n}")
+    trie = _TRIES.get(alphabet) or _Trie(alphabet)
+    if len(trie.offsets) <= n + 1:
+        _check_budget(alphabet, n)
+        trie.grow(n)
+    _TRIES[alphabet] = trie
     return trie
 
 
-def enumerate_f_smooth(alphabet: Alphabet, n: int, *, cap: int = DEFAULT_LENGTH_CAP) -> list[Word]:
+def enumerate_f_smooth(alphabet: Alphabet, n: int) -> list[Word]:
     """All f-smooth words of length n, lexicographically ordered.
 
     Spelled from the alphabet's derivative trie, which is built up from
     length n-1 members by single-letter extension; that is sound and
     complete because the language is factorial and extendable.
     """
-    _check_size("enumeration length", n, cap, "; pass a larger cap explicitly")
     return [Word(alphabet, w) for w in _language(alphabet, n).spell(n)]
 
 
-def f_smooth_count(alphabet: Alphabet, n: int, *, cap: int = DEFAULT_LENGTH_CAP) -> int:
+def f_smooth_count(alphabet: Alphabet, n: int) -> int:
     """Number of f-smooth words of length n (the factor complexity value)."""
-    _check_size("enumeration length", n, cap, "; pass a larger cap explicitly")
     return len(_language(alphabet, n).level(n))
 
 

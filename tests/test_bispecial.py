@@ -447,11 +447,14 @@ class TestMultiplicitySums:
                 b_n = (p[n + 2] - p[n + 1]) - (p[n + 1] - p[n])
                 assert bispecial_multiplicity_sum(ab, n) == b_n, (ab, n)
 
-    def test_length_past_the_default_cap_is_refused(self):
-        # no cap parameter, so the refusal advises none
-        with pytest.raises(ResourceCapError,
-                           match=r"^enumeration length 65 above cap 64$"):
-            bispecial_multiplicity_sum(AB12, 65)
+    def test_length_past_the_default_cap_is_refused(self, monkeypatch):
+        # the trie grows to n + 2, so n = 188 needs level 190 over {1,2}
+        monkeypatch.setattr(smoothness, "_TRIES", {})
+        with pytest.raises(ResourceCapError, match=r"^level 190 of the "):
+            bispecial_multiplicity_sum(AB12, 188)
+        assert smoothness._TRIES == {}
+        with pytest.raises(ValueError, match="nonnegative, got -1"):
+            bispecial_multiplicity_sum(AB12, -1)
 
     @pytest.mark.parametrize("ab", [AB12, AB13, AB24, Alphabet(2, 5)])
     def test_trie_sum_matches_per_word_probes(self, ab):
@@ -555,7 +558,7 @@ class TestComplexity:
                                     Alphabet(1, 6), Alphabet(3, 5)])
     def test_tree_derived_matches_enumeration_to_120(self, ab):
         assert (tree_derived_complexity(ab, 120).p
-                == exact_complexity(ab, 120, cap=120).p)
+                == exact_complexity(ab, 120).p)
 
     def test_each_level_is_built_once(self, monkeypatch):
         # the walk spells exactly the vertices below the root whose children,
@@ -660,16 +663,16 @@ class TestComplexity:
 
     def test_enumeration_horizon_is_refused_before_any_work(self, monkeypatch):
         def unreachable(*args, **kwargs):
-            raise AssertionError("work started before the cap check")
+            raise AssertionError("a trie level was built before the budget check")
 
-        monkeypatch.setattr(bispecial, "tree_complexity", unreachable)
-        monkeypatch.setattr(bispecial, "f_smooth_count", unreachable)
-        with pytest.raises(ResourceCapError, match=(
-                "enumeration length 65 above cap 64; pass a larger cap "
-                "explicitly")):
-            exact_complexity(AB12, 65)
-        with pytest.raises(ResourceCapError, match="above cap 9"):
-            exact_complexity(AB12, 10, cap=9)
+        monkeypatch.setattr(smoothness, "_TRIES", {})
+        monkeypatch.setattr(smoothness._Trie, "_build", unreachable)
+        with pytest.raises(ResourceCapError, match=re.escape(
+                "level 190 of the f-smooth words over {1,2} could add "
+                "157,020 trie nodes to 4,039,361, above the budget of "
+                "4,194,304")):
+            exact_complexity(AB12, 190)
+        assert smoothness._TRIES == {}
 
     def test_provenance_labels(self):
         assert exact_complexity(AB12, 3).provenance == "enumeration"

@@ -34,6 +34,28 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+LEVEL_190 = ("error: level 190 of the f-smooth words over {1,2} could add "
+             "157,020 trie nodes to 4,039,361, above the budget of 4,194,304\n")
+
+
+def refused_before_any_level(monkeypatch, argv):
+    """The stderr of a command that must exit 3 before the enumeration trie
+    builds a level."""
+    from smoothwords import smoothness
+
+    def unreachable(*args):
+        raise AssertionError("a trie level was built before the budget check")
+
+    tries = dict(smoothness._TRIES)
+    levels = {ab: list(trie.offsets) for ab, trie in tries.items()}
+    monkeypatch.setattr(smoothness._Trie, "_build", unreachable)
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (3, "")
+    assert smoothness._TRIES == tries
+    assert {ab: trie.offsets for ab, trie in tries.items()} == levels
+    return err
+
+
 def run_python(*args):
     """Run a fresh interpreter that imports this checkout's package."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
@@ -199,13 +221,31 @@ class TestEnumerate:
         assert out.splitlines() == ["112", "121", "122", "211", "212", "221"]
 
     def test_cap_refusal_exits_3(self):
-        code, _, err = run_cli("enumerate", "--length", "99")
+        code, out, err = run_cli("enumerate", "--length", str(10 ** 9))
         assert code == 3
-        assert "cap" in err
+        assert out == ""
+        assert err == LEVEL_190
 
-    def test_raised_cap_is_honored(self):
-        code, _, _ = run_cli("enumerate", "--length", "65", "--cap", "70")
-        assert code == 0
+    @pytest.mark.parametrize("argv, stderr", [
+        (["enumerate", "--length", "200"], LEVEL_190),
+        (["--alphabet", "1,255", "enumerate", "--length", "2000"],
+         "error: level 894 of the f-smooth words over {1,255} could add "
+         "22,800 trie nodes to 4,180,885, above the budget of 4,194,304\n"),
+        (["--alphabet", "254,255", "enumerate", "--length", "3000"],
+         "error: level 1679 of the f-smooth words over {254,255} could add "
+         "11,388 trie nodes to 4,185,093, above the budget of 4,194,304\n"),
+    ])
+    def test_node_budget_is_decided_before_any_level(self, monkeypatch, argv,
+                                                     stderr):
+        assert refused_before_any_level(monkeypatch, argv) == stderr
+
+    @pytest.mark.parametrize("argv", [["enumerate", "--length", "65"],
+                                      ["complexity", "--max", "63"]])
+    def test_takes_no_cap(self, argv):
+        code, out, err = run_cli(*argv, "--cap", "70")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --cap 70" in err
 
 
 class TestComplexity:
@@ -245,18 +285,8 @@ class TestComplexity:
         assert err.startswith("error: horizon 1527 over {1,2}: ")
 
     def test_enumeration_cap_is_checked_before_any_work(self, monkeypatch):
-        from smoothwords import bispecial
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("work started before the cap check")
-
-        monkeypatch.setattr(bispecial, "tree_complexity", unreachable)
-        monkeypatch.setattr(bispecial, "f_smooth_count", unreachable)
-        code, out, err = run_cli("complexity", "--max", "63")
-        assert code == 3
-        assert out == ""
-        assert err == ("error: enumeration length 65 above cap 64; pass a "
-                       "larger cap explicitly\n")
+        argv = ["complexity", "--max", "188"]  # enumerated to length 190
+        assert refused_before_any_level(monkeypatch, argv) == LEVEL_190
 
     def test_tree_only_matches_enumeration(self):
         _, exact, _ = run_cli("--alphabet", "1,4", "complexity", "--max", "9",
@@ -340,17 +370,6 @@ class TestTree:
         assert code == 2
         assert out == ""
         assert "nonnegative" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ("enumerate", "--length", "0", "--cap", "-1"),
-    ("complexity", "--max", "3", "--cap", "-2"),
-])
-def test_negative_cap_is_usage_error(argv):
-    code, out, err = run_cli(*argv)
-    assert code == 2
-    assert out == ""
-    assert "--cap must be nonnegative" in err
 
 
 class TestExponents:
@@ -530,15 +549,12 @@ SIZED = [["kappa", "--length"], ["kappa", "--length", "5", "--start"],
          ["--alphabet", "1,3", "pair", "--length"], ["enumerate", "--length"],
          ["complexity", "--max"], ["complexity", "--tree-only", "--max"],
          ["tree", "--generation"], ["tree", "--stats", "--generation"]]
-CAPPED = [["enumerate", "--length", "3"], ["complexity", "--max", "3"]]
 BAD_ARGV = st.one_of(
     st.builds(lambda ab, cmd: ["--alphabet", ab, *cmd],
               BAD_ALPHABETS, st.sampled_from(GOOD_COMMANDS)),
     st.builds(lambda cmd, word: [cmd, word],
               st.sampled_from(["derive", "check"]), BAD_WORDS),
     st.builds(lambda cmd, value: [*cmd, value], st.sampled_from(SIZED), BAD_SIZES),
-    st.builds(lambda cmd, cap: [*cmd, "--cap", cap], st.sampled_from(CAPPED),
-              st.integers(max_value=-1).map(str)),
     st.builds(lambda flag, value: ["verify", flag, value],
               st.sampled_from(["--suite", "--seed"]),
               st.sampled_from(["", "x", "1.5", "bogus"])),
@@ -562,6 +578,11 @@ BAD_ARGV = st.one_of(
 @example(["--alphabet", "100,255", "tree", "--generation", "138"])
 @example(["--alphabet", "1,3", "tree", "--generation", "21", "--stats"])
 @example(["kappa", "--length", str(HUGE)])
+# the first lengths the enumeration trie's node budget refuses
+@example(["enumerate", "--length", "190"])
+@example(["complexity", "--max", "188"])
+@example(["--alphabet", "1,255", "enumerate", "--length", "894"])
+@example(["--alphabet", "254,255", "enumerate", "--length", "1679"])
 # int() alone reads other decimal digits, '+', '_' and spaces
 @example(["derive", "١٢"])
 @example(["--alphabet", "١,٢", "kappa", "--length", "5"])

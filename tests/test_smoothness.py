@@ -1,5 +1,5 @@
 import re
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,19 +84,6 @@ class TestEnumeration:
             assert left_extensions(w)
             assert right_extensions(w)
 
-    def test_cap(self):
-        with pytest.raises(ResourceCapError):
-            enumerate_f_smooth(AB12, 5, cap=4)
-        with pytest.raises(ResourceCapError):
-            f_smooth_count(AB12, 5, cap=4)
-
-    def test_negative_cap_is_a_bad_argument(self):
-        for count in (enumerate_f_smooth, f_smooth_count):
-            with pytest.raises(ValueError,
-                               match="cap on enumeration length must be "
-                                     "nonnegative, got -1"):
-                count(AB12, 0, cap=-1)
-
     def test_negative_length_is_refused(self):
         f_smooth_count(AB12, 10)  # a cached level must not answer for n < 0
         for n in (-1, -3):
@@ -129,7 +116,7 @@ class TestTrieAgainstOracle:
         ab = Alphabet(a, b)
         expect = [b""]
         for n in range(301):
-            assert [w.letters for w in enumerate_f_smooth(ab, n, cap=300)] == expect, n
+            assert [w.letters for w in enumerate_f_smooth(ab, n)] == expect, n
             expect = [w + bytes([c]) for w in expect for c in (a, b)
                       if _is_smooth_bytes(w + bytes([c]), a, b, _F)]
 
@@ -149,6 +136,35 @@ class TestTrieAgainstOracle:
         assert {len(column) for column in trie._columns()} == {nodes}
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound)
         assert f_smooth_count(AB12, 11) == 62
+
+    @pytest.mark.parametrize("limit", [3_000, 40_000])
+    @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (1, 3), (2, 4), (3, 8),
+                                     (1, 255), (254, 255)])
+    def test_budget_decided_from_the_trees_matches_growth(self, monkeypatch,
+                                                          a, b, limit):
+        # the reference: the trie grown one level at a time until it refuses
+        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", limit)
+        ab = Alphabet(a, b)
+        trie = smoothness._Trie(ab)
+        for level in count(2):
+            try:
+                trie.grow(level)
+            except ResourceCapError as exc:
+                refusal = str(exc)
+                break
+        smoothness._check_budget(ab, level - 1)
+        for n in (level, level + 1, 10 ** 9):
+            with pytest.raises(ResourceCapError) as decided:
+                smoothness._check_budget(ab, n)
+            assert str(decided.value) == refusal
+
+    @pytest.mark.parametrize("a,b,level", [(1, 2, 190), (1, 255, 894),
+                                           (254, 255, 1679)])
+    def test_first_refused_level(self, a, b, level):
+        ab = Alphabet(a, b)
+        smoothness._check_budget(ab, level - 1)
+        with pytest.raises(ResourceCapError, match=f"^level {level} of "):
+            smoothness._check_budget(ab, level)
 
     def test_interrupted_level_leaves_the_trie_as_it_was(self, monkeypatch):
         monkeypatch.setattr(smoothness, "_TRIES", {})
