@@ -12,14 +12,15 @@ complete binary trees whose level populations drive the factor complexity of
 the whole language through second differences.
 
 The probes `is_bispecial`, `multiplicity` and `root_of` derive a word w
-once for all nine x·w·y with x, y in {none, a, b}.  While w has at least two
-runs, x·w·y differs from w only in its first and last runs, so it derives to
-x' + D + y': D spells the interior exponents of w, shared by all nine, and
-x' (likewise y') is empty, one letter or outside the domain, depending only
-on x and the first run of w.  Each level of that shared-middle walk is one
-run-length encoding; only the nine words of at most three runs left at its
-end are derived one by one, and the (none, none) context is w's own chain,
-which `root_of` follows down to the root.
+once for all nine x·w·y with x, y in {none, a, b}, in one extension walk,
+`_extensions`.  While w has at least two runs, x·w·y differs from w only in
+its first and last runs, so it derives to x' + D + y': D spells the
+interior exponents of w, shared by all nine, and x' (likewise y') is empty,
+one letter or outside the domain, depending only on x and the first run of
+w.  Each level of that shared-middle walk is one run-length encoding; only
+the nine words of at most three runs left at its end are derived one by
+one, and the (none, none) context is w's own chain, which `root_of` follows
+down to the root.
 
 Level statistics are computed two ways: materializing the words, or walking
 exact parity-count states (possible when both letters share a parity, since
@@ -41,11 +42,11 @@ from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import log
 from operator import add, sub
+from typing import Optional
 
-from .derivation import _F, _derivatives, derive_f
+from .derivation import _F, _derivatives, _is_smooth_bytes, derive_f
 from .errors import InvalidFamilyError, ResourceCapError, _check_size
-from .smoothness import _extends, _extensions, _language
-from .words import Alphabet, Parity, Word, _spell
+from .words import Alphabet, Parity, Word, _bytes_runs, _spell
 
 FAMILIES = ("T", "T1", "T2", "T3", "T4")
 MATERIALIZE_LETTER_LIMIT = 80_000_000
@@ -105,6 +106,64 @@ def primitive(word: Word, first_letter: int) -> Word:
 # -- bispecial probes -----------------------------------------------------
 
 
+def _edge(contexts: tuple, c: int, p: int, a: int, b: int, letter: dict) -> tuple:
+    """The contexts of one side one level down, where the word's run on that
+    side is c^p.  Beside the empty context that run is the boundary; the
+    context c lengthens it by one; the other letter is a run of one, cut to
+    the empty word, which makes c^p interior."""
+    step = {
+        b"": None if p > b else b"" if p <= a else letter[b],
+        letter[c]: None if p >= b else b"" if p < a else letter[b],
+        letter[a + b - c]: letter.get(p),
+    }
+    return tuple(map(step.get, contexts))
+
+
+def _extensions(letters: bytes, a: int, b: int) -> Optional[tuple]:
+    """Derive all nine x·w·y at once, x and y in the contexts (none, a, b),
+    through the middle they share (see the module docstring).
+
+    Returns (steps, left, middle, right): after `steps` levels, x·w·y has
+    derived to left[x] + middle + right[y], each context being empty, one
+    letter, or None once outside the domain.  The walk stops at a middle of
+    at most one run.  Returns None when none of the nine is f-smooth: an
+    interior exponent outside {a, b} or a run past 255 rules out all nine,
+    and so do both one-letter contexts of one side, as the language is
+    extendable.
+    """
+    letter = {a: bytes((a,)), b: bytes((b,))}
+    left = right = (b"", letter[a], letter[b])
+    pair = letter[a] + letter[b]
+    steps = 0
+    while True:
+        try:
+            exps = bytes(_bytes_runs(letters, a, b))
+        except ValueError:  # a run longer than 255
+            return None
+        if len(exps) < 2:
+            return steps, left, letters, right
+        middle = exps[1:-1]
+        if middle.translate(None, pair):
+            return None
+        left = _edge(left, letters[0], exps[0], a, b, letter)
+        right = _edge(right, letters[-1], exps[-1], a, b, letter)
+        if left[1:] == (None, None) or right[1:] == (None, None):
+            return None
+        letters = middle
+        steps += 1
+
+
+def _extends(walk, x: int, y: int, a: int, b: int) -> bool:
+    """True when x·w·y is f-smooth, read off w's walk `_extensions(w, a, b)`;
+    x and y index the contexts (none, a, b)."""
+    if walk is None:
+        return False
+    _, left, middle, right = walk
+    start, end = left[x], right[y]
+    return (start is not None and end is not None
+            and _is_smooth_bytes(start + middle + end, a, b, _F))
+
+
 def _bispecial_walk(word: Word):
     """The extension walk of a bispecial word, or None for any other word."""
     a, b = word.alphabet.a, word.alphabet.b
@@ -127,25 +186,6 @@ def multiplicity(word: Word) -> int:
     if not all(map(any, [*grid, *zip(*grid)])):
         raise ValueError(f"{word.render()!r} is not bispecial")
     return sum(map(sum, grid)) - 3
-
-
-def bispecial_multiplicity_sum(alphabet: Alphabet, n: int) -> int:
-    """Sum of multiplicities over all bispecial words of length n.
-
-    Read from the derivative trie grown to n + 2: w + y is a child of w,
-    and x + w and x + w + y are found by walking down from the node of x.
-    """
-    if n < 0:
-        raise ValueError(f"enumeration length must be nonnegative, got {n}")
-    a, b = alphabet.a, alphabet.b
-    trie = _language(alphabet, n + 2)
-    ca, cb = trie.child[a], trie.child[b]
-    total = 0
-    for w, xa, xb in zip(trie.level(n), trie.prepended(a, n),
-                         trie.prepended(b, n)):
-        if min(ca[w], cb[w], xa, xb) >= 0:  # bispecial
-            total += (ca[xa] >= 0) + (cb[xa] >= 0) + (ca[xb] >= 0) + (cb[xb] >= 0) - 3
-    return total
 
 
 # -- tree families --------------------------------------------------------
@@ -515,15 +555,6 @@ def _table(alphabet: Alphabet, horizon: int, p: tuple[int, ...],
     lower = tuple(1 + n + p_T[n] for n in range(horizon + 1))
     upper = tuple(1 + n + 3 * p_T[n] for n in range(horizon + 1))
     return ComplexityTable(alphabet, horizon, p, s, b, lower, upper, provenance)
-
-
-def exact_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable:
-    """Brute-force complexity table: the level sizes of the enumeration trie."""
-    _check_size("horizon", horizon, MAX_HORIZON)
-    trie = _language(alphabet, horizon)
-    p = tuple(len(trie.level(n)) for n in range(horizon + 1))
-    return _table(alphabet, horizon, p, tree_complexity(alphabet, "T", horizon),
-                  "enumeration")
 
 
 def tree_derived_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable:

@@ -19,8 +19,6 @@ from typing import Callable, Iterable, Optional
 
 from .bispecial import (
     _complexity_counts,
-    bispecial_multiplicity_sum,
-    exact_complexity,
     generation_stats,
     primitive,
     tree_derived_complexity,
@@ -30,7 +28,8 @@ from .derivation import (_F, _HUANG, _derive_bytes, derive_f, derive_huang,
                          derive_r, derivative_chain)
 from .errors import NotDerivableError
 from .generators import build_smooth_from_r, coupled_pair_prefix, kappa_prefix
-from .smoothness import embed_left, enumerate_f_smooth, is_f_smooth, is_r_smooth
+from .smoothness import (bispecial_multiplicity_sum, embed_left, enumerate_f_smooth,
+                         exact_complexity, is_f_smooth, is_r_smooth)
 from .spectral import (
     build_matrices,
     exponent_report,

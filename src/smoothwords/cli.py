@@ -16,18 +16,12 @@ import os
 import sys
 from typing import Optional
 
-from .bispecial import (
-    FAMILIES,
-    exact_complexity,
-    generation_stats,
-    tree_generation,
-    tree_derived_complexity,
-)
+from .bispecial import FAMILIES, generation_stats, tree_generation, tree_derived_complexity
 from .checks import REFERENCE_EXPONENT_TABLE, SUITES, _display_decimals, run_suite
 from .derivation import _RULES, _derivatives, derivability, derive_f, derive_huang, derive_r
 from .errors import InvalidFamilyError, ResourceCapError, SmoothWordsError
 from .generators import coupled_pair_prefix, kappa_prefix
-from .smoothness import enumerate_f_smooth, is_f_smooth, is_r_smooth
+from .smoothness import enumerate_f_smooth, exact_complexity, is_f_smooth, is_r_smooth
 from .spectral import exponent_report
 from .words import Alphabet, Word
 

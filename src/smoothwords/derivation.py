@@ -23,11 +23,11 @@ on it break otherwise.  The prefix rule treats the final run as possibly
 unfinished: it only has to fit in [1, b] and is dropped.
 
 Every rule contracts the length of any nonempty word, so iteration terminates.
-Every iteration of one word (membership, the depth check and the CLI's
-chain) reads the one walk `_derivatives`.  The bispecial probes derive a
-word together with its two-sided extensions in `smoothness._extensions`,
-which runs the two-sided rule on the shared middle and hands the short
-words left at its end to `_derivatives`.
+Every iteration of one word (membership `_is_smooth_bytes`, the depth check
+and the CLI's chain) reads the one walk `_derivatives`.  The bispecial
+probes derive a word together with its two-sided extensions in
+`bispecial._extensions`, which runs the two-sided rule on the shared middle
+and hands the short words left at its end to `_is_smooth_bytes`.
 
 One step reads the exponents as a `bytes` object from `words._bytes_runs`,
 whose boundary marks assume the letters lie in {a, b}; every caller passes
@@ -127,6 +127,13 @@ def _derivatives(letters: bytes, a: int, b: int, rule) -> Iterator[bytes]:
         if letters is None:
             return
         yield letters
+
+
+def _is_smooth_bytes(letters: bytes, a: int, b: int, rule) -> bool:
+    """True when iterated derivation under `rule` reaches the empty word."""
+    for last in _derivatives(letters, a, b, rule):
+        pass
+    return not last
 
 
 def derivability(word: Word, kind: str = "f") -> DerivabilityReport:

@@ -22,9 +22,9 @@ from __future__ import annotations
 from itertools import islice
 from typing import Optional
 
-from .derivation import _PREFIX, _R, _derivatives
+from .derivation import _PREFIX, _R, _derivatives, _is_smooth_bytes
 from .errors import ConstructionError, _check_size
-from .smoothness import _is_smooth_bytes, is_r_smooth
+from .smoothness import is_r_smooth
 from .words import Alphabet, Word, _spell
 
 # Longest prefix either generator builds, at one byte per letter.

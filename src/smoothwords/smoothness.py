@@ -5,6 +5,10 @@ empty word; r-smooth words do the same under the right derivative and are
 exactly the finite prefixes of infinite smooth words.  Both languages are
 factorial and extendable, which the enumerator and the embedding below rely
 on.
+
+The enumeration trie `_Trie` of each alphabet lives here, with the node
+budget of all alphabets' tries together and every count read off a trie:
+`f_smooth_count`, `exact_complexity` and `bispecial_multiplicity_sum`.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ from itertools import accumulate, repeat
 from operator import itemgetter
 from typing import Optional
 
-from .derivation import _F, _R, _derivatives
-from .errors import ConstructionError, ResourceCapError
+from .bispecial import (MAX_HORIZON, ComplexityTable, _table, tree_complexity,
+                        tree_derived_complexity)
+from .derivation import _F, _R, _derivatives, _is_smooth_bytes
+from .errors import ConstructionError, ResourceCapError, _check_size
 from .words import Alphabet, Word, _bytes_runs, _spell
 
 
@@ -41,71 +47,6 @@ class EmbeddingWitness:
     combined: Word
 
 
-def _is_smooth_bytes(letters: bytes, a: int, b: int, rule) -> bool:
-    """True when iterated derivation under `rule` reaches the empty word."""
-    for last in _derivatives(letters, a, b, rule):
-        pass
-    return not last
-
-
-def _edge(contexts: tuple, c: int, p: int, a: int, b: int, letter: dict) -> tuple:
-    """The contexts of one side one level down, where the word's run on that
-    side is c^p.  Beside the empty context that run is the boundary; the
-    context c lengthens it by one; the other letter is a run of one, cut to
-    the empty word, which makes c^p interior."""
-    step = {
-        b"": None if p > b else b"" if p <= a else letter[b],
-        letter[c]: None if p >= b else b"" if p < a else letter[b],
-        letter[a + b - c]: letter.get(p),
-    }
-    return tuple(map(step.get, contexts))
-
-
-def _extensions(letters: bytes, a: int, b: int) -> Optional[tuple]:
-    """Derive all nine x·w·y at once, x and y in the contexts (none, a, b),
-    through the middle they share (see the `bispecial` module docstring).
-
-    Returns (steps, left, middle, right): after `steps` levels, x·w·y has
-    derived to left[x] + middle + right[y], each context being empty, one
-    letter, or None once outside the domain.  The walk stops at a middle of
-    at most one run.  Returns None when none of the nine is f-smooth: an
-    interior exponent outside {a, b} or a run past 255 rules out all nine,
-    and so do both one-letter contexts of one side, as the language is
-    extendable.
-    """
-    letter = {a: bytes((a,)), b: bytes((b,))}
-    left = right = (b"", letter[a], letter[b])
-    pair = letter[a] + letter[b]
-    steps = 0
-    while True:
-        try:
-            exps = bytes(_bytes_runs(letters, a, b))
-        except ValueError:  # a run longer than 255
-            return None
-        if len(exps) < 2:
-            return steps, left, letters, right
-        middle = exps[1:-1]
-        if middle.translate(None, pair):
-            return None
-        left = _edge(left, letters[0], exps[0], a, b, letter)
-        right = _edge(right, letters[-1], exps[-1], a, b, letter)
-        if left[1:] == (None, None) or right[1:] == (None, None):
-            return None
-        letters = middle
-        steps += 1
-
-
-def _extends(walk, x: int, y: int, a: int, b: int) -> bool:
-    """True when x·w·y is f-smooth, read off w's walk `_extensions(w, a, b)`;
-    x and y index the contexts (none, a, b)."""
-    if walk is None:
-        return False
-    _, left, middle, right = walk
-    start, end = left[x], right[y]
-    return (start is not None and end is not None
-            and _is_smooth_bytes(start + middle + end, a, b, _F))
-
-
 def is_f_smooth(word: Word) -> Optional[FSmoothCertificate]:
     """Certificate with the full derivative chain, or None if not f-smooth."""
     ab = word.alphabet
@@ -121,8 +62,8 @@ def is_r_smooth(word: Word) -> bool:
     return _is_smooth_bytes(word.letters, word.alphabet.a, word.alphabet.b, _R)
 
 
-# Most nodes one alphabet's trie may hold: about 19 bytes a node, so {1,2}
-# stops after length 189 at 89 MB peak RSS.
+# Most nodes the tries of all alphabets may hold together: about 19 bytes a
+# node, so {1,2} alone stops after length 189 at 89 MB peak RSS.
 TRIE_NODE_LIMIT = 1 << 22
 
 
@@ -136,19 +77,19 @@ def _check_level(alphabet: Alphabet, level: int, nodes: int, words: int) -> None
             f"{TRIE_NODE_LIMIT:,}")
 
 
-def _check_budget(alphabet: Alphabet, n: int) -> None:
+def _check_budget(alphabet: Alphabet, n: int) -> int:
     """Refuse, before any level is built, the first level up to n that
     `_Trie.grow` would refuse, from the level sizes p(k) the bispecial trees
-    count exactly.  The count's horizon doubles from 64 up to n; as p(k) >=
-    k + 1, the trie passes its budget by level 2,895 over any alphabet."""
-    from .bispecial import tree_derived_complexity  # bispecial imports this module
-
-    horizon = 0
+    count exactly; else return the trie's node count once level n is built.
+    The count's horizon doubles from 64 up to n; as p(k) >= k + 1, the trie
+    passes its budget by level 2,895 over any alphabet."""
+    horizon, p = 0, (1, 2)  # the trie starts with the root and both letters
     while horizon < n:
         horizon = min(max(2 * horizon, 64), n)
         p = tree_derived_complexity(alphabet, horizon).p
         for level, nodes, words in zip(range(1, horizon + 1), accumulate(p), p):
             _check_level(alphabet, level, nodes, words)
+    return sum(p)
 
 
 class _Trie:
@@ -186,20 +127,8 @@ class _Trie:
         while len(offsets) <= n + 1:
             lo, hi = offsets[-2], offsets[-1]
             _check_level(self.alphabet, len(offsets) - 1, hi, hi - lo)
-            try:
-                self._build(lo, hi)
-            except BaseException:  # leave the trie as it was before the level
-                for column in self._columns():
-                    del column[hi:]
-                for column in self.child.values():
-                    column[lo:hi] = array("i", [-1]) * (hi - lo)
-                raise
+            self._build(lo, hi)
             offsets.append(len(self.parent))
-
-    def _columns(self) -> tuple[array, ...]:
-        """Every per-node array."""
-        return (*self.child.values(), self.parent, self.letter, self.exponent,
-                self.single, self.inner)
 
     def _build(self, lo: int, hi: int) -> None:
         """Append the children of nodes lo .. hi - 1 (one whole level)."""
@@ -275,14 +204,19 @@ _TRIES: dict[Alphabet, _Trie] = {}
 
 
 def _language(alphabet: Alphabet, n: int) -> _Trie:
-    """The alphabet's trie, grown to length n once its budget admits n."""
+    """The alphabet's trie, grown to length n once its budget admits n; the
+    other alphabets' tries are dropped if all would pass TRIE_NODE_LIMIT.
+    It is out of `_TRIES` while it grows, so a cut growth leaves no trie."""
     if n < 0:
         raise ValueError(f"enumeration length must be nonnegative, got {n}")
-    trie = _TRIES.get(alphabet) or _Trie(alphabet)
-    if len(trie.offsets) <= n + 1:
-        _check_budget(alphabet, n)
+    trie = _TRIES.get(alphabet)
+    if trie is None or len(trie.offsets) <= n + 1:
+        nodes = _check_budget(alphabet, n)
+        trie = _TRIES.pop(alphabet, None) or _Trie(alphabet)
+        if nodes + sum(len(t.parent) for t in _TRIES.values()) > TRIE_NODE_LIMIT:
+            _TRIES.clear()
         trie.grow(n)
-    _TRIES[alphabet] = trie
+        _TRIES[alphabet] = trie
     return trie
 
 
@@ -299,6 +233,34 @@ def enumerate_f_smooth(alphabet: Alphabet, n: int) -> list[Word]:
 def f_smooth_count(alphabet: Alphabet, n: int) -> int:
     """Number of f-smooth words of length n (the factor complexity value)."""
     return len(_language(alphabet, n).level(n))
+
+
+def exact_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable:
+    """Brute-force complexity table: the level sizes of the enumeration trie."""
+    _check_size("horizon", horizon, MAX_HORIZON)
+    trie = _language(alphabet, horizon)
+    p = tuple(len(trie.level(n)) for n in range(horizon + 1))
+    return _table(alphabet, horizon, p, tree_complexity(alphabet, "T", horizon),
+                  "enumeration")
+
+
+def bispecial_multiplicity_sum(alphabet: Alphabet, n: int) -> int:
+    """Sum of multiplicities over all bispecial words of length n.
+
+    Read from the derivative trie grown to n + 2: w + y is a child of w,
+    and x + w and x + w + y are found by walking down from the node of x.
+    """
+    if n < 0:
+        raise ValueError(f"enumeration length must be nonnegative, got {n}")
+    a, b = alphabet.a, alphabet.b
+    trie = _language(alphabet, n + 2)
+    ca, cb = trie.child[a], trie.child[b]
+    total = 0
+    for w, xa, xb in zip(trie.level(n), trie.prepended(a, n),
+                         trie.prepended(b, n)):
+        if min(ca[w], cb[w], xa, xb) >= 0:  # bispecial
+            total += (ca[xa] >= 0) + (cb[xa] >= 0) + (ca[xb] >= 0) + (cb[xb] >= 0) - 3
+    return total
 
 
 def left_extensions(word: Word) -> tuple[int, ...]:

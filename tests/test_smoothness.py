@@ -19,8 +19,7 @@ from smoothwords import (
     right_extensions,
 )
 from smoothwords import smoothness
-from smoothwords.derivation import _F
-from smoothwords.smoothness import _is_smooth_bytes
+from smoothwords.derivation import _F, _is_smooth_bytes
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -125,6 +124,9 @@ class TestTrieAgainstOracle:
         f_smooth_count(AB12, 10)
         trie = smoothness._TRIES[AB12]
         nodes, offsets = len(trie.parent), list(trie.offsets)
+        columns = (trie.parent, trie.letter, trie.exponent, trie.single,
+                   trie.inner, *trie.child.values())
+        before = [column[:] for column in columns]
         bound = 2 * f_smooth_count(AB12, 10)
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound - 1)
         with pytest.raises(ResourceCapError, match=re.escape(
@@ -132,8 +134,9 @@ class TestTrieAgainstOracle:
                 f"{bound} trie nodes to {nodes}, above the budget of "
                 f"{nodes + bound - 1}")):
             f_smooth_count(AB12, 11)
+        assert smoothness._TRIES == {AB12: trie}
         assert trie.offsets == offsets
-        assert {len(column) for column in trie._columns()} == {nodes}
+        assert list(columns) == before
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound)
         assert f_smooth_count(AB12, 11) == 62
 
@@ -166,11 +169,12 @@ class TestTrieAgainstOracle:
         with pytest.raises(ResourceCapError, match=f"^level {level} of "):
             smoothness._check_budget(ab, level)
 
-    def test_interrupted_level_leaves_the_trie_as_it_was(self, monkeypatch):
+    def test_interrupted_growth_leaves_no_trie(self, monkeypatch):
         monkeypatch.setattr(smoothness, "_TRIES", {})
+        f_smooth_count(AB12, 12)
         f_smooth_count(AB13, 10)
-        trie = smoothness._TRIES[AB13]
-        before = [list(column) for column in trie._columns()], list(trie.offsets)
+        other = smoothness._TRIES[AB12]
+        offsets, nodes = list(other.offsets), len(other.parent)
 
         def interrupted(*args):  # called once the level's nodes are appended
             raise KeyboardInterrupt
@@ -179,11 +183,33 @@ class TestTrieAgainstOracle:
             patch.setattr(smoothness, "repeat", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 f_smooth_count(AB13, 11)
-        assert ([list(column) for column in trie._columns()],
-                trie.offsets) == before
+        assert smoothness._TRIES == {AB12: other}
+        assert (other.offsets, len(other.parent)) == (offsets, nodes)
         assert [w.letters for w in enumerate_f_smooth(AB13, 12)] == [
             bytes(w) for w in product((1, 3), repeat=12)
             if _is_smooth_bytes(bytes(w), 1, 3, _F)]
+
+    def test_tries_of_all_alphabets_share_the_budget(self, monkeypatch):
+        ab23 = Alphabet(2, 3)
+        monkeypatch.setattr(smoothness, "_TRIES", {})
+        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", 3_000)
+        words = enumerate_f_smooth(AB12, 20)
+        kept = smoothness._TRIES[AB12]
+        f_smooth_count(ab23, 10)
+        assert len(kept.parent) + len(smoothness._TRIES[ab23].parent) <= 3_000
+        tries = dict(smoothness._TRIES)
+        levels = {ab: list(trie.offsets) for ab, trie in tries.items()}
+        # refused by the budget of {1,3} alone: nothing is evicted
+        with pytest.raises(ResourceCapError, match=r"words over \{1,3\} could add"):
+            f_smooth_count(AB13, 40)
+        assert smoothness._TRIES == tries
+        assert {ab: trie.offsets for ab, trie in tries.items()} == levels
+        # admitted alone, but not beside {1,2}: growing {2,3} evicts it
+        assert smoothness._check_budget(ab23, 30) + len(kept.parent) > 3_000
+        f_smooth_count(ab23, 30)
+        assert list(smoothness._TRIES) == [ab23]
+        assert enumerate_f_smooth(AB12, 20) == words
+        assert smoothness._TRIES[AB12] is not kept
 
 
 class TestCubeFree:
