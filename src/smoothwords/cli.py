@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 from .bispecial import FAMILIES, generation_stats, tree_generation, tree_derived_complexity
 from .checks import REFERENCE_EXPONENT_TABLE, SUITES, _display_decimals, run_suite
@@ -55,20 +54,20 @@ def _round_floats(obj):
     return obj
 
 
-def _emit(fmt: str, payload: dict, header: list[str], rows: list,
-          lines: list[str]) -> None:
+def _emit(fmt: str, payload: dict, header: list[str], rows: Iterable,
+          lines: Iterable[str]) -> None:
     """Print one record: `payload` as JSON, `header` and `rows` as CSV with
-    LF endings, or `lines` as text."""
+    LF endings, or `lines` as text; each is written as it is read, so an
+    iterator of rows or lines is read only by the format that prints it."""
     if fmt == "json":
-        print(json.dumps(_round_floats(payload), indent=2, ensure_ascii=False))
+        json.dump(_round_floats(payload), sys.stdout, indent=2, ensure_ascii=False)
+        sys.stdout.write("\n")
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
     else:
-        sys.stdout.write("".join(line + "\n" for line in lines))
+        sys.stdout.writelines(line + "\n" for line in lines)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -142,11 +141,13 @@ def _cmd_pair(args, alphabet: Alphabet) -> int:
 
 
 def _cmd_enumerate(args, alphabet: Alphabet) -> int:
-    words = [w.render() for w in enumerate_f_smooth(alphabet, args.length)]
+    words = enumerate_f_smooth(alphabet, args.length)
+    for i, word in enumerate(words):  # each Word goes as its text comes
+        words[i] = word.render()
     _emit(args.format,
           {"alphabet": str(alphabet), "length": args.length,
            "count": len(words), "words": words},
-          ["word"], [[w] for w in words], words)
+          ["word"], zip(words), words)
     return 0
 
 

@@ -289,8 +289,8 @@ def embed_left(word: Word) -> EmbeddingWitness:
     witness v for its derivative (v + derivative r-smooth), the combined word
     is rebuilt from run exponents: the letters of v, then (only if p1 > a)
     one b, then u's exponents from the second run on.  Letters alternate and
-    are anchored so the run absorbing u's first run carries u's first letter;
-    the result then ends with u itself and right-derives to v + derivative.
+    are anchored so the last run carries u's last letter; the result then
+    ends with u itself and right-derives to v + derivative.
 
     The witness is checked before returning: the extension has length at
     least a + b and the combined word is r-smooth.
@@ -305,18 +305,15 @@ def embed_left(word: Word) -> EmbeddingWitness:
     # Walk the chain bottom-up: build the witness for each element from the
     # witness of its derivative.
     for u, d in zip(reversed(cert.chain[:-1]), reversed(cert.chain[1:])):
-        v_letters = combined[: len(combined) - len(d)]
         exps = bytes(_bytes_runs(u.letters, a, b))  # u derives: runs <= b
-        first_letter, p1, tail = u.letters[0], exps[0], exps[1:]
-        if p1 <= a:
-            exponents = v_letters + tail
-            anchor = len(v_letters) - 1  # run absorbing u's first run
-        else:
-            exponents = v_letters + bytes([b]) + tail
-            anchor = len(v_letters)
-        # the run at index `anchor` carries u's first letter
-        first = first_letter if anchor % 2 == 0 else ab.other(first_letter)
-        combined = _spell(exponents, first, ab.other(first))
+        exponents = (combined[: len(combined) - len(d)]
+                     + bytes([b] if exps[0] > a else []) + exps[1:])
+        # Runs alternate back from u's last letter; only the last exponent
+        # may lie strictly between a and b, so that run is spelled apart.
+        last = u.letters[-1]
+        first = last if len(exponents) % 2 else ab.other(last)
+        combined = (_spell(exponents[:-1], first, ab.other(first))
+                    + bytes([last]) * exponents[-1])
         if not combined.endswith(u.letters):
             raise ConstructionError(
                 f"embedding step for {u.render()!r} lost the original suffix"

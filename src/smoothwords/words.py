@@ -141,11 +141,7 @@ class RunFactorization:
         return tuple(r.exponent for r in self.runs)
 
     def reconstruct(self, alphabet: Alphabet) -> "Word":
-        return Word(alphabet, _runs_to_bytes(self.runs))
-
-
-def _runs_to_bytes(runs: Iterable[Run]) -> bytes:
-    return b"".join(bytes([letter]) * exp for letter, exp in runs)
+        return Word(alphabet, b"".join(bytes([x]) * e for x, e in self.runs))
 
 
 @cache
@@ -186,30 +182,35 @@ def _pieces(marked: bytes) -> Iterator[bytes]:
 
 
 @cache
-def _letter_runs(letter: int) -> tuple[str, ...]:
-    """`letter` repeated e times at index e = 0..255, as latin-1 text."""
-    return tuple(chr(letter) * e for e in range(256))
-
-
-@cache
-def _run_table(first: int, second: int) -> tuple[str, ...]:
-    """Runs of `first` at index e and of `second` at 256 + e; the run
-    strings are shared with every other table of the same letter."""
-    return _letter_runs(first) + _letter_runs(second)
+def _spell_tables(first: int, second: int) -> tuple:
+    """`_spell`'s tables for one letter pair: the pair, the translations of
+    even- and odd-index exponents to four marker bytes outside the pair, and
+    each marker with the run it stands for."""
+    pair = bytes((first, second))
+    marks = bytes(x for x in range(6) if x not in pair)[:4]
+    runs = [bytes([x]) * e for x in pair for e in pair]
+    return (pair, bytes.maketrans(pair, marks[:2]), bytes.maketrans(pair, marks[2:]),
+            tuple(zip((marks[i:i + 1] for i in range(4)), runs)))
 
 
 def _spell(exponents: bytes, first: int, second: int) -> bytes:
     """Runs first^e0 second^e1 first^e2 ... for exponents e0, e1, e2, ...
+    drawn from {first, second}.
 
-    The inverse of `_bytes_runs` on alternating letters, at C speed: each
-    exponent becomes one UTF-16 code unit, 256 more at odd indices, and
-    `str.translate` swaps every unit for its run.
+    The inverse of `_bytes_runs` on alternating letters, at C speed: two
+    `translate` calls mark each exponent with one of four bytes that are not
+    letters, by its value and its index's parity, and one `replace` per
+    marker writes its run.
     """
-    units = bytearray(2 * len(exponents))
-    units[0::2] = exponents
-    units[3::4] = b"\x01" * (len(exponents) // 2)  # high byte of odd units
-    runs = units.decode("utf-16-le").translate(_run_table(first, second))
-    return runs.encode("latin-1")
+    pair, even, odd, runs = _spell_tables(first, second)
+    if exponents.translate(None, pair):
+        raise ValueError(f"exponents to spell must be {first} or {second}")
+    marked = bytearray(exponents.translate(even))
+    marked[1::2] = exponents[1::2].translate(odd)
+    spelled = bytes(marked)
+    for mark, run in runs:
+        spelled = spelled.replace(mark, run)
+    return spelled
 
 
 class ParityCountVector(NamedTuple):

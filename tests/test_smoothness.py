@@ -1,5 +1,5 @@
 import re
-from itertools import count, product
+from itertools import count, groupby, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +20,7 @@ from smoothwords import (
 )
 from smoothwords import smoothness
 from smoothwords.derivation import _F, _is_smooth_bytes
+from test_words import spell_by_loop
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -235,6 +236,37 @@ class TestEmbedLeft:
     def test_rejects_non_smooth(self):
         with pytest.raises(ValueError):
             embed_left(AB12.word("12121"))
+
+    @pytest.mark.parametrize("ab, max_len", [
+        (AB14, 9), (Alphabet(2, 5), 12), (Alphabet(1, 255), 0)])
+    def test_combined_matches_the_run_loop(self, ab, max_len):
+        words = [w for n in range(max_len + 1) for w in enumerate_f_smooth(ab, n)]
+        # one letter, then a run of the other letter of every exponent up to b
+        words += [ab.word(bytes([x]) + bytes([ab.other(x)]) * e)
+                  for x in (ab.a, ab.b) for e in range(1, ab.b + 1)]
+        between = 0
+        for w in words:
+            assert embed_left(w).combined.letters == embed_by_loop(w)
+            between += bool(w) and ab.a < w.runs[-1].exponent < ab.b
+        assert between >= ab.b - ab.a - 1
+
+
+def embed_by_loop(word):
+    """Reference for `embed_left`'s combined word: the same recursion along
+    the derivative chain, with runs counted by `groupby` and spelled one at
+    a time."""
+    ab = word.alphabet
+    a, b = ab.a, ab.b
+    chain = is_f_smooth(word).chain
+    combined = bytes([a]) * b + bytes([b]) * a
+    for u, d in zip(reversed(chain[:-1]), reversed(chain[1:])):
+        exps = [len(list(g)) for _, g in groupby(u.letters)]
+        exponents = (combined[: len(combined) - len(d)]
+                     + bytes([b] if exps[0] > a else []) + bytes(exps[1:]))
+        anchor = len(exponents) - len(exps)  # the run absorbing u's first run
+        first = u.letters[0] if anchor % 2 == 0 else ab.other(u.letters[0])
+        combined = spell_by_loop(exponents, first, ab.other(first))
+    return combined
 
 
 class TestGreedyBuilder:

@@ -1,12 +1,13 @@
 import random
 import re
-from itertools import groupby, product
+from itertools import chain, groupby, product
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from smoothwords import Alphabet, Parity, Word
 from smoothwords import words
+from smoothwords.generators import _STEP_RUNS
 from smoothwords.words import _bytes_runs, _spell
 
 
@@ -173,17 +174,27 @@ def spell_by_loop(exponents, first, second):
 
 
 @pytest.mark.parametrize("first, second", [
-    (1, 2), (2, 1), (1, 255), (255, 1), (254, 255), (255, 254), (7, 200)])
+    (1, 2), (2, 1), (1, 3), (2, 4), (2, 5), (1, 255), (255, 1), (254, 255), (100, 255)])
 def test_spell_matches_loop(first, second):
     rng = random.Random(first * 256 + second)
-    for n in range(65):  # odd and even run counts, including none
-        for high in (2, 255):
-            exponents = bytes(rng.randint(1, high) for _ in range(n))
-            spelled = _spell(exponents, first, second)
-            assert spelled == spell_by_loop(exponents, first, second)
-            assert bytes(_bytes_runs(spelled, first, second)) == exponents
-    assert _spell(bytes(range(1, 256)), first, second) == spell_by_loop(
-        bytes(range(1, 256)), first, second)
+    # odd and even run counts, including none, then one step of a
+    # self-reading generator plus one run, and a long word
+    for n in chain(range(66), (_STEP_RUNS + 1, 10**5)):
+        exponents = bytes(rng.choice((first, second)) for _ in range(n))
+        spelled = _spell(exponents, first, second)
+        assert spelled == spell_by_loop(exponents, first, second)
+        assert bytes(_bytes_runs(spelled, first, second)) == exponents
+
+
+@pytest.mark.parametrize("first, second", [(1, 2), (5, 2), (254, 255)])
+def test_spell_refuses_exponents_off_the_pair(first, second):
+    # every other byte, the marker bytes included, at an even index, at an
+    # odd index and deep in a long word
+    good = bytes((first, second)) * 50
+    for x in set(range(256)) - {first, second}:
+        for exponents in (bytes([x]), bytes([first, x]), good + bytes([x]) + good):
+            with pytest.raises(ValueError, match="exponents to spell"):
+                _spell(exponents, first, second)
 
 
 @pytest.mark.parametrize("a, b, slice_bytes", [
