@@ -174,7 +174,8 @@ def spell_by_loop(exponents, first, second):
 
 
 @pytest.mark.parametrize("first, second", [
-    (1, 2), (2, 1), (1, 3), (2, 4), (2, 5), (1, 255), (255, 1), (254, 255), (100, 255)])
+    (1, 2), (2, 1), (1, 3), (2, 4), (2, 5), (1, 255), (255, 1), (254, 255),
+    (255, 254), (100, 255), (7, 200)])
 def test_spell_matches_loop(first, second):
     rng = random.Random(first * 256 + second)
     # odd and even run counts, including none, then one step of a
