@@ -3,136 +3,57 @@
 Words, run-length derivation operators, smoothness checks, self-reading
 generators, bispecial trees with factor-complexity accounting, and the
 growth matrices and exponents attached to them.
+
+Each public name, and each module, is imported on first use: a process
+compiles only the modules it reads (PEP 562).
 """
 
-from .bispecial import (
-    BispecialNode,
-    ComplexityTable,
-    GenerationStats,
-    generation_stats,
-    generation_swap,
-    is_bispecial,
-    multiplicity,
-    primitive,
-    root_of,
-    tree_complexity,
-    tree_derived_complexity,
-    tree_generation,
-    FAMILIES,
-)
-from .derivation import (
-    DerivabilityReport,
-    derivability,
-    derivative_chain,
-    derive_f,
-    derive_huang,
-    derive_r,
-)
-from .errors import (
-    BoundViolationError,
-    ConstructionError,
-    DerivationError,
-    InvalidFamilyError,
-    NoConvergenceError,
-    NotDerivableError,
-    NotPrimitiveError,
-    NotRDerivableError,
-    ResourceCapError,
-    SmoothWordsError,
-)
-from .generators import (
-    build_smooth_from_r,
-    check_smooth_depth,
-    coupled_pair_prefix,
-    kappa_prefix,
-)
-from .smoothness import (
-    EmbeddingWitness,
-    FSmoothCertificate,
-    bispecial_multiplicity_sum,
-    embed_left,
-    exact_complexity,
-    enumerate_f_smooth,
-    f_smooth_count,
-    is_f_smooth,
-    is_r_smooth,
-    left_extensions,
-    right_extensions,
-)
-from .spectral import (
-    ExponentReport,
-    GrowthMatrices,
-    build_matrices,
-    exponent_report,
-    lambda_of,
-    lower_bound_constants,
-    max_length_growth_radius,
-    minimal_length_sequence,
-    spectral_radius,
-)
-from .words import Alphabet, Parity, ParityCountVector, Run, RunFactorization, Word
+from importlib import import_module
 
-__all__ = [
-    "Alphabet",
-    "BispecialNode",
-    "BoundViolationError",
-    "ComplexityTable",
-    "ConstructionError",
-    "DerivabilityReport",
-    "DerivationError",
-    "EmbeddingWitness",
-    "ExponentReport",
-    "FAMILIES",
-    "FSmoothCertificate",
-    "GenerationStats",
-    "GrowthMatrices",
-    "InvalidFamilyError",
-    "NoConvergenceError",
-    "NotDerivableError",
-    "NotPrimitiveError",
-    "NotRDerivableError",
-    "Parity",
-    "ParityCountVector",
-    "ResourceCapError",
-    "Run",
-    "RunFactorization",
-    "SmoothWordsError",
-    "Word",
-    "bispecial_multiplicity_sum",
-    "build_matrices",
-    "build_smooth_from_r",
-    "check_smooth_depth",
-    "coupled_pair_prefix",
-    "derivability",
-    "derivative_chain",
-    "derive_f",
-    "derive_huang",
-    "derive_r",
-    "embed_left",
-    "enumerate_f_smooth",
-    "exact_complexity",
-    "exponent_report",
-    "f_smooth_count",
-    "generation_stats",
-    "generation_swap",
-    "is_bispecial",
-    "is_f_smooth",
-    "is_r_smooth",
-    "kappa_prefix",
-    "lambda_of",
-    "left_extensions",
-    "lower_bound_constants",
-    "max_length_growth_radius",
-    "minimal_length_sequence",
-    "multiplicity",
-    "primitive",
-    "right_extensions",
-    "root_of",
-    "spectral_radius",
-    "tree_complexity",
-    "tree_derived_complexity",
-    "tree_generation",
-    "__version__",
-]
+# every module of the package, with the public names it owns
+_EXPORTS = {
+    "errors": ("BoundViolationError", "ConstructionError", "DerivationError",
+               "FAMILIES", "InvalidFamilyError", "NoConvergenceError",
+               "NotDerivableError", "NotPrimitiveError", "NotRDerivableError",
+               "ResourceCapError", "SmoothWordsError"),
+    "words": ("Alphabet", "Parity", "ParityCountVector", "Run",
+              "RunFactorization", "Word"),
+    "derivation": ("DerivabilityReport", "derivability", "derivative_chain",
+                   "derive_f", "derive_huang", "derive_r"),
+    "bispecial": ("BispecialNode", "ComplexityTable", "GenerationStats",
+                  "generation_stats", "generation_swap", "is_bispecial",
+                  "multiplicity", "primitive", "root_of", "tree_complexity",
+                  "tree_derived_complexity", "tree_generation"),
+    "smoothness": ("EmbeddingWitness", "FSmoothCertificate",
+                   "bispecial_multiplicity_sum", "embed_left",
+                   "enumerate_f_smooth", "exact_complexity", "f_smooth_count",
+                   "is_f_smooth", "is_r_smooth", "left_extensions",
+                   "right_extensions"),
+    "generators": ("build_smooth_from_r", "check_smooth_depth",
+                   "coupled_pair_prefix", "kappa_prefix"),
+    "spectral": ("ExponentReport", "GrowthMatrices", "build_matrices",
+                 "exponent_report", "lambda_of", "lower_bound_constants",
+                 "max_length_growth_radius", "minimal_length_sequence",
+                 "spectral_radius"),
+    "checks": (),
+    "cli": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_HOME), "__version__"]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # the import binds the module here
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_HOME[name]}")
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

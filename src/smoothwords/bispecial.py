@@ -45,10 +45,9 @@ from operator import add, sub
 from typing import Optional
 
 from .derivation import _F, _derivatives, _is_smooth_bytes, derive_f
-from .errors import InvalidFamilyError, ResourceCapError, _check_size
+from .errors import FAMILIES, InvalidFamilyError, ResourceCapError, _check_size
 from .words import Alphabet, Parity, Word, _bytes_runs, _spell
 
-FAMILIES = ("T", "T1", "T2", "T3", "T4")
 MATERIALIZE_LETTER_LIMIT = 80_000_000
 # Distinct parity-count states of one level: exactly 2^g at generation g
 # over odd letters, one per vertex, and at most two over even letters.

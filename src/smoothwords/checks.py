@@ -26,11 +26,13 @@ from .bispecial import (
 )
 from .derivation import (_F, _HUANG, _derive_bytes, derive_f, derive_huang,
                          derive_r, derivative_chain)
-from .errors import NotDerivableError
+from .errors import SUITES, NotDerivableError
 from .generators import build_smooth_from_r, coupled_pair_prefix, kappa_prefix
 from .smoothness import (bispecial_multiplicity_sum, embed_left, enumerate_f_smooth,
                          exact_complexity, is_f_smooth, is_r_smooth)
 from .spectral import (
+    REFERENCE_EXPONENT_TABLE,
+    _display_decimals,
     build_matrices,
     exponent_report,
     lambda_of,
@@ -80,19 +82,6 @@ REFERENCE_TREE_LEVELS = (
      "2112112212", "1221221121", "212212112", "121121221"},
 )
 
-# nine-column growth-exponent table: displayed strings per alphabet
-REFERENCE_EXPONENT_TABLE = {
-    (1, 3): {"rho": "2", "zeta": "2.44", "beta": "7.129"},
-    (1, 5): {"rho": "1.63", "zeta": "2", "beta": "7.658"},
-    (3, 5): {"rho": "1.5", "zeta": "1.51", "beta": "2.96"},
-    (1, 7): {"rho": "1.5", "zeta": "1.831", "beta": "8.193"},
-    (3, 7): {"rho": "1.431", "zeta": "1.44", "beta": "3.195"},
-    (5, 7): {"rho": "1.387", "zeta": "1.388", "beta": "2.6"},
-    (1, 9): {"rho": "1.431", "zeta": "1.74", "beta": "8.565"},
-    (3, 9): {"rho": "1.387", "zeta": "1.397", "beta": "3.383"},
-    (5, 9): {"rho": "1.356", "zeta": "1.358", "beta": "2.734"},
-}
-
 # Documented inconsistencies in the reference material.  Each entry names
 # the spot, what the reference displays, and what its own defining rule
 # yields; the checks verify the rule value and confirm the display really
@@ -110,11 +99,6 @@ ERRATA = {
         "verified instead"
     ),
 }
-
-
-def _display_decimals(display: str) -> int:
-    """Decimal places of a reference display such as "2.44"."""
-    return len(display.split(".")[1]) if "." in display else 0
 
 
 # -- the criterion runner ------------------------------------------------------
@@ -497,18 +481,6 @@ def check_aperiodicity(failures, alphabets, seed):
 
 
 # -- suites --------------------------------------------------------------------
-
-SUITES: dict[str, tuple[int, ...]] = {
-    "mistake": (3,),
-    "th1": (4,),
-    "p3p": (6,),
-    "avti": (7,),
-    "evenli": (8,),
-    "oddli": (9,),
-    "table": (10,),
-    "all": tuple(range(1, 13)),
-}
-
 
 def run_suite(suite: str, alphabet: Optional[Alphabet] = None, seed: int = 0
               ) -> list[CheckResult]:

@@ -15,13 +15,11 @@ import os
 import sys
 from typing import Iterable, Optional
 
-from .bispecial import FAMILIES, generation_stats, tree_generation, tree_derived_complexity
-from .checks import REFERENCE_EXPONENT_TABLE, SUITES, _display_decimals, run_suite
+import smoothwords  # every other module loads on first use, through the package
+
 from .derivation import _RULES, _derivatives, derivability, derive_f, derive_huang, derive_r
-from .errors import InvalidFamilyError, ResourceCapError, SmoothWordsError
-from .generators import coupled_pair_prefix, kappa_prefix
-from .smoothness import enumerate_f_smooth, exact_complexity, is_f_smooth, is_r_smooth
-from .spectral import exponent_report
+from .errors import (FAMILIES, SUITES, InvalidFamilyError, ResourceCapError,
+                     SmoothWordsError)
 from .words import Alphabet, Word
 
 _OPS = {"f": derive_f, "r": derive_r, "huang": derive_huang}
@@ -104,10 +102,10 @@ def _cmd_derive(args, alphabet: Alphabet) -> int:
 def _cmd_check(args, alphabet: Alphabet) -> int:
     word = alphabet.word(args.word)
     if args.kind == "f":
-        cert = is_f_smooth(word)
+        cert = smoothwords.smoothness.is_f_smooth(word)
         member = cert is not None
     else:
-        cert, member = None, is_r_smooth(word)
+        cert, member = None, smoothwords.smoothness.is_r_smooth(word)
     text = word.render()
     payload = {"alphabet": str(alphabet), "word": text, "kind": args.kind,
                "member": member}
@@ -125,7 +123,8 @@ def _cmd_check(args, alphabet: Alphabet) -> int:
 
 def _cmd_kappa(args, alphabet: Alphabet) -> int:
     start = args.start if args.start is not None else alphabet.b
-    word = kappa_prefix(alphabet, args.length, start=start).render()
+    word = smoothwords.generators.kappa_prefix(alphabet, args.length,
+                                               start=start).render()
     header = ["alphabet", "start", "length", "word"]
     row = [str(alphabet), start, args.length, word]
     _emit(args.format, dict(zip(header, row)), header, [row], [word])
@@ -133,7 +132,8 @@ def _cmd_kappa(args, alphabet: Alphabet) -> int:
 
 
 def _cmd_pair(args, alphabet: Alphabet) -> int:
-    x, y = (w.render() for w in coupled_pair_prefix(alphabet, args.length))
+    pair = smoothwords.generators.coupled_pair_prefix(alphabet, args.length)
+    x, y = (w.render() for w in pair)
     _emit(args.format,
           {"alphabet": str(alphabet), "length": args.length, "x": x, "y": y},
           ["side", "word"], [["x", x], ["y", y]], [x, y])
@@ -141,7 +141,7 @@ def _cmd_pair(args, alphabet: Alphabet) -> int:
 
 
 def _cmd_enumerate(args, alphabet: Alphabet) -> int:
-    words = enumerate_f_smooth(alphabet, args.length)
+    words = smoothwords.smoothness.enumerate_f_smooth(alphabet, args.length)
     for i, word in enumerate(words):  # each Word goes as its text comes
         words[i] = word.render()
     _emit(args.format,
@@ -156,9 +156,9 @@ def _cmd_complexity(args, alphabet: Alphabet) -> int:
     if horizon < 0:
         raise ValueError(f"--max must be nonnegative, got {horizon}")
     if args.tree_only:
-        table = tree_derived_complexity(alphabet, horizon + 2)
+        table = smoothwords.bispecial.tree_derived_complexity(alphabet, horizon + 2)
     else:
-        table = exact_complexity(alphabet, horizon + 2)
+        table = smoothwords.smoothness.exact_complexity(alphabet, horizon + 2)
     rows = [
         [n, table.p[n], table.s[n], table.b[n], table.lower[n], table.upper[n]]
         for n in range(horizon + 1)
@@ -173,7 +173,8 @@ def _cmd_complexity(args, alphabet: Alphabet) -> int:
 
 def _cmd_tree(args, alphabet: Alphabet) -> int:
     if args.stats:
-        stats = generation_stats(alphabet, args.family, args.generation)
+        stats = smoothwords.bispecial.generation_stats(alphabet, args.family,
+                                                       args.generation)
         header = ["family", "generation", "count", "min_len", "max_len",
                   "total_len"]
         row = [args.family, args.generation, stats.count, stats.min_len,
@@ -187,7 +188,8 @@ def _cmd_tree(args, alphabet: Alphabet) -> int:
                "histogram": histogram},
               header, [row], lines)
         return 0
-    nodes = tree_generation(alphabet, args.family, args.generation)
+    nodes = smoothwords.bispecial.tree_generation(alphabet, args.family,
+                                                  args.generation)
     words = [n.word.render() for n in nodes]
     _emit(args.format,
           {"alphabet": str(alphabet), "family": args.family,
@@ -205,12 +207,13 @@ _REPORT_FIELDS = ("rho", "alpha", "beta", "zeta", "growth_lambda",
 
 def _reference_table_cells() -> list[tuple[str, dict[str, str]]]:
     """Computed exponent values formatted at the reference display widths."""
+    spectral = smoothwords.spectral
     cells = []
-    for (a, b), row in REFERENCE_EXPONENT_TABLE.items():
-        rep = exponent_report(Alphabet(a, b))
+    for (a, b), row in spectral.REFERENCE_EXPONENT_TABLE.items():
+        rep = spectral.exponent_report(Alphabet(a, b))
         formatted = {}
         for field in _TABLE_FIELDS:
-            decimals = _display_decimals(row[field])
+            decimals = spectral._display_decimals(row[field])
             formatted[field] = f"{getattr(rep, field):.{decimals}f}"
         cells.append((f"{{{a},{b}}}", formatted))
     return cells
@@ -230,7 +233,7 @@ def _cmd_exponents(args, alphabet: Alphabet) -> int:
                *(f.ljust(10) + "".join(c[f].ljust(width) for _, c in cells)
                  for f in _TABLE_FIELDS)])
         return 0
-    rep = exponent_report(alphabet)
+    rep = smoothwords.spectral.exponent_report(alphabet)
     values = {f: getattr(rep, f) for f in _REPORT_FIELDS}
     fixed = {f: None if v is None else f"{v:.12f}" for f, v in values.items()}
     _emit(args.format,
@@ -245,7 +248,8 @@ _VERIFY_FIELDS = ("criterion", "name", "passed", "detail", "elapsed")
 
 
 def _cmd_verify(args, alphabet: Optional[Alphabet]) -> int:
-    results = run_suite(args.suite, alphabet=alphabet, seed=args.seed)
+    results = smoothwords.checks.run_suite(args.suite, alphabet=alphabet,
+                                           seed=args.seed)
     records = [{f: getattr(r, f) for f in _VERIFY_FIELDS} for r in results]
     _emit(args.format, {"suite": args.suite, "results": records},
           list(_VERIFY_FIELDS),

@@ -1,6 +1,21 @@
-"""Exception types shared across the package, and the check on user-set sizes."""
+"""Exception types shared across the package, the check on user-set sizes,
+and the names a user picks from: the bispecial tree families and the
+verification suites (each suite's criterion numbers)."""
 
 from __future__ import annotations
+
+FAMILIES = ("T", "T1", "T2", "T3", "T4")
+
+SUITES: dict[str, tuple[int, ...]] = {
+    "mistake": (3,),
+    "th1": (4,),
+    "p3p": (6,),
+    "avti": (7,),
+    "evenli": (8,),
+    "oddli": (9,),
+    "table": (10,),
+    "all": tuple(range(1, 13)),
+}
 
 
 class SmoothWordsError(Exception):

@@ -21,6 +21,10 @@ Complexity exponents reported here:
 
 rho_prime = log(2b - 1) / log((a + b) / 2) is kept quarantined: it comes
 from a refuted published claim and exceeds rho whenever a < b - 1.
+
+REFERENCE_EXPONENT_TABLE is the published nine-alphabet display of rho,
+zeta and beta: `verify` holds the exponents to it, and `exponents
+--reference-table` prints them at its precision.
 """
 
 from __future__ import annotations
@@ -275,6 +279,25 @@ _FORMULAS = {
     "rho_prime": "log(2b-1) / log((a+b)/2)  [quarantined: from a refuted claim]",
     "c_constant": "4a / (a+b-2)",
 }
+
+
+# nine-column growth-exponent table: displayed strings per alphabet
+REFERENCE_EXPONENT_TABLE = {
+    (1, 3): {"rho": "2", "zeta": "2.44", "beta": "7.129"},
+    (1, 5): {"rho": "1.63", "zeta": "2", "beta": "7.658"},
+    (3, 5): {"rho": "1.5", "zeta": "1.51", "beta": "2.96"},
+    (1, 7): {"rho": "1.5", "zeta": "1.831", "beta": "8.193"},
+    (3, 7): {"rho": "1.431", "zeta": "1.44", "beta": "3.195"},
+    (5, 7): {"rho": "1.387", "zeta": "1.388", "beta": "2.6"},
+    (1, 9): {"rho": "1.431", "zeta": "1.74", "beta": "8.565"},
+    (3, 9): {"rho": "1.387", "zeta": "1.397", "beta": "3.383"},
+    (5, 9): {"rho": "1.356", "zeta": "1.358", "beta": "2.734"},
+}
+
+
+def _display_decimals(display: str) -> int:
+    """Decimal places of a reference display such as "2.44"."""
+    return len(display.split(".")[1]) if "." in display else 0
 
 
 def exponent_report(alphabet: Alphabet) -> ExponentReport:

@@ -3,11 +3,17 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import smoothwords
 
-ROUNDS = Path(__file__).resolve().parents[1] / "perfbench" / "rounds.py"
+ROOT = Path(__file__).resolve().parents[1]
+ROUNDS = ROOT / "perfbench" / "rounds.py"
 
 PUBLIC = [
     "Alphabet",
@@ -77,6 +83,53 @@ def test_all_is_pinned():
     assert smoothwords.__all__ == PUBLIC
     for name in PUBLIC:
         assert hasattr(smoothwords, name), name
+
+
+def fresh(code: str) -> str:
+    """The stdout of `code` run in a fresh interpreter on this checkout."""
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_loads_no_module():
+    assert fresh("import sys, smoothwords\n"
+                 "print(sorted(m for m in sys.modules if 'smoothwords' in m))"
+                 ) == "['smoothwords']\n"
+
+
+def test_every_name_resolves_on_first_use():
+    # each name is read first by `import *`, which binds it here
+    assert fresh("from smoothwords import *\n"
+                 "import smoothwords\n"
+                 "print([n for n in smoothwords.__all__ if n not in globals()\n"
+                 "       or globals()[n] is not getattr(smoothwords, n)])"
+                 ) == "[]\n"
+
+
+def test_modules_resolve_as_attributes():
+    assert fresh("import smoothwords\n"
+                 "print(smoothwords.checks.__name__, smoothwords.cli.__name__)"
+                 ) == "smoothwords.checks smoothwords.cli\n"
+
+
+def test_dir_lists_all():
+    assert set(PUBLIC) <= set(dir(smoothwords))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        smoothwords.no_such_name
+
+
+def test_moved_names_keep_their_old_homes():
+    from smoothwords import bispecial, checks, errors, spectral
+
+    assert smoothwords.FAMILIES is bispecial.FAMILIES is errors.FAMILIES
+    assert checks.SUITES is errors.SUITES
+    assert checks.REFERENCE_EXPONENT_TABLE is spectral.REFERENCE_EXPONENT_TABLE
 
 
 def test_benchmark_imports_resolve():

@@ -607,9 +607,43 @@ def test_bad_input_is_refused_with_one_message(argv):
         assert not re.search(r"\binf\b", err)
 
 
-def test_cli_import_leaves_out_fractions():
-    # every count is an integer, so start-up needs no rational arithmetic
-    proc = run_python("-c", "import sys, smoothwords.cli; "
-                            "print('fractions' in sys.modules)")
+# Run one command, then print its exit code and what the process imported.
+# `-S` keeps out what site-packages' start-up files import (such as `random`).
+LOADS = ("import json, sys\n"
+         "from smoothwords.cli import main\n"
+         "code = main(sys.argv[1:])\n"
+         "print(json.dumps([code, sorted(sys.modules)]))")
+EVERY_COMMAND = {"cli", "derivation", "errors", "words"}
+TREES = {"bispecial"}
+TRIE = {"bispecial", "smoothness"}
+STREAMS = {"bispecial", "smoothness", "generators"}
+# the modules each command loads besides EVERY_COMMAND
+LOADED = {
+    "derive 122112": set(),
+    "derive 122112 --chain": set(),
+    "check 1221": TRIE,
+    "enumerate --length 6": TRIE,
+    "complexity --max 6": TRIE,
+    "complexity --max 6 --tree-only": TREES,
+    "tree --generation 3": TREES,
+    "tree --generation 3 --stats": TREES,
+    "kappa --length 20": STREAMS,
+    "pair --alphabet 1,3 --length 20": STREAMS,
+    "exponents": {"spectral"},
+    "exponents --reference-table": {"spectral"},
+    "verify --suite mistake": STREAMS | {"spectral", "checks"},
+}
+
+
+@pytest.mark.parametrize("command", LOADED)
+def test_each_command_loads_only_its_modules(command):
+    proc = run_python("-S", "-c", LOADS, *command.split())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    package = {m.removeprefix("smoothwords.") for m in modules
+               if m.startswith("smoothwords.")}
+    assert package == EVERY_COMMAND | LOADED[command]
+    assert ("random" in modules) == command.startswith("verify")
+    # every count is an integer, so no command needs rational arithmetic
+    assert "fractions" not in modules

@@ -1,4 +1,5 @@
-"""The package's modules import one another in one direction, at the top."""
+"""The package's modules import one another in one direction, at the top;
+the loads on first use, through the package, keep to the same order."""
 
 import ast
 from graphlib import CycleError, TopologicalSorter
@@ -22,9 +23,25 @@ def relative_imports(tree: ast.Module) -> set[str]:
             for alias in node.names}
 
 
+def package_reads(name: str, tree: ast.Module) -> set[str]:
+    """The package modules a module loads on first use: those `__init__`'s
+    `_EXPORTS` table names, and every `smoothwords.<module>` another reads."""
+    if name == "__init__":
+        (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and ast.unparse(node.targets[0]) == "_EXPORTS"]
+        return {key.value for key in table.keys}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "smoothwords"}
+
+
 def test_relative_imports_have_a_topological_order():
-    graph = {name: relative_imports(tree) for name, tree in parse_package().items()}
+    graph = {name: relative_imports(tree) | package_reads(name, tree)
+             for name, tree in parse_package().items()}
     assert set().union(*graph.values()) <= set(graph)
+    # the loader names every module, and the CLI reaches every one
+    assert graph["__init__"] == set(graph) - {"__init__"}
+    assert graph["cli"] == set(graph) - {"__init__", "cli"}
     try:
         TopologicalSorter(graph).prepare()
     except CycleError as error:
