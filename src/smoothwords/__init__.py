@@ -18,19 +18,19 @@ _EXPORTS = {
                "ResourceCapError", "SmoothWordsError"),
     "words": ("Alphabet", "Parity", "ParityCountVector", "Run",
               "RunFactorization", "Word"),
-    "derivation": ("DerivabilityReport", "derivability", "derivative_chain",
-                   "derive_f", "derive_huang", "derive_r"),
+    "derivation": ("DerivabilityReport", "FSmoothCertificate", "derivability",
+                   "derivative_chain", "derive_f", "derive_huang", "derive_r",
+                   "is_f_smooth", "is_r_smooth", "left_extensions",
+                   "right_extensions"),
     "bispecial": ("BispecialNode", "ComplexityTable", "GenerationStats",
                   "generation_stats", "generation_swap", "is_bispecial",
                   "multiplicity", "primitive", "root_of", "tree_complexity",
                   "tree_derived_complexity", "tree_generation"),
-    "smoothness": ("EmbeddingWitness", "FSmoothCertificate",
-                   "bispecial_multiplicity_sum", "embed_left",
-                   "enumerate_f_smooth", "exact_complexity", "f_smooth_count",
-                   "is_f_smooth", "is_r_smooth", "left_extensions",
-                   "right_extensions"),
-    "generators": ("build_smooth_from_r", "check_smooth_depth",
-                   "coupled_pair_prefix", "kappa_prefix"),
+    "smoothness": ("bispecial_multiplicity_sum", "enumerate_f_smooth",
+                   "exact_complexity", "f_smooth_count"),
+    "generators": ("EmbeddingWitness", "build_smooth_from_r",
+                   "check_smooth_depth", "coupled_pair_prefix", "embed_left",
+                   "kappa_prefix"),
     "spectral": ("ExponentReport", "GrowthMatrices", "build_matrices",
                  "exponent_report", "lambda_of", "lower_bound_constants",
                  "max_length_growth_radius", "minimal_length_sequence",

@@ -25,11 +25,11 @@ from .bispecial import (
     tree_generation,
 )
 from .derivation import (_F, _HUANG, _derive_bytes, derive_f, derive_huang,
-                         derive_r, derivative_chain)
+                         derive_r, derivative_chain, is_f_smooth, is_r_smooth)
 from .errors import SUITES, NotDerivableError
-from .generators import build_smooth_from_r, coupled_pair_prefix, kappa_prefix
-from .smoothness import (bispecial_multiplicity_sum, embed_left, enumerate_f_smooth,
-                         exact_complexity, is_f_smooth, is_r_smooth)
+from .generators import (build_smooth_from_r, coupled_pair_prefix, embed_left,
+                         kappa_prefix)
+from .smoothness import bispecial_multiplicity_sum, enumerate_f_smooth, exact_complexity
 from .spectral import (
     REFERENCE_EXPONENT_TABLE,
     _display_decimals,

@@ -17,7 +17,8 @@ from typing import Iterable, Optional
 
 import smoothwords  # every other module loads on first use, through the package
 
-from .derivation import _RULES, _derivatives, derivability, derive_f, derive_huang, derive_r
+from .derivation import (_RULES, _derivatives, derivability, derive_f, derive_huang,
+                         derive_r, is_f_smooth, is_r_smooth)
 from .errors import (FAMILIES, SUITES, InvalidFamilyError, ResourceCapError,
                      SmoothWordsError)
 from .words import Alphabet, Word
@@ -102,10 +103,10 @@ def _cmd_derive(args, alphabet: Alphabet) -> int:
 def _cmd_check(args, alphabet: Alphabet) -> int:
     word = alphabet.word(args.word)
     if args.kind == "f":
-        cert = smoothwords.smoothness.is_f_smooth(word)
+        cert = is_f_smooth(word)
         member = cert is not None
     else:
-        cert, member = None, smoothwords.smoothness.is_r_smooth(word)
+        cert, member = None, is_r_smooth(word)
     text = word.render()
     payload = {"alphabet": str(alphabet), "word": text, "kind": args.kind,
                "member": member}

@@ -23,11 +23,12 @@ on it break otherwise.  The prefix rule treats the final run as possibly
 unfinished: it only has to fit in [1, b] and is dropped.
 
 Every rule contracts the length of any nonempty word, so iteration terminates.
-Every iteration of one word (membership `_is_smooth_bytes`, the depth check
-and the CLI's chain) reads the one walk `_derivatives`.  The bispecial
-probes derive a word together with its two-sided extensions in
-`bispecial._extensions`, which runs the two-sided rule on the shared middle
-and hands the short words left at its end to `_is_smooth_bytes`.
+Every iteration of one word (f- and r-smooth membership and the one-letter
+extensions here, the left embedding, the depth check and the CLI's chain)
+reads the one walk `_derivatives`.  The bispecial probes derive a word
+together with its two-sided extensions in `bispecial._extensions`, which
+runs the two-sided rule on the shared middle and hands the short words left
+at its end to `_is_smooth_bytes`.
 
 One step reads the exponents as a `bytes` object from `words._bytes_runs`,
 whose boundary marks assume the letters lie in {a, b}; every caller passes
@@ -134,6 +135,52 @@ def _is_smooth_bytes(letters: bytes, a: int, b: int, rule) -> bool:
     for last in _derivatives(letters, a, b, rule):
         pass
     return not last
+
+
+@dataclass(frozen=True)
+class FSmoothCertificate:
+    """Witness of f-smoothness: the full derivative chain down to empty.
+
+    `height` is the number of derivation steps; the chain has height + 1
+    entries, only the last of which is empty.
+    """
+
+    word: Word
+    height: int
+    chain: tuple[Word, ...]
+
+
+def is_f_smooth(word: Word) -> Optional[FSmoothCertificate]:
+    """Certificate with the full derivative chain, or None if not f-smooth."""
+    ab = word.alphabet
+    chain = list(_derivatives(word.letters, ab.a, ab.b, _F))
+    if chain[-1]:
+        return None
+    words = tuple(Word(ab, c) for c in chain)
+    return FSmoothCertificate(word=word, height=len(chain) - 1, chain=words)
+
+
+def is_r_smooth(word: Word) -> bool:
+    """True when iterated right derivation reaches the empty word."""
+    return _is_smooth_bytes(word.letters, word.alphabet.a, word.alphabet.b, _R)
+
+
+def left_extensions(word: Word) -> tuple[int, ...]:
+    """Letters c with c + word f-smooth, ascending."""
+    ab = word.alphabet
+    return tuple(
+        c for c in (ab.a, ab.b)
+        if _is_smooth_bytes(bytes([c]) + word.letters, ab.a, ab.b, _F)
+    )
+
+
+def right_extensions(word: Word) -> tuple[int, ...]:
+    """Letters c with word + c f-smooth, ascending."""
+    ab = word.alphabet
+    return tuple(
+        c for c in (ab.a, ab.b)
+        if _is_smooth_bytes(word.letters + bytes([c]), ab.a, ab.b, _F)
+    )
 
 
 def derivability(word: Word, kind: str = "f") -> DerivabilityReport:

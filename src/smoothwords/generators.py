@@ -15,17 +15,20 @@ extends y, then x, by the runs whose exponents the partner has already
 spelled; y goes first because run 1 of x reads y[1], which the seed y = b
 lacks.  A step that finds no unread exponent raises ConstructionError
 instead of guessing one.
+
+The f-smooth words are the factors of smooth words: `embed_left` makes one
+the suffix of an r-smooth word, which `build_smooth_from_r` then extends.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .derivation import _PREFIX, _R, _derivatives, _is_smooth_bytes
+from .derivation import _F, _PREFIX, _R, _derivatives, _is_smooth_bytes, is_r_smooth
 from .errors import ConstructionError, _check_size
-from .smoothness import is_r_smooth
-from .words import Alphabet, Word, _spell
+from .words import Alphabet, Word, _bytes_runs, _spell
 
 # Longest prefix either generator builds, at one byte per letter.
 MAX_PREFIX_LETTERS = 10_000_000
@@ -90,6 +93,60 @@ def coupled_pair_prefix(alphabet: Alphabet, length: int) -> tuple[Word, Word]:
         x_runs = _extend(x, x_runs, y, 1, b)
     del x[length:], y[length:]
     return Word(alphabet, bytes(x)), Word(alphabet, bytes(y))
+
+
+@dataclass(frozen=True)
+class EmbeddingWitness:
+    """A left extension v for u such that v + u is r-smooth."""
+
+    left_extension: Word
+    combined: Word
+
+
+def embed_left(word: Word) -> EmbeddingWitness:
+    """Left extension turning an f-smooth word into an r-smooth one.
+
+    Recursive construction along the derivative chain.  The base case embeds
+    the empty word into a^b b^a.  For u with first run exponent p1 and a
+    witness v for its derivative (v + derivative r-smooth), the combined word
+    is rebuilt from run exponents: the letters of v, then (only if p1 > a)
+    one b, then u's exponents from the second run on.  Letters alternate and
+    are anchored so the last run carries u's last letter; the result then
+    ends with u itself and right-derives to v + derivative.
+
+    The witness is checked before returning: the extension has length at
+    least a + b and the combined word is r-smooth.
+    """
+    ab = word.alphabet
+    a, b = ab.a, ab.b
+    chain = list(_derivatives(word.letters, a, b, _F))
+    if chain[-1]:
+        raise ValueError(f"{word.render()!r} is not f-smooth; embedding undefined")
+
+    combined = bytes([a]) * b + bytes([b]) * a  # witness for the empty word
+    # Walk the chain bottom-up: build the witness for each element from the
+    # witness of its derivative.
+    for u, d in zip(reversed(chain[:-1]), reversed(chain[1:])):
+        exps = bytes(_bytes_runs(u, a, b))  # u derives: runs <= b
+        exponents = (combined[: len(combined) - len(d)]
+                     + bytes([b] if exps[0] > a else []) + exps[1:])
+        # Runs alternate back from u's last letter; only the last exponent
+        # may lie strictly between a and b, so that run is spelled apart.
+        last = u[-1]
+        first = last if len(exponents) % 2 else ab.other(last)
+        combined = (_spell(exponents[:-1], first, ab.other(first))
+                    + bytes([last]) * exponents[-1])
+        if not combined.endswith(u):
+            raise ConstructionError(f"embedding step for {Word(ab, u).render()!r} "
+                                    "lost the original suffix")
+
+    extension = combined[: len(combined) - len(word.letters)]
+    if len(extension) < a + b:
+        raise ConstructionError("left extension shorter than a + b")
+    if not _is_smooth_bytes(combined, a, b, _R):
+        raise ConstructionError("combined word failed the r-smooth check")
+    return EmbeddingWitness(left_extension=Word(ab, extension),
+                            combined=Word(ab, combined))
 
 
 def build_smooth_from_r(seed: Word, length: int) -> Word:

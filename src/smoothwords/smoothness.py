@@ -1,12 +1,8 @@
-"""Membership, enumeration and embedding for smooth word languages.
+"""Enumeration of the f-smooth words, those whose iterated two-sided
+derivative reaches the empty word (`derivation` decides one word).
 
-f-smooth words are those whose iterated two-sided derivative reaches the
-empty word; r-smooth words do the same under the right derivative and are
-exactly the finite prefixes of infinite smooth words.  Both languages are
-factorial and extendable, which the enumerator and the embedding below rely
-on.
-
-The enumeration trie `_Trie` of each alphabet lives here, with the node
+The language is factorial and extendable, so the enumeration trie `_Trie`
+of each alphabet grows one letter at a time.  It lives here with the node
 budget of all alphabets' tries together and every count read off a trie:
 `f_smooth_count`, `exact_complexity` and `bispecial_multiplicity_sum`.
 """
@@ -14,52 +10,13 @@ budget of all alphabets' tries together and every count read off a trie:
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Optional
 
 from .bispecial import (MAX_HORIZON, ComplexityTable, _table, tree_complexity,
                         tree_derived_complexity)
-from .derivation import _F, _R, _derivatives, _is_smooth_bytes
-from .errors import ConstructionError, ResourceCapError, _check_size
-from .words import Alphabet, Word, _bytes_runs, _spell
-
-
-@dataclass(frozen=True)
-class FSmoothCertificate:
-    """Witness of f-smoothness: the full derivative chain down to empty.
-
-    `height` is the number of derivation steps; the chain has height + 1
-    entries, only the last of which is empty.
-    """
-
-    word: Word
-    height: int
-    chain: tuple[Word, ...]
-
-
-@dataclass(frozen=True)
-class EmbeddingWitness:
-    """A left extension v for u such that v + u is r-smooth."""
-
-    left_extension: Word
-    combined: Word
-
-
-def is_f_smooth(word: Word) -> Optional[FSmoothCertificate]:
-    """Certificate with the full derivative chain, or None if not f-smooth."""
-    ab = word.alphabet
-    chain = list(_derivatives(word.letters, ab.a, ab.b, _F))
-    if chain[-1]:
-        return None
-    words = tuple(Word(ab, c) for c in chain)
-    return FSmoothCertificate(word=word, height=len(chain) - 1, chain=words)
-
-
-def is_r_smooth(word: Word) -> bool:
-    """True when iterated right derivation reaches the empty word."""
-    return _is_smooth_bytes(word.letters, word.alphabet.a, word.alphabet.b, _R)
+from .errors import ResourceCapError, _check_size
+from .words import Alphabet, Word
 
 
 # Most nodes the tries of all alphabets may hold together: about 19 bytes a
@@ -261,70 +218,3 @@ def bispecial_multiplicity_sum(alphabet: Alphabet, n: int) -> int:
         if min(ca[w], cb[w], xa, xb) >= 0:  # bispecial
             total += (ca[xa] >= 0) + (cb[xa] >= 0) + (ca[xb] >= 0) + (cb[xb] >= 0) - 3
     return total
-
-
-def left_extensions(word: Word) -> tuple[int, ...]:
-    """Letters c with c + word f-smooth, ascending."""
-    ab = word.alphabet
-    return tuple(
-        c for c in (ab.a, ab.b)
-        if _is_smooth_bytes(bytes([c]) + word.letters, ab.a, ab.b, _F)
-    )
-
-
-def right_extensions(word: Word) -> tuple[int, ...]:
-    """Letters c with word + c f-smooth, ascending."""
-    ab = word.alphabet
-    return tuple(
-        c for c in (ab.a, ab.b)
-        if _is_smooth_bytes(word.letters + bytes([c]), ab.a, ab.b, _F)
-    )
-
-
-def embed_left(word: Word) -> EmbeddingWitness:
-    """Left extension turning an f-smooth word into an r-smooth one.
-
-    Recursive construction along the derivative chain.  The base case embeds
-    the empty word into a^b b^a.  For u with first run exponent p1 and a
-    witness v for its derivative (v + derivative r-smooth), the combined word
-    is rebuilt from run exponents: the letters of v, then (only if p1 > a)
-    one b, then u's exponents from the second run on.  Letters alternate and
-    are anchored so the last run carries u's last letter; the result then
-    ends with u itself and right-derives to v + derivative.
-
-    The witness is checked before returning: the extension has length at
-    least a + b and the combined word is r-smooth.
-    """
-    ab = word.alphabet
-    cert = is_f_smooth(word)
-    if cert is None:
-        raise ValueError(f"{word.render()!r} is not f-smooth; embedding undefined")
-    a, b = ab.a, ab.b
-
-    combined = bytes([a]) * b + bytes([b]) * a  # witness for the empty word
-    # Walk the chain bottom-up: build the witness for each element from the
-    # witness of its derivative.
-    for u, d in zip(reversed(cert.chain[:-1]), reversed(cert.chain[1:])):
-        exps = bytes(_bytes_runs(u.letters, a, b))  # u derives: runs <= b
-        exponents = (combined[: len(combined) - len(d)]
-                     + bytes([b] if exps[0] > a else []) + exps[1:])
-        # Runs alternate back from u's last letter; only the last exponent
-        # may lie strictly between a and b, so that run is spelled apart.
-        last = u.letters[-1]
-        first = last if len(exponents) % 2 else ab.other(last)
-        combined = (_spell(exponents[:-1], first, ab.other(first))
-                    + bytes([last]) * exponents[-1])
-        if not combined.endswith(u.letters):
-            raise ConstructionError(
-                f"embedding step for {u.render()!r} lost the original suffix"
-            )
-
-    extension = combined[: len(combined) - len(word.letters)]
-    if len(extension) < a + b:
-        raise ConstructionError("left extension shorter than a + b")
-    if not _is_smooth_bytes(combined, a, b, _R):
-        raise ConstructionError("combined word failed the r-smooth check")
-    return EmbeddingWitness(
-        left_extension=Word(ab, extension),
-        combined=Word(ab, combined),
-    )

@@ -616,12 +616,13 @@ LOADS = ("import json, sys\n"
 EVERY_COMMAND = {"cli", "derivation", "errors", "words"}
 TREES = {"bispecial"}
 TRIE = {"bispecial", "smoothness"}
-STREAMS = {"bispecial", "smoothness", "generators"}
+STREAMS = {"generators"}
 # the modules each command loads besides EVERY_COMMAND
 LOADED = {
     "derive 122112": set(),
     "derive 122112 --chain": set(),
-    "check 1221": TRIE,
+    "check 1221": set(),
+    "check 1221 --kind r": set(),
     "enumerate --length 6": TRIE,
     "complexity --max 6": TRIE,
     "complexity --max 6 --tree-only": TREES,
@@ -631,7 +632,7 @@ LOADED = {
     "pair --alphabet 1,3 --length 20": STREAMS,
     "exponents": {"spectral"},
     "exponents --reference-table": {"spectral"},
-    "verify --suite mistake": STREAMS | {"spectral", "checks"},
+    "verify --suite mistake": TRIE | STREAMS | {"spectral", "checks"},
 }
 
 

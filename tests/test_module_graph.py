@@ -23,13 +23,30 @@ def relative_imports(tree: ast.Module) -> set[str]:
             for alias in node.names}
 
 
+def exports(tree: ast.Module) -> dict[str, tuple[str, ...]]:
+    """`__init__`'s `_EXPORTS` table: every module and the names it owns."""
+    (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and ast.unparse(node.targets[0]) == "_EXPORTS"]
+    return ast.literal_eval(table)
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """The names a module defines at its top by `def`, `class` or assignment."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {leaf.id for target in node.targets for leaf in ast.walk(target)
+                      if isinstance(leaf, ast.Name)}
+    return names
+
+
 def package_reads(name: str, tree: ast.Module) -> set[str]:
     """The package modules a module loads on first use: those `__init__`'s
     `_EXPORTS` table names, and every `smoothwords.<module>` another reads."""
     if name == "__init__":
-        (table,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
-                    and ast.unparse(node.targets[0]) == "_EXPORTS"]
-        return {key.value for key in table.keys}
+        return set(exports(tree))
     return {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "smoothwords"}
@@ -47,6 +64,18 @@ def test_relative_imports_have_a_topological_order():
     except CycleError as error:
         raise AssertionError(f"import cycle: {' -> '.join(error.args[1])}") from None
     assert "smoothness" not in graph["bispecial"]  # the trie reads the trees
+    # membership is derivation's and the embedding generators': the trie
+    # reads neither, and the generators read no tree or trie
+    assert not graph["smoothness"] & {"derivation", "generators"}
+    assert not graph["generators"] & {"bispecial", "smoothness"}
+
+
+def test_every_public_name_is_defined_by_its_owner():
+    package = parse_package()
+    homeless = [f"{module}.{name}"
+                for module, names in exports(package["__init__"]).items()
+                for name in names if name not in defined_names(package[module])]
+    assert homeless == []
 
 
 def test_no_import_inside_a_function():

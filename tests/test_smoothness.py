@@ -234,7 +234,8 @@ class TestEmbedLeft:
                 assert wit.left_extension + w == wit.combined
 
     def test_rejects_non_smooth(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="is not f-smooth; embedding undefined"):
             embed_left(AB12.word("12121"))
 
     @pytest.mark.parametrize("ab, max_len", [
