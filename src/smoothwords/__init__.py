@@ -15,7 +15,7 @@ _EXPORTS = {
     "errors": ("BoundViolationError", "ConstructionError", "DerivationError",
                "FAMILIES", "InvalidFamilyError", "NoConvergenceError",
                "NotDerivableError", "NotPrimitiveError", "NotRDerivableError",
-               "ResourceCapError", "SmoothWordsError"),
+               "ResourceCapError", "SmoothWordsError", "UsageError"),
     "words": ("Alphabet", "Parity", "ParityCountVector", "Run",
               "RunFactorization", "Word"),
     "derivation": ("DerivabilityReport", "FSmoothCertificate", "derivability",

@@ -45,7 +45,8 @@ from operator import add, sub
 from typing import Optional
 
 from .derivation import _F, _derivatives, _is_smooth_bytes, derive_f
-from .errors import FAMILIES, InvalidFamilyError, ResourceCapError, _check_size
+from .errors import (FAMILIES, InvalidFamilyError, ResourceCapError, UsageError,
+                     _check_size)
 from .words import Alphabet, Parity, Word, _bytes_runs, _spell
 
 MATERIALIZE_LETTER_LIMIT = 80_000_000
@@ -88,7 +89,7 @@ def primitive(word: Word, first_letter: int) -> Word:
     """
     ab = word.alphabet
     if first_letter not in (ab.a, ab.b):
-        raise ValueError(f"letter {first_letter} not in {ab}")
+        raise UsageError(f"letter {first_letter} not in {ab}")
     letters = 2 * ab.a + sum(word.letters)
     if letters > MATERIALIZE_LETTER_LIMIT:
         raise ResourceCapError(
@@ -183,7 +184,7 @@ def multiplicity(word: Word) -> int:
     walk = _extensions(word.letters, a, b)
     grid = [[_extends(walk, x, y, a, b) for y in (1, 2)] for x in (1, 2)]
     if not all(map(any, [*grid, *zip(*grid)])):
-        raise ValueError(f"{word.render()!r} is not bispecial")
+        raise UsageError(f"{word.render()!r} is not bispecial")
     return sum(map(sum, grid)) - 3
 
 
@@ -381,9 +382,9 @@ def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
     if method == "words":
         hist = Counter(map(len, _word_level(alphabet, family, generation)))
     elif method != "state":
-        raise ValueError(f"unknown method {method!r}")
+        raise UsageError(f"unknown method {method!r}")
     elif alphabet.parity is Parity.MIXED:
-        raise ValueError(
+        raise UsageError(
             "state-based statistics need both letters of one parity; "
             "use method='words'"
         )
@@ -410,7 +411,7 @@ def root_of(word: Word) -> tuple[Word, str, int]:
     rest of it starts from the walk's (none, none) context."""
     walk = _bispecial_walk(word)
     if walk is None:
-        raise ValueError(f"{word.render()!r} is not bispecial")
+        raise UsageError(f"{word.render()!r} is not bispecial")
     ab = word.alphabet
     a, b = ab.a, ab.b
     shared, left, middle, right = walk
@@ -422,7 +423,7 @@ def root_of(word: Word) -> tuple[Word, str, int]:
     for family, letters in _roots(ab).items():
         if cur == letters:
             return root, family, steps
-    raise ValueError(
+    raise UsageError(
         f"{word.render()!r} reduces to {root.render()!r}, which is not a "
         "strong or weak root; the input was a neutral bispecial word"
     )
@@ -433,7 +434,7 @@ def generation_swap(word: Word) -> Word:
     rebuild with the complementary first letter."""
     ab = word.alphabet
     if not word:
-        raise ValueError("the empty word has no partner vertex")
+        raise UsageError("the empty word has no partner vertex")
     return primitive(derive_f(word).complement(), ab.other(word.letters[0]))
 
 

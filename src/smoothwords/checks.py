@@ -26,9 +26,9 @@ from .bispecial import (
 )
 from .derivation import (_F, _HUANG, _derive_bytes, derive_f, derive_huang,
                          derive_r, derivative_chain, is_f_smooth, is_r_smooth)
-from .errors import SUITES, NotDerivableError
-from .generators import (build_smooth_from_r, coupled_pair_prefix, embed_left,
-                         kappa_prefix)
+from .errors import SUITES, NotDerivableError, UsageError
+from .generators import (_r_smooth_prefix, build_smooth_from_r,
+                         coupled_pair_prefix, embed_left, kappa_prefix)
 from .smoothness import bispecial_multiplicity_sum, enumerate_f_smooth, exact_complexity
 from .spectral import (
     REFERENCE_EXPONENT_TABLE,
@@ -245,9 +245,10 @@ def check_left_embedding(failures, alphabets, seed):
                     continue
                 extended = build_smooth_from_r(
                     wit.combined, len(wit.combined) + 50)
-                ok = wit.combined.is_prefix_of(extended) and all(
-                    is_r_smooth(extended[:k])
-                    for k in range(len(extended) + 1))
+                ok = (wit.combined.is_prefix_of(extended)
+                      and _r_smooth_prefix(extended.letters, ab.a, ab.b, [])
+                      == len(extended)
+                      and is_r_smooth(extended))
                 if not ok:
                     failures.append(f"extension failed for {u.render()} over {ab}")
     return f"{total} words embedded and extended with every prefix verified"
@@ -485,6 +486,6 @@ def check_aperiodicity(failures, alphabets, seed):
 def run_suite(suite: str, alphabet: Optional[Alphabet] = None, seed: int = 0
               ) -> list[CheckResult]:
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from "
+        raise UsageError(f"unknown suite {suite!r}; choose from "
                          f"{', '.join(sorted(SUITES))}")
     return [CHECKS[i](only=alphabet, seed=seed) for i in SUITES[suite]]

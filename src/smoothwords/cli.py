@@ -3,7 +3,8 @@
 One executable with subcommands over a global `--alphabet a,b` (either
 order).  stdout carries data; stderr carries diagnostics.  Exit codes:
 0 success, 1 verification or derivation failure, 2 usage error, 3 resource
-cap refused the request.
+cap refused the request.  Any other exception is a fault of the program: it
+propagates, so the process exits 1 with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import smoothwords  # every other module loads on first use, through the package
 from .derivation import (_RULES, _derivatives, derivability, derive_f, derive_huang,
                          derive_r, is_f_smooth, is_r_smooth)
 from .errors import (FAMILIES, SUITES, InvalidFamilyError, ResourceCapError,
-                     SmoothWordsError)
+                     SmoothWordsError, UsageError)
 from .words import Alphabet, Word
 
 _OPS = {"f": derive_f, "r": derive_r, "huang": derive_huang}
@@ -37,7 +38,7 @@ def _parse_alphabet(text: str) -> Alphabet:
     try:
         x, y = map(_integer, text.split(","))
     except (ValueError, argparse.ArgumentTypeError):
-        raise ValueError(
+        raise UsageError(
             f"alphabet must be two comma-separated integers, got {text!r}"
         ) from None
     return Alphabet(min(x, y), max(x, y))
@@ -155,7 +156,7 @@ def _cmd_enumerate(args, alphabet: Alphabet) -> int:
 def _cmd_complexity(args, alphabet: Alphabet) -> int:
     horizon = args.max
     if horizon < 0:
-        raise ValueError(f"--max must be nonnegative, got {horizon}")
+        raise UsageError(f"--max must be nonnegative, got {horizon}")
     if args.tree_only:
         table = smoothwords.bispecial.tree_derived_complexity(alphabet, horizon + 2)
     else:
@@ -352,7 +353,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InvalidFamilyError, ValueError) as exc:
+    except (InvalidFamilyError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SmoothWordsError as exc:

@@ -28,7 +28,10 @@ extensions here, the left embedding, the depth check and the CLI's chain)
 reads the one walk `_derivatives`.  The bispecial probes derive a word
 together with its two-sided extensions in `bispecial._extensions`, which
 runs the two-sided rule on the shared middle and hands the short words left
-at its end to `_is_smooth_bytes`.
+at its end to `_is_smooth_bytes`.  The one incremental exception is the
+stack of right derivatives in `generators` (`_r_push`), which decides every
+prefix of a growing word in amortised O(1) per letter for the greedy
+extension and the every-prefix check of `verify`.
 
 One step reads the exponents as a `bytes` object from `words._bytes_runs`,
 whose boundary marks assume the letters lie in {a, b}; every caller passes
@@ -41,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import NotDerivableError, NotRDerivableError
+from .errors import NotDerivableError, NotRDerivableError, UsageError
 from .words import Word, _bytes_runs
 
 
@@ -188,7 +191,7 @@ def derivability(word: Word, kind: str = "f") -> DerivabilityReport:
     if not word:
         return _OK
     if kind not in _RULES:
-        raise ValueError(f"unknown derivation kind {kind!r}")
+        raise UsageError(f"unknown derivation kind {kind!r}")
     rule = _RULES[kind]
     a, b = word.alphabet.a, word.alphabet.b
     try:

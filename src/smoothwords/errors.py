@@ -66,9 +66,18 @@ class ResourceCapError(SmoothWordsError):
     """Refused to start a computation that exceeds a configured size cap."""
 
 
+class UsageError(ValueError):
+    """An argument is malformed or outside its domain.
+
+    Raised by input validation only, so the CLI can tell a user's mistake
+    from a broken invariant inside the program, which stays a plain
+    exception.  A `ValueError`, so callers catching that still catch it.
+    """
+
+
 def _check_size(what: str, value: int, cap: int) -> None:
     """Refuse a user-set size below zero or above its cap, before any work."""
     if value < 0:
-        raise ValueError(f"{what} must be nonnegative, got {value}")
+        raise UsageError(f"{what} must be nonnegative, got {value}")
     if value > cap:
         raise ResourceCapError(f"{what} {value} above cap {cap}")

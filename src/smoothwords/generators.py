@@ -18,6 +18,9 @@ instead of guessing one.
 
 The f-smooth words are the factors of smooth words: `embed_left` makes one
 the suffix of an r-smooth word, which `build_smooth_from_r` then extends.
+The extension keeps a stack of the iterated right derivatives' last runs,
+so it costs amortised O(1) per letter; like the other generators, its
+length is capped at `MAX_PREFIX_LETTERS`.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
-from .derivation import _F, _PREFIX, _R, _derivatives, _is_smooth_bytes, is_r_smooth
-from .errors import ConstructionError, _check_size
+from .derivation import _F, _PREFIX, _R, _derivatives, _is_smooth_bytes
+from .errors import ConstructionError, UsageError, _check_size
 from .words import Alphabet, Word, _bytes_runs, _spell
 
 # Longest prefix either generator builds, at one byte per letter.
@@ -65,7 +68,7 @@ def kappa_prefix(alphabet: Alphabet, length: int, start: Optional[int] = None) -
     if start is None:
         start = alphabet.b
     if start not in (alphabet.a, alphabet.b):
-        raise ValueError(f"start letter {start} not in {alphabet}")
+        raise UsageError(f"start letter {start} not in {alphabet}")
     other = alphabet.other(start)
     # Runs 0 and 1 read positions 0 and 1, which they write themselves;
     # position 1 holds `other` when start is 1.
@@ -82,7 +85,7 @@ def coupled_pair_prefix(alphabet: Alphabet, length: int) -> tuple[Word, Word]:
     """Length-n prefixes of the coupled pair (x, y) seeded by (1, b)."""
     _check_size("length", length, MAX_PREFIX_LETTERS)
     if alphabet.a != 1 or alphabet.b % 2 == 0 or alphabet.b < 3:
-        raise ValueError(
+        raise UsageError(
             f"coupled pair needs alphabet {{1, b}} with odd b >= 3, got {alphabet}"
         )
     b = alphabet.b
@@ -121,7 +124,7 @@ def embed_left(word: Word) -> EmbeddingWitness:
     a, b = ab.a, ab.b
     chain = list(_derivatives(word.letters, a, b, _F))
     if chain[-1]:
-        raise ValueError(f"{word.render()!r} is not f-smooth; embedding undefined")
+        raise UsageError(f"{word.render()!r} is not f-smooth; embedding undefined")
 
     combined = bytes([a]) * b + bytes([b]) * a  # witness for the empty word
     # Walk the chain bottom-up: build the witness for each element from the
@@ -149,27 +152,72 @@ def embed_left(word: Word) -> EmbeddingWitness:
                             combined=Word(ab, combined))
 
 
+def _r_push(stack: list[tuple[int, int]], c: int, a: int,
+            b: int) -> Optional[list[tuple[int, int]]]:
+    """New last runs of levels 0, 1, ... as far as appending `c` changes
+    them, or None when the longer word is not r-smooth.
+
+    `stack[k]` is the last run (letter, exponent) of the k-th iterated right
+    derivative of an r-smooth word; empty derivatives are not held.  A last
+    run growing to a + 1 appends b one level up, and past b leaves the
+    domain; an old last run turning interior appends a if it is a, nothing
+    if b, and leaves the domain otherwise.  `stack` is not changed, so a
+    failed letter commits nothing.
+    """
+    runs = []
+    for letter, p in stack:
+        if letter == c:
+            if p == b:
+                return None
+            runs.append((c, p + 1))
+            if p != a:
+                return runs
+            c = b
+        elif p == a or p == b:
+            runs.append((c, 1))
+            if p == b:
+                return runs
+            c = a
+        else:
+            return None
+    runs.append((c, 1))
+    return runs
+
+
+def _r_smooth_prefix(letters: bytes, a: int, b: int,
+                     stack: list[tuple[int, int]]) -> int:
+    """Length of the longest r-smooth prefix of `letters`, in amortised O(1)
+    per letter; `stack` starts as that of an r-smooth word (empty for the
+    empty word) and ends as that of the prefix (see `_r_push`)."""
+    for n, c in enumerate(letters):
+        runs = _r_push(stack, c, a, b)
+        if runs is None:
+            return n
+        stack[:len(runs)] = runs
+    return len(letters)
+
+
 def build_smooth_from_r(seed: Word, length: int) -> Word:
     """Extend an r-smooth seed to the requested length, one letter at a time.
 
     Each step appends the lexicographically smallest letter keeping the word
     r-smooth; extendability of the language guarantees one always exists.
     """
+    _check_size("length", length, MAX_PREFIX_LETTERS)
     ab = seed.alphabet
-    if not is_r_smooth(seed):
-        raise ValueError(f"seed {seed.render()!r} is not r-smooth")
-    cur = seed.letters
-    while len(cur) < length:
-        for c in (ab.a, ab.b):
-            cand = cur + bytes([c])
-            if _is_smooth_bytes(cand, ab.a, ab.b, _R):
-                cur = cand
-                break
-        else:
-            raise ConstructionError(
-                f"no r-smooth extension of {cur!r}; extendability violated"
-            )
-    return Word(ab, cur)
+    a, b = ab.a, ab.b
+    stack: list[tuple[int, int]] = []
+    if _r_smooth_prefix(seed.letters, a, b, stack) < len(seed):
+        raise UsageError(f"seed {seed.render()!r} is not r-smooth")
+    word = bytearray(seed.letters)
+    while len(word) < length:
+        runs = _r_push(stack, a, a, b) or _r_push(stack, b, a, b)
+        if runs is None:
+            raise ConstructionError(f"no r-smooth extension of {bytes(word)!r}; "
+                                    "extendability violated")
+        stack[:len(runs)] = runs
+        word.append(runs[0][0])
+    return Word(ab, bytes(word))
 
 
 def check_smooth_depth(prefix: Word, depth: int) -> bool:

@@ -37,6 +37,7 @@ from .errors import (
     BoundViolationError,
     NoConvergenceError,
     NotPrimitiveError,
+    UsageError,
 )
 from .words import Alphabet, Parity
 
@@ -73,7 +74,7 @@ class GrowthMatrices:
 def build_matrices(alphabet: Alphabet) -> GrowthMatrices:
     """Recurrence matrices for an odd alphabet, integers throughout."""
     if alphabet.parity is not Parity.ODD:
-        raise ValueError(f"growth matrices need both letters odd, got {alphabet}")
+        raise UsageError(f"growth matrices need both letters odd, got {alphabet}")
     a, b = alphabet.a, alphabet.b
     dam, dap = (a - 1) // 2, (a + 1) // 2
     dbm, dbp = (b - 1) // 2, (b + 1) // 2
@@ -147,7 +148,7 @@ def spectral_radius(matrix: Matrix) -> float:
     the eighth; NotPrimitiveError otherwise.
     """
     if any(e < 0 for row in matrix for e in row):
-        raise ValueError("spectral radius here expects a nonnegative matrix")
+        raise UsageError("spectral radius here expects a nonnegative matrix")
     if not _is_primitive(matrix):
         raise NotPrimitiveError("matrix has no strictly positive power up to 8")
     return _power_iteration(matrix)
@@ -162,7 +163,7 @@ def lambda_of(alphabet: Alphabet) -> float:
     and a few Newton steps polish it.
     """
     if alphabet.parity is not Parity.ODD:
-        raise ValueError(f"lambda is defined for odd alphabets, got {alphabet}")
+        raise UsageError(f"lambda is defined for odd alphabets, got {alphabet}")
     a, b = alphabet.a, alphabet.b
     if a == 1:
         return (1 + math.sqrt(2 * b - 1)) / 2

@@ -13,6 +13,8 @@ from functools import cache, cached_property
 from itertools import chain, cycle
 from typing import Iterable, Iterator, NamedTuple, Union
 
+from .errors import UsageError
+
 
 class Parity(enum.Enum):
     """Parity class of an alphabet: both letters even, both odd, or mixed."""
@@ -31,9 +33,9 @@ class Alphabet:
 
     def __post_init__(self):
         if not (isinstance(self.a, int) and isinstance(self.b, int)):
-            raise ValueError("alphabet letters must be integers")
+            raise UsageError("alphabet letters must be integers")
         if not 1 <= self.a < self.b <= 255:
-            raise ValueError(f"need 1 <= a < b <= 255, got a={self.a}, b={self.b}")
+            raise UsageError(f"need 1 <= a < b <= 255, got a={self.a}, b={self.b}")
 
     @property
     def parity(self) -> Parity:
@@ -49,7 +51,7 @@ class Alphabet:
             return self.b
         if letter == self.b:
             return self.a
-        raise ValueError(f"letter {letter} not in alphabet {self}")
+        raise UsageError(f"letter {letter} not in alphabet {self}")
 
     def word(self, letters: Union[str, bytes, Iterable[int]] = b"") -> "Word":
         """Build a word; accepts rendered text, bytes, or an iterable of letters."""
@@ -103,11 +105,11 @@ def _parse_text(alphabet: Alphabet, text: str) -> bytes:
     letters = []
     for part in parts:
         if not (part.isascii() and part.isdigit()):  # int() reads more
-            raise ValueError(f"letter {part!r} is not an integer")
+            raise UsageError(f"letter {part!r} is not an integer")
         letters.append(int(part))
     bad = next((x for x in letters if x != alphabet.a and x != alphabet.b), None)
     if bad is not None:
-        raise ValueError(f"letter {bad} not in alphabet {alphabet}")
+        raise UsageError(f"letter {bad} not in alphabet {alphabet}")
     return bytes(letters)
 
 
@@ -241,7 +243,7 @@ class Word:
     def __post_init__(self):
         rest = self.letters.translate(None, bytes([self.alphabet.a, self.alphabet.b]))
         if rest:
-            raise ValueError(f"letter {rest[0]} not in alphabet {self.alphabet}")
+            raise UsageError(f"letter {rest[0]} not in alphabet {self.alphabet}")
 
     # -- basic sequence behaviour ------------------------------------
 
@@ -261,7 +263,7 @@ class Word:
 
     def __add__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
-            raise ValueError("cannot concatenate words over different alphabets")
+            raise UsageError("cannot concatenate words over different alphabets")
         return Word(self.alphabet, self.letters + other.letters)
 
     def __lt__(self, other: "Word") -> bool:

@@ -40,6 +40,7 @@ PUBLIC = [
     "Run",
     "RunFactorization",
     "SmoothWordsError",
+    "UsageError",
     "Word",
     "bispecial_multiplicity_sum",
     "build_matrices",
@@ -164,3 +165,34 @@ def test_benchmark_imports_resolve():
             inspect.signature(getattr(smoothwords, fn.id)).bind_partial(**keywords)
             bound.extend(keywords)
     assert {"method", "start"} <= set(bound)
+
+
+AB12 = smoothwords.Alphabet(1, 2)
+# Input validation across the modules, each with an argument outside its domain.
+BAD_ARGUMENTS = [
+    lambda: smoothwords.Alphabet(2, 1),
+    lambda: AB12.word("123"),
+    lambda: AB12.other(3),
+    lambda: AB12.word("12") + smoothwords.Alphabet(1, 3).word("13"),
+    lambda: smoothwords.kappa_prefix(AB12, -1),
+    lambda: smoothwords.kappa_prefix(smoothwords.Alphabet(1, 3), 5, start=2),
+    lambda: smoothwords.coupled_pair_prefix(smoothwords.Alphabet(1, 4), 5),
+    lambda: smoothwords.embed_left(AB12.word("12121")),
+    lambda: smoothwords.build_smooth_from_r(AB12.word("2221"), 10),
+    lambda: smoothwords.derivability(AB12.word("12"), "x"),
+    lambda: smoothwords.enumerate_f_smooth(AB12, -1),
+    lambda: smoothwords.root_of(AB12.word("1")),
+    lambda: smoothwords.generation_stats(AB12, "T", 2, method="x"),
+    lambda: smoothwords.lambda_of(AB12),
+    lambda: smoothwords.spectral_radius(((1, -1), (1, 1))),
+    lambda: importlib.import_module("smoothwords.checks").run_suite("x"),
+]
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS)
+def test_input_validation_raises_usage_error(call):
+    """A bad argument raises `UsageError`, still a `ValueError`, so the CLI
+    can tell it from a fault of the program."""
+    with pytest.raises(smoothwords.UsageError):
+        call()
+    assert issubclass(smoothwords.UsageError, ValueError)

@@ -517,6 +517,21 @@ def test_argparse_usage_error_exits_2():
     assert proc.returncode == 2
 
 
+def test_internal_fault_exits_1_with_its_traceback():
+    """A broken invariant inside the program is not reported as a usage
+    error: here `_spell` is handed an exponent off its pair."""
+    code = ("import sys\n"
+            "from smoothwords import cli, generators, words\n"
+            "generators._spell = lambda exponents, first, second: "
+            "words._spell(b'\\x03', first, second)\n"
+            "sys.exit(cli.main(['kappa', '--length', '5']))")
+    proc = run_python("-c", code)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith("\nValueError: exponents to spell must be 2 or 1\n")
+
+
 HUGE = 10 ** 20
 _INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 _NUMBERS = st.one_of(st.integers(max_value=-1), st.integers(min_value=10 ** 8))

@@ -1,5 +1,5 @@
 import re
-from itertools import count, groupby, product
+from itertools import count, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,10 +7,7 @@ from hypothesis import given, settings, strategies as st
 from smoothwords import (
     Alphabet,
     ResourceCapError,
-    build_smooth_from_r,
     derive_f,
-    derive_r,
-    embed_left,
     enumerate_f_smooth,
     f_smooth_count,
     is_f_smooth,
@@ -20,7 +17,6 @@ from smoothwords import (
 )
 from smoothwords import smoothness
 from smoothwords.derivation import _F, _is_smooth_bytes
-from test_words import spell_by_loop
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -222,69 +218,6 @@ class TestCubeFree:
                 assert not cube.search(w.letters), w.render()
 
 
-class TestEmbedLeft:
-    @pytest.mark.parametrize("ab,max_len", [(AB12, 10), (AB13, 8), (AB14, 8)])
-    def test_witness_everywhere(self, ab, max_len):
-        for n in range(max_len + 1):
-            for w in enumerate_f_smooth(ab, n):
-                wit = embed_left(w)
-                assert wit.combined.letters.endswith(w.letters)
-                assert is_r_smooth(wit.combined)
-                assert len(wit.left_extension) >= ab.a + ab.b
-                assert wit.left_extension + w == wit.combined
-
-    def test_rejects_non_smooth(self):
-        with pytest.raises(ValueError,
-                           match="is not f-smooth; embedding undefined"):
-            embed_left(AB12.word("12121"))
-
-    @pytest.mark.parametrize("ab, max_len", [
-        (AB14, 9), (Alphabet(2, 5), 12), (Alphabet(1, 255), 0)])
-    def test_combined_matches_the_run_loop(self, ab, max_len):
-        words = [w for n in range(max_len + 1) for w in enumerate_f_smooth(ab, n)]
-        # one letter, then a run of the other letter of every exponent up to b
-        words += [ab.word(bytes([x]) + bytes([ab.other(x)]) * e)
-                  for x in (ab.a, ab.b) for e in range(1, ab.b + 1)]
-        between = 0
-        for w in words:
-            assert embed_left(w).combined.letters == embed_by_loop(w)
-            between += bool(w) and ab.a < w.runs[-1].exponent < ab.b
-        assert between >= ab.b - ab.a - 1
-
-
-def embed_by_loop(word):
-    """Reference for `embed_left`'s combined word: the same recursion along
-    the derivative chain, with runs counted by `groupby` and spelled one at
-    a time."""
-    ab = word.alphabet
-    a, b = ab.a, ab.b
-    chain = is_f_smooth(word).chain
-    combined = bytes([a]) * b + bytes([b]) * a
-    for u, d in zip(reversed(chain[:-1]), reversed(chain[1:])):
-        exps = [len(list(g)) for _, g in groupby(u.letters)]
-        exponents = (combined[: len(combined) - len(d)]
-                     + bytes([b] if exps[0] > a else []) + bytes(exps[1:]))
-        anchor = len(exponents) - len(exps)  # the run absorbing u's first run
-        first = u.letters[0] if anchor % 2 == 0 else ab.other(u.letters[0])
-        combined = spell_by_loop(exponents, first, ab.other(first))
-    return combined
-
-
-class TestGreedyBuilder:
-    def test_extends_to_length(self):
-        cases = ((embed_left(AB12.word("221121221")).combined, 50),
-                 (AB12.word("2"), 80))
-        for seed, n in cases:
-            ext = build_smooth_from_r(seed, n)
-            assert len(ext) == n
-            assert seed.is_prefix_of(ext)
-            assert all(is_r_smooth(ext[:k]) for k in range(len(ext) + 1))
-
-    def test_rejects_bad_seed(self):
-        with pytest.raises(ValueError):
-            build_smooth_from_r(AB12.word("2221"), 10)
-
-
 @given(st.integers(min_value=0, max_value=9).flatmap(
     lambda n: st.sampled_from(enumerate_f_smooth(AB12, n) or [AB12.empty()])))
 @settings(max_examples=150)
@@ -296,14 +229,3 @@ def test_derivative_of_smooth_is_smooth(w):
         inner = is_f_smooth(d)
         assert inner is not None
         assert inner.height == cert.height - 1
-
-
-@given(st.integers(min_value=1, max_value=9).flatmap(
-    lambda n: st.sampled_from(enumerate_f_smooth(AB13, n) or [AB13.empty()])))
-@settings(max_examples=150)
-def test_r_smooth_from_embedding_survives_right_derivation(w):
-    combined = embed_left(w).combined
-    u = combined
-    while len(u):
-        assert is_r_smooth(u)
-        u = derive_r(u)
