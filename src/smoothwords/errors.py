@@ -67,12 +67,8 @@ class ResourceCapError(SmoothWordsError):
 
 
 class UsageError(ValueError):
-    """An argument is malformed or outside its domain.
-
-    Raised by input validation only, so the CLI can tell a user's mistake
-    from a broken invariant inside the program, which stays a plain
-    exception.  A `ValueError`, so callers catching that still catch it.
-    """
+    """A malformed or out-of-domain argument; raised by input validation
+    only, so the CLI can tell it from a fault inside the program."""
 
 
 def _check_size(what: str, value: int, cap: int) -> None:
