@@ -38,7 +38,6 @@ as the oracle the pruned walk is tested against.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import log
 from operator import add, sub
@@ -47,7 +46,7 @@ from typing import Optional
 from .derivation import _F, _derivatives, _is_smooth_bytes, derive_f
 from .errors import (FAMILIES, InvalidFamilyError, ResourceCapError, UsageError,
                      _check_size)
-from .words import Alphabet, Parity, Word, _bytes_runs, _spell
+from .words import Alphabet, Parity, Word, _bytes_runs, _Record, _spell
 
 MATERIALIZE_LETTER_LIMIT = 80_000_000
 # Distinct parity-count states of one level: exactly 2^g at generation g
@@ -191,14 +190,16 @@ def multiplicity(word: Word) -> int:
 # -- tree families --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BispecialNode:
+class BispecialNode(_Record):
     """A vertex of a bispecial tree family."""
 
-    word: Word
-    family: str
-    generation: int
-    multiplicity: int
+    __slots__ = ("word", "family", "generation", "multiplicity")
+
+    def __init__(self, word: Word, family: str, generation: int, multiplicity: int):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "generation", generation)
+        object.__setattr__(self, "multiplicity", multiplicity)
 
 
 def _families(alphabet: Alphabet) -> tuple[str, ...]:
@@ -281,17 +282,21 @@ def tree_generation(alphabet: Alphabet, family: str,
 # -- level statistics -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenerationStats:
+class GenerationStats(_Record):
     """Length statistics of one tree level."""
 
-    family: str
-    generation: int
-    count: int
-    min_len: int
-    max_len: int
-    total_len: int
-    histogram: dict[int, int]
+    __slots__ = ("family", "generation", "count", "min_len", "max_len", "total_len",
+                 "histogram")
+
+    def __init__(self, family: str, generation: int, count: int, min_len: int,
+                 max_len: int, total_len: int, histogram: dict[int, int]):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "generation", generation)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "min_len", min_len)
+        object.__setattr__(self, "max_len", max_len)
+        object.__setattr__(self, "total_len", total_len)
+        object.__setattr__(self, "histogram", histogram)
 
 
 def _state_child_a(state: tuple[int, int, int, int], a: int, b: int,
@@ -528,8 +533,7 @@ def tree_complexity(alphabet: Alphabet, family: str,
     return _complexity_counts(hist, horizon)
 
 
-@dataclass(frozen=True)
-class ComplexityTable:
+class ComplexityTable(_Record):
     """Factor complexity p with finite differences s and b, plus tree bounds.
 
     `provenance` records how p was obtained: 'enumeration' counts words
@@ -537,14 +541,19 @@ class ComplexityTable:
     bispecial trees.
     """
 
-    alphabet: Alphabet
-    horizon: int
-    p: tuple[int, ...]
-    s: tuple[int, ...]
-    b: tuple[int, ...]
-    lower: tuple[int, ...]
-    upper: tuple[int, ...]
-    provenance: str
+    __slots__ = ("alphabet", "horizon", "p", "s", "b", "lower", "upper", "provenance")
+
+    def __init__(self, alphabet: Alphabet, horizon: int, p: tuple[int, ...],
+                 s: tuple[int, ...], b: tuple[int, ...], lower: tuple[int, ...],
+                 upper: tuple[int, ...], provenance: str):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "provenance", provenance)
 
 
 def _table(alphabet: Alphabet, horizon: int, p: tuple[int, ...],

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Optional
 
@@ -41,16 +40,18 @@ from .spectral import (
     spectral_radius,
     vec_add,
 )
-from .words import Alphabet, Word
+from .words import Alphabet, Word, _Record
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    criterion: int
-    name: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CheckResult(_Record):
+    __slots__ = ("criterion", "name", "passed", "detail", "elapsed")
+
+    def __init__(self, criterion: int, name: str, passed: bool, detail: str, elapsed: float):
+        object.__setattr__(self, "criterion", criterion)
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "elapsed", elapsed)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -41,21 +41,23 @@ b <= 255 it is outside the domain of every rule, so the step refuses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .errors import NotDerivableError, NotRDerivableError, UsageError
-from .words import Word, _bytes_runs
+from .words import Word, _bytes_runs, _Record
 
 
-@dataclass(frozen=True)
-class DerivabilityReport:
+class DerivabilityReport(_Record):
     """Outcome of a domain check, pointing at the first offending run."""
 
-    derivable: bool
-    offending_run_index: Optional[int] = None
-    offending_exponent: Optional[int] = None
-    reason: Optional[str] = None
+    __slots__ = ("derivable", "offending_run_index", "offending_exponent", "reason")
+
+    def __init__(self, derivable: bool, offending_run_index: Optional[int] = None,
+                 offending_exponent: Optional[int] = None, reason: Optional[str] = None):
+        object.__setattr__(self, "derivable", derivable)
+        object.__setattr__(self, "offending_run_index", offending_run_index)
+        object.__setattr__(self, "offending_exponent", offending_exponent)
+        object.__setattr__(self, "reason", reason)
 
 
 _OK = DerivabilityReport(True)
@@ -140,17 +142,19 @@ def _is_smooth_bytes(letters: bytes, a: int, b: int, rule) -> bool:
     return not last
 
 
-@dataclass(frozen=True)
-class FSmoothCertificate:
+class FSmoothCertificate(_Record):
     """Witness of f-smoothness: the full derivative chain down to empty.
 
     `height` is the number of derivation steps; the chain has height + 1
     entries, only the last of which is empty.
     """
 
-    word: Word
-    height: int
-    chain: tuple[Word, ...]
+    __slots__ = ("word", "height", "chain")
+
+    def __init__(self, word: Word, height: int, chain: tuple[Word, ...]):
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "chain", chain)
 
 
 def is_f_smooth(word: Word) -> Optional[FSmoothCertificate]:

@@ -25,13 +25,12 @@ length is capped at `MAX_PREFIX_LETTERS`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
 
 from .derivation import _F, _PREFIX, _R, _derivatives, _is_smooth_bytes
 from .errors import ConstructionError, UsageError, _check_size
-from .words import Alphabet, Word, _bytes_runs, _spell
+from .words import Alphabet, Word, _bytes_runs, _Record, _spell
 
 # Longest prefix either generator builds, at one byte per letter.
 MAX_PREFIX_LETTERS = 10_000_000
@@ -98,12 +97,14 @@ def coupled_pair_prefix(alphabet: Alphabet, length: int) -> tuple[Word, Word]:
     return Word(alphabet, bytes(x)), Word(alphabet, bytes(y))
 
 
-@dataclass(frozen=True)
-class EmbeddingWitness:
+class EmbeddingWitness(_Record):
     """A left extension v for u such that v + u is r-smooth."""
 
-    left_extension: Word
-    combined: Word
+    __slots__ = ("left_extension", "combined")
+
+    def __init__(self, left_extension: Word, combined: Word):
+        object.__setattr__(self, "left_extension", left_extension)
+        object.__setattr__(self, "combined", combined)
 
 
 def embed_left(word: Word) -> EmbeddingWitness:

@@ -30,7 +30,6 @@ zeta and beta: `verify` holds the exponents to it, and `exponents
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
@@ -39,7 +38,7 @@ from .errors import (
     NotPrimitiveError,
     UsageError,
 )
-from .words import Alphabet, Parity
+from .words import Alphabet, Parity, _Record
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -61,14 +60,16 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
 
-@dataclass(frozen=True)
-class GrowthMatrices:
+class GrowthMatrices(_Record):
     """The recurrence data (M, N, P) and, when a = 1, the reduced block R."""
 
-    m: Matrix
-    n: Vector
-    p: Matrix
-    r: Optional[Matrix]
+    __slots__ = ("m", "n", "p", "r")
+
+    def __init__(self, m: Matrix, n: Vector, p: Matrix, r: Optional[Matrix]):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "r", r)
 
 
 def build_matrices(alphabet: Alphabet) -> GrowthMatrices:
@@ -255,19 +256,24 @@ def max_length_growth_radius(alphabet: Alphabet) -> float:
 # -- exponents ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(_Record):
     """Growth exponents of one alphabet with the formula behind each field."""
 
-    alphabet: Alphabet
-    rho: float
-    alpha: float
-    beta: float
-    zeta: Optional[float]
-    growth_lambda: Optional[float]
-    rho_prime: float
-    c_constant: float
-    formulas: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("alphabet", "rho", "alpha", "beta", "zeta", "growth_lambda", "rho_prime",
+                 "c_constant", "formulas")
+
+    def __init__(self, alphabet: Alphabet, rho: float, alpha: float, beta: float,
+                 zeta: Optional[float], growth_lambda: Optional[float], rho_prime: float,
+                 c_constant: float, formulas: Optional[dict[str, str]] = None):
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "growth_lambda", growth_lambda)
+        object.__setattr__(self, "rho_prime", rho_prime)
+        object.__setattr__(self, "c_constant", c_constant)
+        object.__setattr__(self, "formulas", {} if formulas is None else formulas)
 
 
 _FORMULAS = {

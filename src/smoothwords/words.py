@@ -8,7 +8,6 @@ and letter counting at C speed; everything layered on top stays immutable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, cycle
 from typing import Iterable, Iterator, NamedTuple, Union
@@ -24,18 +23,62 @@ class Parity(enum.Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class _Record:
+    """An immutable record whose fields are its class's `__slots__`, in order.
+
+    Equal only to a record of the same class with equal fields; hashes and
+    prints as the tuple of its fields does, `Name(field=value, ...)`.
+    `__init__` sets the fields through `object.__setattr__`; after it, every
+    assignment and deletion raises `AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class Alphabet(_Record):
     """Ordered two-letter integer alphabet {a, b} with 1 <= a < b."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if not (isinstance(self.a, int) and isinstance(self.b, int)):
+    def __init__(self, a: int, b: int):
+        if not (isinstance(a, int) and isinstance(b, int)) or bool in (type(a), type(b)):
             raise UsageError("alphabet letters must be integers")
-        if not 1 <= self.a < self.b <= 255:
-            raise UsageError(f"need 1 <= a < b <= 255, got a={self.a}, b={self.b}")
+        if not 1 <= a < b <= 255:
+            raise UsageError(f"need 1 <= a < b <= 255, got a={a}, b={b}")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b) == (other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b))
 
     @property
     def parity(self) -> Parity:
@@ -120,15 +163,17 @@ class Run(NamedTuple):
     exponent: int
 
 
-@dataclass(frozen=True)
-class RunFactorization:
+class RunFactorization(_Record):
     """Canonical factorization of a word into maximal single-letter runs.
 
     Adjacent runs carry distinct letters and every exponent is positive;
     the factorized length is the number of runs.
     """
 
-    runs: tuple[Run, ...]
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: tuple[Run, ...]):
+        object.__setattr__(self, "runs", runs)
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -233,17 +278,30 @@ class ParityCountVector(NamedTuple):
         return sum(self)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(_Record):
     """An immutable finite word over a two-letter integer alphabet."""
 
-    alphabet: Alphabet
-    letters: bytes
+    # `__dict__` holds only the cached `runs`; it is no field, so every
+    # `_Record` method that reads the fields is overridden here
+    __slots__ = ("alphabet", "letters", "__dict__")
 
-    def __post_init__(self):
-        rest = self.letters.translate(None, bytes([self.alphabet.a, self.alphabet.b]))
+    def __init__(self, alphabet: Alphabet, letters: bytes):
+        rest = letters.translate(None, bytes([alphabet.a, alphabet.b]))
         if rest:
-            raise UsageError(f"letter {rest[0]} not in alphabet {self.alphabet}")
+            raise UsageError(f"letter {rest[0]} not in alphabet {alphabet}")
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "letters", letters)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alphabet, self.letters) == (other.alphabet, other.letters)
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self.letters))
+
+    def __reduce__(self):
+        return self.__class__, (self.alphabet, self.letters)
 
     # -- basic sequence behaviour ------------------------------------
 
@@ -262,14 +320,20 @@ class Word:
         return self.letters[item]
 
     def __add__(self, other: "Word") -> "Word":
+        if not isinstance(other, Word):
+            return NotImplemented
         if self.alphabet != other.alphabet:
             raise UsageError("cannot concatenate words over different alphabets")
         return Word(self.alphabet, self.letters + other.letters)
 
     def __lt__(self, other: "Word") -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
         return self.letters < other.letters
 
     def __le__(self, other: "Word") -> bool:
+        if not isinstance(other, Word):
+            return NotImplemented
         return self.letters <= other.letters
 
     def count(self, letter: int) -> int:

@@ -186,6 +186,7 @@ BAD_ARGUMENTS = [
     lambda: smoothwords.lambda_of(AB12),
     lambda: smoothwords.spectral_radius(((1, -1), (1, 1))),
     lambda: importlib.import_module("smoothwords.checks").run_suite("x"),
+    lambda: smoothwords.Alphabet(True, 2),
 ]
 
 

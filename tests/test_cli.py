@@ -661,5 +661,8 @@ def test_each_command_loads_only_its_modules(command):
                if m.startswith("smoothwords.")}
     assert package == EVERY_COMMAND | LOADED[command]
     assert ("random" in modules) == command.startswith("verify")
+    # the records are slotted classes, so no command loads `dataclasses`
+    # and what it imports
+    assert not {"dataclasses", "inspect"} & set(modules)
     # every count is an integer, so no command needs rational arithmetic
     assert "fractions" not in modules

@@ -78,6 +78,17 @@ def test_every_public_name_is_defined_by_its_owner():
     assert homeless == []
 
 
+def test_no_module_imports_dataclasses():
+    """`dataclasses` imports `inspect`, which costs every CLI process."""
+    importers = [f"{name}:{node.lineno}"
+                 for name, tree in parse_package().items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, ast.Import)
+                 and any(alias.name == "dataclasses" for alias in node.names)
+                 or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert importers == []
+
+
 def test_no_import_inside_a_function():
     nested = [f"{name}:{inner.lineno}"
               for name, tree in parse_package().items()
