@@ -3,6 +3,13 @@
 Words live over a two-letter alphabet {a, b} of positive integers with a < b.
 Letters are stored as raw byte values, which keeps equality, ordering, slicing
 and letter counting at C speed; everything layered on top stays immutable.
+
+`Alphabet`, `Word` and `RunFactorization`, and the records of the other
+modules, are slotted classes on one base, `_Record`: a record equals only a
+record of its own class with equal fields, hashes and prints as the tuple of
+its fields does, and refuses assignment and deletion.  Their methods are
+written out, not generated when the module loads, so no CLI process imports
+`inspect` for them.
 """
 
 from __future__ import annotations

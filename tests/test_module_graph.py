@@ -83,9 +83,9 @@ def test_no_module_imports_dataclasses():
     importers = [f"{name}:{node.lineno}"
                  for name, tree in parse_package().items()
                  for node in ast.walk(tree)
-                 if isinstance(node, ast.Import)
-                 and any(alias.name == "dataclasses" for alias in node.names)
-                 or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+                 if (isinstance(node, ast.Import)
+                     and any(alias.name == "dataclasses" for alias in node.names))
+                 or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")]
     assert importers == []
 
 

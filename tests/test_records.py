@@ -101,10 +101,6 @@ def test_records_differ_when_one_field_does():
     assert CheckResult(1, "x", True, "", 0.0) != CheckResult(1, "x", False, "", 0.0)
 
 
-def test_word_differs_from_the_tuple_of_its_fields():
-    assert Word(AB, b"\x01\x02") != (AB, b"\x01\x02")
-
-
 def test_a_record_holding_nan_equals_itself():
     nan = float("nan")
     report = ExponentReport(AB, nan, nan, nan, None, None, nan, nan)

@@ -5,7 +5,7 @@ from itertools import chain, groupby, product
 import pytest
 from hypothesis import example, given, strategies as st
 
-from smoothwords import Alphabet, Parity, UsageError, Word
+from smoothwords import Alphabet, Parity, Word
 from smoothwords import words
 from smoothwords.generators import _STEP_RUNS
 from smoothwords.words import _bytes_runs, _spell
@@ -102,8 +102,6 @@ class TestWord:
     def test_concat_and_extend(self):
         ab = Alphabet(1, 2)
         assert (ab.word("12") + ab.word("21")).render() == "1221"
-        with pytest.raises(UsageError, match="different alphabets"):
-            ab.word("12") + Alphabet(1, 3).word("13")
 
     def test_an_operand_that_is_not_a_word_raises_type_error(self):
         w = Alphabet(1, 2).word("12")
