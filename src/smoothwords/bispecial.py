@@ -195,12 +195,6 @@ class BispecialNode(_Record):
 
     __slots__ = ("word", "family", "generation", "multiplicity")
 
-    def __init__(self, word: Word, family: str, generation: int, multiplicity: int):
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "generation", generation)
-        object.__setattr__(self, "multiplicity", multiplicity)
-
 
 def _families(alphabet: Alphabet) -> tuple[str, ...]:
     """The families over the alphabet: only T when the letters are consecutive."""
@@ -287,16 +281,6 @@ class GenerationStats(_Record):
 
     __slots__ = ("family", "generation", "count", "min_len", "max_len", "total_len",
                  "histogram")
-
-    def __init__(self, family: str, generation: int, count: int, min_len: int,
-                 max_len: int, total_len: int, histogram: dict[int, int]):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "generation", generation)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "min_len", min_len)
-        object.__setattr__(self, "max_len", max_len)
-        object.__setattr__(self, "total_len", total_len)
-        object.__setattr__(self, "histogram", histogram)
 
 
 def _state_child_a(state: tuple[int, int, int, int], a: int, b: int,
@@ -542,18 +526,6 @@ class ComplexityTable(_Record):
     """
 
     __slots__ = ("alphabet", "horizon", "p", "s", "b", "lower", "upper", "provenance")
-
-    def __init__(self, alphabet: Alphabet, horizon: int, p: tuple[int, ...],
-                 s: tuple[int, ...], b: tuple[int, ...], lower: tuple[int, ...],
-                 upper: tuple[int, ...], provenance: str):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "provenance", provenance)
 
 
 def _table(alphabet: Alphabet, horizon: int, p: tuple[int, ...],

@@ -46,13 +46,6 @@ from .words import Alphabet, Word, _Record
 class CheckResult(_Record):
     __slots__ = ("criterion", "name", "passed", "detail", "elapsed")
 
-    def __init__(self, criterion: int, name: str, passed: bool, detail: str, elapsed: float):
-        object.__setattr__(self, "criterion", criterion)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "elapsed", elapsed)
-
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} criterion {self.criterion} ({self.name}): {self.detail} [{self.elapsed:.2f}s]"

@@ -54,10 +54,7 @@ class DerivabilityReport(_Record):
 
     def __init__(self, derivable: bool, offending_run_index: Optional[int] = None,
                  offending_exponent: Optional[int] = None, reason: Optional[str] = None):
-        object.__setattr__(self, "derivable", derivable)
-        object.__setattr__(self, "offending_run_index", offending_run_index)
-        object.__setattr__(self, "offending_exponent", offending_exponent)
-        object.__setattr__(self, "reason", reason)
+        super().__init__(derivable, offending_run_index, offending_exponent, reason)
 
 
 _OK = DerivabilityReport(True)
@@ -151,11 +148,6 @@ class FSmoothCertificate(_Record):
 
     __slots__ = ("word", "height", "chain")
 
-    def __init__(self, word: Word, height: int, chain: tuple[Word, ...]):
-        object.__setattr__(self, "word", word)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "chain", chain)
-
 
 def is_f_smooth(word: Word) -> Optional[FSmoothCertificate]:
     """Certificate with the full derivative chain, or None if not f-smooth."""
@@ -192,10 +184,10 @@ def right_extensions(word: Word) -> tuple[int, ...]:
 
 def derivability(word: Word, kind: str = "f") -> DerivabilityReport:
     """Domain check without deriving; kind is 'f', 'r', or 'huang'."""
-    if not word:
-        return _OK
     if kind not in _RULES:
         raise UsageError(f"unknown derivation kind {kind!r}")
+    if not word:
+        return _OK
     rule = _RULES[kind]
     a, b = word.alphabet.a, word.alphabet.b
     try:

@@ -102,10 +102,6 @@ class EmbeddingWitness(_Record):
 
     __slots__ = ("left_extension", "combined")
 
-    def __init__(self, left_extension: Word, combined: Word):
-        object.__setattr__(self, "left_extension", left_extension)
-        object.__setattr__(self, "combined", combined)
-
 
 def embed_left(word: Word) -> EmbeddingWitness:
     """Left extension turning an f-smooth word into an r-smooth one.

@@ -65,12 +65,6 @@ class GrowthMatrices(_Record):
 
     __slots__ = ("m", "n", "p", "r")
 
-    def __init__(self, m: Matrix, n: Vector, p: Matrix, r: Optional[Matrix]):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "r", r)
-
 
 def build_matrices(alphabet: Alphabet) -> GrowthMatrices:
     """Recurrence matrices for an odd alphabet, integers throughout."""
@@ -265,15 +259,8 @@ class ExponentReport(_Record):
     def __init__(self, alphabet: Alphabet, rho: float, alpha: float, beta: float,
                  zeta: Optional[float], growth_lambda: Optional[float], rho_prime: float,
                  c_constant: float, formulas: Optional[dict[str, str]] = None):
-        object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "zeta", zeta)
-        object.__setattr__(self, "growth_lambda", growth_lambda)
-        object.__setattr__(self, "rho_prime", rho_prime)
-        object.__setattr__(self, "c_constant", c_constant)
-        object.__setattr__(self, "formulas", {} if formulas is None else formulas)
+        super().__init__(alphabet, rho, alpha, beta, zeta, growth_lambda, rho_prime,
+                         c_constant, {} if formulas is None else formulas)
 
 
 _FORMULAS = {

@@ -5,11 +5,12 @@ Letters are stored as raw byte values, which keeps equality, ordering, slicing
 and letter counting at C speed; everything layered on top stays immutable.
 
 `Alphabet`, `Word` and `RunFactorization`, and the records of the other
-modules, are slotted classes on one base, `_Record`: a record equals only a
-record of its own class with equal fields, hashes and prints as the tuple of
-its fields does, and refuses assignment and deletion.  Their methods are
-written out, not generated when the module loads, so no CLI process imports
-`inspect` for them.
+modules, are slotted classes on one base, `_Record`: a record is built from
+its fields by position or keyword through the base's one constructor, equals
+only a record of its own class with equal fields, hashes and prints as the
+tuple of its fields does, and refuses assignment and deletion.  Only this
+module writes record fields.  The methods are written out, not generated
+when the module loads, so no CLI process imports `inspect` for them.
 """
 
 from __future__ import annotations
@@ -33,13 +34,26 @@ class Parity(enum.Enum):
 class _Record:
     """An immutable record whose fields are its class's `__slots__`, in order.
 
-    Equal only to a record of the same class with equal fields; hashes and
-    prints as the tuple of its fields does, `Name(field=value, ...)`.
-    `__init__` sets the fields through `object.__setattr__`; after it, every
-    assignment and deletion raises `AttributeError`.
+    Built by position, then by keyword; a missing, extra, unknown or repeated
+    field raises `TypeError`, and a subclass with defaults or checks passes
+    its fields on to `__init__`.  Equal only to a record of the same class
+    with equal fields; hashes and prints as the tuple of its fields does,
+    `Name(field=value, ...)`; assignment and deletion raise `AttributeError`.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named or len(values) != len(names):
+            rest = names[len(values):]
+            if len(values) > len(names) or named.keys() != set(rest):
+                raise TypeError(f"{self.__class__.__qualname__}() takes the fields {names}, "
+                                f"got {len(values)} by position and {sorted(named)} by keyword")
+            values += tuple([named[name] for name in rest])
+        set_field = object.__setattr__
+        for name, value in zip(names, values):
+            set_field(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
@@ -76,8 +90,7 @@ class Alphabet(_Record):
             raise UsageError("alphabet letters must be integers")
         if not 1 <= a < b <= 255:
             raise UsageError(f"need 1 <= a < b <= 255, got a={a}, b={b}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        super().__init__(a, b)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -178,9 +191,6 @@ class RunFactorization(_Record):
     """
 
     __slots__ = ("runs",)
-
-    def __init__(self, runs: tuple[Run, ...]):
-        object.__setattr__(self, "runs", runs)
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -288,8 +298,8 @@ class ParityCountVector(NamedTuple):
 class Word(_Record):
     """An immutable finite word over a two-letter integer alphabet."""
 
-    # `__dict__` holds only the cached `runs`; it is no field, so every
-    # `_Record` method that reads the fields is overridden here
+    # `__dict__` holds only the cached `runs`; it is no field, so `__init__`
+    # and every `_Record` method that reads the fields are overridden here
     __slots__ = ("alphabet", "letters", "__dict__")
 
     def __init__(self, alphabet: Alphabet, letters: bytes):

@@ -187,6 +187,7 @@ BAD_ARGUMENTS = [
     lambda: smoothwords.spectral_radius(((1, -1), (1, 1))),
     lambda: importlib.import_module("smoothwords.checks").run_suite("x"),
     lambda: smoothwords.Alphabet(True, 2),
+    lambda: smoothwords.derivability(AB12.empty(), "bogus"),
 ]
 
 

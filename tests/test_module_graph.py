@@ -95,3 +95,13 @@ def test_no_import_inside_a_function():
               for node in ast.walk(tree) if isinstance(node, FUNCTIONS)
               for inner in ast.walk(node) if isinstance(inner, IMPORTS)]
     assert nested == []
+
+
+def test_only_words_sets_record_fields():
+    """`words._Record` alone knows how a record's fields are written."""
+    writers = [f"{name}:{node.lineno}"
+               for name, tree in parse_package().items() if name != "words"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+               and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert writers == []

@@ -2,10 +2,12 @@
 within one class only, hashing, `repr`, and refusal to change."""
 
 import copy
+import importlib
 import pickle
 
 import pytest
 
+import smoothwords
 from smoothwords import (
     Alphabet,
     BispecialNode,
@@ -21,6 +23,7 @@ from smoothwords import (
     Word,
 )
 from smoothwords.checks import CheckResult
+from smoothwords.words import _Record
 
 AB = Alphabet(1, 2)
 W = Word(AB, b"\x01\x02\x02\x01")
@@ -157,3 +160,46 @@ def test_word_runs_are_computed_once():
     word = AB.word("1221")
     assert word.runs is word.runs
     assert word.runs == RunFactorization((Run(1, 1), Run(2, 2), Run(1, 1)))
+
+
+@pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
+def test_a_missing_extra_unknown_or_repeated_field_raises_type_error(cls, names, values, text):
+    named = dict(zip(names, values))
+    for bad in (lambda: cls(), lambda: cls(*values, values[0]),
+                lambda: cls(*values, bogus=1), lambda: cls(**named, bogus=1),
+                lambda: cls(*values, **{names[0]: values[0]}),
+                lambda: cls(values[0], **named)):
+        with pytest.raises(TypeError):
+            bad()
+
+
+@pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
+def test_keywords_bind_by_name_in_any_order(cls, names, values, text):
+    backwards = dict(reversed(list(zip(names, values))))
+    assert tuple(getattr(cls(**backwards), n) for n in names) == values
+    for given in range(1, len(names)):
+        rest = dict(reversed(list(zip(names[given:], values[given:]))))
+        record = cls(*values[:given], **rest)
+        assert tuple(getattr(record, n) for n in names) == values
+
+
+def test_defaults_fill_the_fields_keywords_skip():
+    report = DerivabilityReport(reason="late", derivable=False)
+    assert report == DerivabilityReport(False, None, None, "late")
+    exponents = ExponentReport(c_constant=4.0, rho_prime=0.5, growth_lambda=None, zeta=None,
+                               beta=7.0, alpha=1.5, rho=2.0, alphabet=AB)
+    assert exponents == ExponentReport(AB, 2.0, 1.5, 7.0, None, None, 0.5, 4.0, {})
+
+
+def test_every_record_class_is_listed():
+    """A record class the package adds must join `RECORDS`, and so every
+    test above."""
+    for module in smoothwords._EXPORTS:
+        importlib.import_module(f"smoothwords.{module}")
+    found, pending = set(), [_Record]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            pending.append(cls)
+            if cls.__module__.startswith("smoothwords."):
+                found.add(cls)
+    assert found == {cls for cls, *_ in RECORDS}
