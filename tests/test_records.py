@@ -1,5 +1,6 @@
-"""The package's immutable records: construction in field order, equality
-within one class only, hashing, `repr`, and refusal to change."""
+"""The package's immutable records: construction by position or keyword
+through one constructor, equality within one class only, hashing, `repr`,
+and refusal to change."""
 
 import copy
 import importlib
