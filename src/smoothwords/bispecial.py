@@ -25,7 +25,13 @@ down to the root.
 Level statistics are computed two ways: materializing the words, or walking
 exact parity-count states (possible when both letters share a parity, since
 the child counts are then a linear function of the parent state).  The two
-routes are cross-checked in the test suite.
+routes are cross-checked in the test suite.  A materialized level is spelled
+a block of parents at a time, not one `primitive` per child: the exponents
+a, w1, a, a, w2, a, ... of a block go through one run-spelling call, and the
+text is cut at the children's lengths, 2a + sum(w) each.  A segment whose
+exponents start at an odd index spells the b-first child instead of the
+a-first one; either way its sibling is its complement, the letters swapped,
+so one swap of the whole block gives the other half of the level.
 
 The complexity walk stops at its horizon: both children of a vertex w have
 length 2a + sum(w), so a vertex whose children pass the horizon is not
@@ -46,7 +52,8 @@ from typing import Optional
 from .derivation import _F, _derivatives, _is_smooth_bytes, derive_f
 from .errors import (FAMILIES, InvalidFamilyError, ResourceCapError, UsageError,
                      _check_size)
-from .words import Alphabet, Parity, Word, _bytes_runs, _Record, _spell
+from .words import (Alphabet, Parity, Word, _blocks, _bytes_runs, _Record, _spell,
+                    _swap_table)
 
 MATERIALIZE_LETTER_LIMIT = 80_000_000
 # Distinct parity-count states of one level: exactly 2^g at generation g
@@ -242,7 +249,12 @@ def _word_level(alphabet: Alphabet, family: str, generation: int) -> list[bytes]
     """Level `generation` as a list of byte strings, refused up front past
     the ceiling or the letter budget.  The budget's estimate,
     (len(root) + 4a / d) * (a + b)^g with d = a + b - 2, grows with g, so
-    checking the level asked for covers every level built on the way."""
+    checking the level asked for covers every level built on the way.
+
+    Parents are spelled in blocks of about `words._SLICE` letters, one
+    `_spell` call and one swap of the letters a block (see the module
+    docstring), so a spelled text holds one block's children at most.  The
+    words are those of two `primitive` calls per parent, in another order."""
     _check_size("generation", generation, MAX_GENERATION)
     a, b = alphabet.a, alphabet.b
     root = family_root(alphabet, family).letters
@@ -254,11 +266,19 @@ def _word_level(alphabet: Alphabet, family: str, generation: int) -> list[bytes]
             f"materialize about {_about((2 * letters + d) // (2 * d))} "
             f"letters, above the budget of {MATERIALIZE_LETTER_LIMIT:,}"
         )
+    swap = _swap_table(a, b)
+    edge, seam = bytes((a,)), bytes((a, a))
     level = [root]
     for _ in range(generation):
-        level = [child for w in level
-                 for child in (_primitive_bytes(w, a, a, b),
-                               _primitive_bytes(w, b, a, a))]
+        children = []
+        for block in _blocks(level):
+            spelled = _spell(edge + seam.join(block) + edge, a, b)
+            ends = list(accumulate([2 * a + a * len(w) + (b - a) * w.count(b)
+                                    for w in block]))
+            cuts = list(map(slice, [0, *ends], ends))
+            children += map(spelled.__getitem__, cuts)
+            children += map(spelled.translate(swap).__getitem__, cuts)
+        level = children
     return level
 
 

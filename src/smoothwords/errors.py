@@ -71,9 +71,12 @@ class UsageError(ValueError):
     only, so the CLI can tell it from a fault inside the program."""
 
 
-def _check_size(what: str, value: int, cap: int) -> None:
-    """Refuse a user-set size below zero or above its cap, before any work."""
+def _check_size(what: str, value: int, cap: int | None = None) -> None:
+    """Refuse a user-set size that is not an integer (a bool is not), is
+    below zero or is above its cap, if it has one, before any work."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
     if value < 0:
         raise UsageError(f"{what} must be nonnegative, got {value}")
-    if value > cap:
+    if cap is not None and value > cap:
         raise ResourceCapError(f"{what} {value} above cap {cap}")

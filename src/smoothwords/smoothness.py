@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from .bispecial import (MAX_HORIZON, ComplexityTable, _table, tree_complexity,
                         tree_derived_complexity)
-from .errors import ResourceCapError, UsageError, _check_size
+from .errors import ResourceCapError, _check_size
 from .words import Alphabet, Word
 
 
@@ -164,8 +164,7 @@ def _language(alphabet: Alphabet, n: int) -> _Trie:
     """The alphabet's trie, grown to length n once its budget admits n; the
     other alphabets' tries are dropped if all would pass TRIE_NODE_LIMIT.
     It is out of `_TRIES` while it grows, so a cut growth leaves no trie."""
-    if n < 0:
-        raise UsageError(f"enumeration length must be nonnegative, got {n}")
+    _check_size("enumeration length", n)  # the trie's own budget caps it
     trie = _TRIES.get(alphabet)
     if trie is None or len(trie.offsets) <= n + 1:
         nodes = _check_budget(alphabet, n)
@@ -207,8 +206,7 @@ def bispecial_multiplicity_sum(alphabet: Alphabet, n: int) -> int:
     Read from the derivative trie grown to n + 2: w + y is a child of w,
     and x + w and x + w + y are found by walking down from the node of x.
     """
-    if n < 0:
-        raise UsageError(f"enumeration length must be nonnegative, got {n}")
+    _check_size("enumeration length", n)  # the trie's own budget caps it
     a, b = alphabet.a, alphabet.b
     trie = _language(alphabet, n + 2)
     ca, cb = trie.child[a], trie.child[b]

@@ -116,8 +116,12 @@ class Alphabet(_Record):
             return Word(self, _parse_text(self, letters))
         if isinstance(letters, Word):
             letters = letters.letters
-        elif not isinstance(letters, (bytes, list, tuple)):
-            letters = list(letters)  # read an iterator once, to name a bad letter
+        elif not isinstance(letters, bytes):
+            if not isinstance(letters, (list, tuple)):
+                letters = list(letters)  # read an iterator once, to name a bad letter
+            if bool in map(type, letters):  # bytes() would read True as 1
+                bad = next(x for x in letters if type(x) is bool)
+                raise UsageError(f"letter {bad!r} not in alphabet {self}")
         try:
             letters = bytes(letters)
         except (TypeError, ValueError):
@@ -244,6 +248,19 @@ def _pieces(marked: bytes) -> Iterator[bytes]:
         yield marked[start:end]
         start = end + 1
     yield marked[start:]
+
+
+def _blocks(words: list[bytes]) -> Iterator[list[bytes]]:
+    """Consecutive blocks of `words`, each closed at the first word that
+    brings its letters to at least `_SLICE`; the last may hold fewer."""
+    start = size = 0
+    for end, word in enumerate(words, 1):
+        size += len(word)
+        if size >= _SLICE:
+            yield words[start:end]
+            start, size = end, 0
+    if start < len(words):
+        yield words[start:]
 
 
 @cache

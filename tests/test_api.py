@@ -197,6 +197,13 @@ BAD_ARGUMENTS = [
     lambda: smoothwords.spectral_radius(((1, 1, 1), (1, 1, 1))),
     lambda: smoothwords.spectral_radius(((1, 1), (1,))),
     lambda: smoothwords.spectral_radius(((1, 1), (1, 1), (1, 1))),
+    lambda: smoothwords.kappa_prefix(AB12, 2.5),
+    lambda: smoothwords.f_smooth_count(AB12, 2.5),
+    lambda: smoothwords.tree_generation(AB12, "T", 2.0),
+    lambda: smoothwords.f_smooth_count(AB12, True),
+    lambda: AB12.word([True, 2]),
+    lambda: AB12.word((1, False)),
+    lambda: AB12.word(iter([2, True])),
 ]
 
 

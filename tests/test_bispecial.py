@@ -27,7 +27,7 @@ from smoothwords import (
     tree_derived_complexity,
     tree_generation,
 )
-from smoothwords import bispecial, derivation, smoothness
+from smoothwords import bispecial, derivation, smoothness, words
 from smoothwords.bispecial import _extends, _extensions
 from smoothwords.derivation import _F, _derivatives, _is_smooth_bytes
 
@@ -46,6 +46,18 @@ def short_words(ab):
     longest = 12 if ab.b <= 3 else 10
     for n in range(longest + 1):
         yield from map(bytes, product((ab.a, ab.b), repeat=n))
+
+
+def oracle_levels(ab, family, letters=2 ** 22):
+    """Sorted levels 0, 1, ... of a family, each parent's children built by
+    the public `primitive`, one call per first letter, while a level holds
+    at most `letters` letters."""
+    level = [bispecial.family_root(ab, family)]
+    while True:
+        yield sorted(w.letters for w in level)
+        if 2 * sum(2 * ab.a + sum(w.letters) for w in level) > letters:
+            return
+        level = [primitive(w, x) for w in level for x in (ab.a, ab.b)]
 
 
 def tree_vertices(ab, generations):
@@ -199,6 +211,23 @@ class TestTreeGenerations:
             for g in range(5):
                 assert len(tree_generation(AB14, fam, g)) == 2 ** g
 
+    @pytest.mark.parametrize("ab", [
+        AB12, AB13, AB14, AB24, Alphabet(2, 5), Alphabet(3, 5), Alphabet(1, 9),
+        Alphabet(7, 200)])
+    def test_levels_match_the_primitive_oracle(self, ab, monkeypatch):
+        # each level spells blocks of parents at once and takes the siblings
+        # by one swap of the letters; tiny blocks put a block cut after
+        # every parent
+        expect = {family: list(oracle_levels(ab, family))
+                  for family in bispecial._families(ab)}
+        for slice_bytes in (None, 1, 2, 3, 5):
+            if slice_bytes is not None:
+                monkeypatch.setattr(words, "_SLICE", slice_bytes)
+            for family, levels in expect.items():
+                for g, level in enumerate(levels):
+                    got = [n.word.letters for n in tree_generation(ab, family, g)]
+                    assert got == level, (ab, family, g, slice_bytes)
+
     def test_children_derive_to_parent(self):
         for ab in (AB12, AB13):
             for g in range(1, 6):
@@ -232,14 +261,17 @@ class TestTreeGenerations:
     def test_letter_budget_refusal_names_its_numbers(self, monkeypatch):
         # refused before any level is built: building one would call None
         monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        monkeypatch.setattr(bispecial, "_spell", None)
         with pytest.raises(ResourceCapError, match=(
                 r"generation 16 of T over \{1,2\} would materialize about "
                 r"172,186,884 letters, above the budget of 80,000,000")):
             tree_generation(AB12, "T", 16)
 
     def test_letter_budget_is_decided_in_integers(self, monkeypatch):
-        # the float estimate overflowed here, or printed "about inf letters"
+        # the float estimate overflowed here, or printed "about inf letters";
+        # building a level would call None
         monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        monkeypatch.setattr(bispecial, "_spell", None)
         refusal = (r"would materialize about (\d\.\d\de\d+|[\d,]+) letters, "
                    r"above the budget")
         for ab, generation in ((AB12, 1000), (AB24, 647),
@@ -260,6 +292,7 @@ class TestTreeGenerations:
         # at most two states a level over {2,4}: only the ceiling bounds it
         monkeypatch.setattr(bispecial, "_root_states", None)
         monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        monkeypatch.setattr(bispecial, "_spell", None)
         for build in (tree_generation, generation_stats):
             with pytest.raises(ResourceCapError,
                                match=r"^generation 1001 above cap 1000$"):

@@ -345,6 +345,7 @@ class TestTree:
         # building a level would call None on either route
         monkeypatch.setattr(bispecial, "_root_states", None)
         monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        monkeypatch.setattr(bispecial, "_spell", None)
         code, out, err = run_cli(*argv)
         assert code == 3
         assert out == ""

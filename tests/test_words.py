@@ -65,6 +65,12 @@ class TestAlphabet:
             ab.word("123")
         with pytest.raises(ValueError, match=r"^letter 4 not in alphabet \{1,2\}$"):
             Word(ab, bytes([1, 2, 4, 3, 2]))
+        # bytes() would read True and False as the letters 1 and 0
+        for letters, bad in (([True, 2], True), ((1, False), False),
+                             (iter([2, True]), True)):
+            with pytest.raises(ValueError,
+                               match=rf"^letter {bad} not in alphabet \{{1,2\}}$"):
+                ab.word(letters)
 
 
 class TestWord:
