@@ -25,29 +25,34 @@ down to the root.
 Level statistics are computed two ways: materializing the words, or walking
 exact parity-count states (possible when both letters share a parity, since
 the child counts are then a linear function of the parent state).  The two
-routes are cross-checked in the test suite.  A materialized level is spelled
-a block of parents at a time, not one `primitive` per child: the exponents
-a, w1, a, a, w2, a, ... of a block go through one run-spelling call, and the
-text is cut at the children's lengths, 2a + sum(w) each.  A segment whose
-exponents start at an odd index spells the b-first child instead of the
-a-first one; either way its sibling is its complement, the letters swapped,
-so one swap of the whole block gives the other half of the level.
+routes are cross-checked in the test suite.  Over odd letters every vertex
+has its own state, so a state level is a flat list, one state a vertex; over
+even letters it holds at most two states, merged with their multiplicities.
+A materialized level is spelled a block of parents at a time, not one
+`primitive` per child: the exponents a, w1, a, a, w2, a, ... of a block go
+through one run-spelling call, and the text is cut at the children's
+lengths, 2a + sum(w) each.  A segment whose exponents start at an odd index
+spells the b-first child instead of the a-first one; either way its sibling
+is its complement, the letters swapped, so one swap of the whole block gives
+the other half of the level.
 
 The complexity walk stops at its horizon: both children of a vertex w have
 length 2a + sum(w), so a vertex whose children pass the horizon is not
-expanded, and over a mixed alphabet a child is spelled only when its own
-children are within the horizon.  The unpruned level walks behind
+expanded.  Over one parity it is the state walk, pruned.  Over a mixed
+alphabet a child is kept only when its own children are within the horizon,
+which its parent's letter sums tell; the parents with a child kept are
+spelled in blocks as above.  The unpruned level walks behind
 `tree_generation` and `generation_stats` remain, with their size budgets,
-as the oracle the pruned walk is tested against.
+as the oracle the pruned walks are tested against.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, islice
-from math import log
+from itertools import accumulate, compress, islice
+from math import inf, log
 from operator import add, sub
-from typing import Optional
+from typing import Iterator, Optional
 
 from .derivation import _F, _derivatives, _is_smooth_bytes, derive_f
 from .errors import (FAMILIES, InvalidFamilyError, ResourceCapError, UsageError,
@@ -79,12 +84,6 @@ _ONE_SIDED = ((1, 0), (2, 0), (0, 1), (0, 2))
 # -- primitives -----------------------------------------------------------
 
 
-def _primitive_bytes(letters: bytes, first: int, boundary: int, second: int) -> bytes:
-    """Runs alternating first, second, first, ... with exponents
-    boundary, letters..., boundary."""
-    return _spell(bytes([boundary]) + letters + bytes([boundary]), first, second)
-
-
 def primitive(word: Word, first_letter: int) -> Word:
     """Shortest word starting with `first_letter` whose derivative is `word`.
 
@@ -103,10 +102,9 @@ def primitive(word: Word, first_letter: int) -> Word:
             f"{letters:,} letters, above the budget of "
             f"{MATERIALIZE_LETTER_LIMIT:,}"
         )
-    return Word(
-        ab,
-        _primitive_bytes(word.letters, first_letter, ab.a, ab.other(first_letter)),
-    )
+    edge = bytes((ab.a,))
+    return Word(ab, _spell(edge + word.letters + edge, first_letter,
+                           ab.other(first_letter)))
 
 
 # -- bispecial probes -----------------------------------------------------
@@ -245,16 +243,33 @@ def _about(n: int) -> str:
     return f"{lead[0]}.{lead[1:3]}e{len(digits) + len(lead) - 4}"
 
 
+def _child_blocks(parents: list[bytes], a: int,
+                  b: int) -> Iterator[tuple[Iterator[bytes], Iterator[bytes]]]:
+    """Each parent's two children, spelled a block of about `words._SLICE`
+    parent letters at a time: one `_spell` call and one swap of the letters
+    a block (see the module docstring).  Yields, for each block, its children
+    cut from the spelled text and those cut from its swap; the i-th of each
+    are parent i's children, the a-first one in either."""
+    swap = _swap_table(a, b)
+    edge, seam = bytes((a,)), bytes((a, a))
+    for block in _blocks(parents):
+        spelled = _spell(edge + seam.join(block) + edge, a, b)
+        ends = list(accumulate([2 * a + a * len(w) + (b - a) * w.count(b)
+                                for w in block]))
+        cuts = list(map(slice, [0, *ends], ends))
+        yield (map(spelled.__getitem__, cuts),
+               map(spelled.translate(swap).__getitem__, cuts))
+
+
 def _word_level(alphabet: Alphabet, family: str, generation: int) -> list[bytes]:
     """Level `generation` as a list of byte strings, refused up front past
     the ceiling or the letter budget.  The budget's estimate,
     (len(root) + 4a / d) * (a + b)^g with d = a + b - 2, grows with g, so
     checking the level asked for covers every level built on the way.
 
-    Parents are spelled in blocks of about `words._SLICE` letters, one
-    `_spell` call and one swap of the letters a block (see the module
-    docstring), so a spelled text holds one block's children at most.  The
-    words are those of two `primitive` calls per parent, in another order."""
+    Each level is spelled by `_child_blocks`, so a spelled text holds one
+    block's children at most.  The words are those of two `primitive` calls
+    per parent, in another order."""
     _check_size("generation", generation, MAX_GENERATION)
     a, b = alphabet.a, alphabet.b
     root = family_root(alphabet, family).letters
@@ -266,18 +281,12 @@ def _word_level(alphabet: Alphabet, family: str, generation: int) -> list[bytes]
             f"materialize about {_about((2 * letters + d) // (2 * d))} "
             f"letters, above the budget of {MATERIALIZE_LETTER_LIMIT:,}"
         )
-    swap = _swap_table(a, b)
-    edge, seam = bytes((a,)), bytes((a, a))
     level = [root]
     for _ in range(generation):
         children = []
-        for block in _blocks(level):
-            spelled = _spell(edge + seam.join(block) + edge, a, b)
-            ends = list(accumulate([2 * a + a * len(w) + (b - a) * w.count(b)
-                                    for w in block]))
-            cuts = list(map(slice, [0, *ends], ends))
-            children += map(spelled.__getitem__, cuts)
-            children += map(spelled.translate(swap).__getitem__, cuts)
+        for spelled, swapped in _child_blocks(level, a, b):
+            children += spelled
+            children += swapped
         level = children
     return level
 
@@ -337,27 +346,44 @@ def _state_child_a(state: tuple[int, int, int, int], a: int, b: int,
     raise ValueError("state recurrence needs both letters of one parity")
 
 
-def _root_states(alphabet: Alphabet, family: str) -> Counter:
-    """Level 0 of the state walk: the root's parity counts, once."""
-    return Counter({family_root(alphabet, family).parity_counts(): 1})
-
-
-def _state_children(states, alphabet: Alphabet) -> Counter:
-    """The next level of (state, multiplicity) pairs: each state's a-rooted
-    child and its complemented sibling."""
+def _state_levels(alphabet: Alphabet, family: str, horizon: float) -> Iterator:
+    """The lengths of each level's vertices from level 0 on, in a form
+    `Counter.update` counts, from parity-count states: a flat list, one a
+    vertex, over odd letters, and a Counter of at most two states and their
+    multiplicities over even ones.  A state is expanded only when its
+    children, of length 2a + a(ae + ao) + b(be + bo), are within the
+    horizon (`inf` for every level)."""
     a, b, parity_class = alphabet.a, alphabet.b, alphabet.parity
-    nxt: Counter = Counter()
-    for state, mult in states:
-        ca = _state_child_a(state, a, b, parity_class)
-        nxt[ca] += mult
-        nxt[(ca[2], ca[3], ca[0], ca[1])] += mult  # complemented sibling
-    return nxt
+    limit = horizon - 2 * a
+    root = family_root(alphabet, family).parity_counts()
+    if parity_class is Parity.ODD:
+        level = [root]
+        while level:
+            yield map(sum, level)
+            children = []
+            for state in level:
+                if a * (state[0] + state[1]) + b * (state[2] + state[3]) <= limit:
+                    ae, ao, be, bo = _state_child_a(state, a, b, parity_class)
+                    children += (ae, ao, be, bo), (be, bo, ae, ao)  # and sibling
+            level = children
+        return
+    states = Counter([root])
+    while states:
+        lengths, children = Counter(), Counter()
+        for state, mult in states.items():
+            lengths[sum(state)] += mult
+            if a * (state[0] + state[1]) + b * (state[2] + state[3]) <= limit:
+                ae, ao, be, bo = _state_child_a(state, a, b, parity_class)
+                children[ae, ao, be, bo] += mult
+                children[be, bo, ae, ao] += mult
+        yield lengths
+        states = children
 
 
 def _state_level(alphabet: Alphabet, family: str, generation: int) -> Counter:
-    """Level `generation` as a Counter of parity-count states; no words are
-    built.  A level holds 2^g distinct states over odd letters, one per
-    vertex, and at most two over even ones, so its budget is decided first."""
+    """Length histogram of level `generation`, from `_state_levels`.  A level
+    holds 2^g distinct states over odd letters, one per vertex, and at most
+    two over even ones, so its budget is decided first."""
     _check_size("generation", generation, MAX_GENERATION)
     family_root(alphabet, family)  # an unknown family is named before the budget
     if alphabet.parity is Parity.ODD and 2 ** generation > STATE_LIMIT:
@@ -366,17 +392,8 @@ def _state_level(alphabet: Alphabet, family: str, generation: int) -> Counter:
             f"{2 ** generation:,} distinct parity-count states, above the "
             f"budget of {STATE_LIMIT:,}"
         )
-    level = _root_states(alphabet, family)
-    for _ in range(generation):
-        level = _state_children(level.items(), alphabet)
-    return level
-
-
-def _state_histogram(level: Counter) -> Counter:
-    hist: Counter = Counter()
-    for state, mult in level.items():
-        hist[sum(state)] += mult
-    return hist
+    levels = _state_levels(alphabet, family, inf)
+    return Counter(next(islice(levels, generation, None)))
 
 
 def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
@@ -398,7 +415,7 @@ def generation_stats(alphabet: Alphabet, family: str, generation: int, *,
             "use method='words'"
         )
     else:
-        hist = _state_histogram(_state_level(alphabet, family, generation))
+        hist = _state_level(alphabet, family, generation)
     return GenerationStats(
         family=family,
         generation=generation,
@@ -458,24 +475,6 @@ def _complexity_counts(hist: dict[int, int], horizon: int) -> tuple[int, ...]:
     return tuple(islice(accumulate(s, initial=0), horizon + 1))
 
 
-def _pruned_state_histogram(alphabet: Alphabet, family: str,
-                            horizon: int) -> Counter:
-    """Length histogram of the vertices, complete up to the horizon, from
-    parity-count states: a state is expanded only when its children, of
-    length 2a + a(ae + ao) + b(be + bo), are within the horizon."""
-    a, b = alphabet.a, alphabet.b
-    hist: Counter = Counter()
-    level = _root_states(alphabet, family)
-    while level:
-        hist.update(_state_histogram(level))
-        level = _state_children(
-            ((state, mult) for state, mult in level.items()
-             if 2 * a + a * (state[0] + state[1]) + b * (state[2] + state[3])
-             <= horizon),
-            alphabet)
-    return hist
-
-
 def _pruned_word_histogram(alphabet: Alphabet, family: str,
                            horizon: int) -> Counter:
     """Length histogram of the vertices, complete up to the horizon, spelling
@@ -485,24 +484,33 @@ def _pruned_word_histogram(alphabet: Alphabet, family: str,
     the letters of w at even and odd indices, the child with first letter x
     (other letter y) has letter sum a*x + y*S1 + x*S2 + a*(x if len(w) is odd
     else y), so its children's length is known before it is spelled: a child
-    whose children pass the horizon is counted by its length alone.
+    whose children pass the horizon is counted by its length alone.  The
+    parents with a child kept are spelled by `_child_blocks`.
     """
     a, b = alphabet.a, alphabet.b
     root = family_root(alphabet, family).letters
     hist = Counter([len(root)])
     level = [root]
     while level:
-        nxt = []
+        parents, wanted = [], []
         for w in level:
             even, odd = w[0::2], w[1::2]
             s1 = a * len(even) + (b - a) * even.count(b)
             s2 = a * len(odd) + (b - a) * odd.count(b)
             hist[2 * a + s1 + s2] += 2
-            for x, y in ((a, b), (b, a)):
-                last = x if len(w) & 1 else y
-                if 2 * a + a * x + y * s1 + x * s2 + a * last <= horizon:
-                    nxt.append(_primitive_bytes(w, x, a, y))
-        level = nxt
+            last_a, last_b = (a, b) if len(w) & 1 else (b, a)
+            keep = (2 * a + a * a + b * s1 + a * s2 + a * last_a <= horizon,
+                    2 * a + a * b + a * s1 + b * s2 + a * last_b <= horizon)
+            if any(keep):
+                parents.append(w)
+                wanted.append(keep)
+        level = []
+        wanted = iter(wanted)
+        for spelled, swapped in _child_blocks(parents, a, b):
+            for pair in zip(spelled, swapped):
+                if pair[0][0] != a:  # the segment spelled the b-first child
+                    pair = pair[::-1]
+                level += compress(pair, next(wanted))
     return hist
 
 
@@ -513,12 +521,13 @@ def tree_complexity(alphabet: Alphabet, family: str,
     The walk stops at the horizon: both children of a vertex w have length
     2a + sum(w), longer than w, so a vertex whose children pass the horizon
     has no descendant within it and is not expanded.  Single-parity
-    alphabets walk parity-count states, mixed ones materialize words with a
-    two-level length lookahead.  The horizon is refused before any work when
-    the materialized walk would grow past its budget.  The unpruned level
-    walks of `tree_generation` and `generation_stats` are the oracle the
-    tests compare this walk with.  The count array is linear in the
-    histogram, so it is counted once from the summed lengths.
+    alphabets walk parity-count states, mixed ones materialize words a block
+    of parents at a time with a two-level length lookahead.  The horizon is
+    refused before any work when the materialized walk would grow past its
+    budget.  The unpruned level walks of `tree_generation` and
+    `generation_stats` are the oracle the tests compare this walk with.  The
+    count array is linear in the histogram, so it is counted once from the
+    summed lengths.
     """
     _check_size("horizon", horizon, MAX_HORIZON)
     if alphabet.parity is Parity.MIXED:
@@ -533,7 +542,9 @@ def tree_complexity(alphabet: Alphabet, family: str,
             )
         hist = _pruned_word_histogram(alphabet, family, horizon)
     else:
-        hist = _pruned_state_histogram(alphabet, family, horizon)
+        hist = Counter()
+        for lengths in _state_levels(alphabet, family, horizon):
+            hist.update(lengths)
     return _complexity_counts(hist, horizon)
 
 

@@ -21,7 +21,7 @@ import smoothwords  # every other module loads on first use, through the package
 from .derivation import (_RULES, _derivatives, derivability, derive_f, derive_huang,
                          derive_r, is_f_smooth, is_r_smooth)
 from .errors import (FAMILIES, SUITES, InvalidFamilyError, ResourceCapError,
-                     SmoothWordsError, UsageError)
+                     SmoothWordsError, UsageError, _check_size)
 from .words import Alphabet, Word
 
 _OPS = {"f": derive_f, "r": derive_r, "huang": derive_huang}
@@ -155,8 +155,8 @@ def _cmd_enumerate(args, alphabet: Alphabet) -> int:
 
 def _cmd_complexity(args, alphabet: Alphabet) -> int:
     horizon = args.max
-    if horizon < 0:
-        raise UsageError(f"--max must be nonnegative, got {horizon}")
+    # the table is built to --max + 2, so the cap is taken off by 2
+    _check_size("--max", horizon, smoothwords.bispecial.MAX_HORIZON - 2)
     if args.tree_only:
         table = smoothwords.bispecial.tree_derived_complexity(alphabet, horizon + 2)
     else:

@@ -227,7 +227,8 @@ def check_smooth_depth(prefix: Word, depth: int) -> bool:
     short to certify that depth.  The walk stops after the empty word or a
     word it cannot derive, so it reaches index `depth` just when all succeed.
     """
+    _check_size("depth", depth)
     ab = prefix.alphabet
-    words = max(depth, 0) + 1
+    words = depth + 1
     walk = _derivatives(prefix.letters, ab.a, ab.b, _PREFIX)
     return sum(1 for _ in islice(walk, words)) == words

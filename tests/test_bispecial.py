@@ -1,7 +1,8 @@
+import math
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import count, product
+from itertools import chain, count, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -65,6 +66,59 @@ def tree_vertices(ab, generations):
         for g in generations:
             for node in tree_generation(ab, family, g):
                 yield g, node.word
+
+
+def recording_blocks(spelled):
+    """`bispecial._child_blocks`, also listing in `spelled` every child it
+    yields."""
+    blocks = bispecial._child_blocks
+
+    def recorded(*args):
+        for texts in blocks(*args):
+            texts = [list(children) for children in texts]
+            spelled.extend(chain.from_iterable(texts))
+            yield texts
+
+    return recorded
+
+
+def pruned_reference(ab, family, horizon):
+    """The pruned mixed walk one vertex at a time: each child is built by the
+    public `primitive` and kept when its own children, of length
+    2a + sum(w), are within the horizon.  Returns the length histogram and
+    the children spelled: both of each vertex that keeps one."""
+    root = bispecial.family_root(ab, family)
+    hist, spelled = Counter([len(root)]), []
+    level = [root]
+    while level:
+        kept = []
+        for w in level:
+            children = [primitive(w, x) for x in (ab.a, ab.b)]
+            hist.update(map(len, children))
+            within = [c for c in children if 2 * ab.a + sum(c.letters) <= horizon]
+            if within:
+                spelled += [c.letters for c in children]
+            kept += within
+        level = kept
+    return hist, spelled
+
+
+def merged_state_levels(ab, family, horizon):
+    """Each level's length histogram from parity-count states merged into a
+    Counter of state and multiplicity, expanding a state when its children,
+    of length 2a + a(ae + ao) + b(be + bo), are within the horizon."""
+    a, b = ab.a, ab.b
+    states = Counter([bispecial.family_root(ab, family).parity_counts()])
+    while states:
+        hist, children = Counter(), Counter()
+        for state, mult in states.items():
+            hist[sum(state)] += mult
+            if 2 * a + a * (state[0] + state[1]) + b * (state[2] + state[3]) <= horizon:
+                ae, ao, be, bo = bispecial._state_child_a(state, a, b, ab.parity)
+                children[ae, ao, be, bo] += mult
+                children[be, bo, ae, ao] += mult
+        yield hist
+        states = children
 
 
 class TestPrimitive:
@@ -260,7 +314,6 @@ class TestTreeGenerations:
 
     def test_letter_budget_refusal_names_its_numbers(self, monkeypatch):
         # refused before any level is built: building one would call None
-        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
         monkeypatch.setattr(bispecial, "_spell", None)
         with pytest.raises(ResourceCapError, match=(
                 r"generation 16 of T over \{1,2\} would materialize about "
@@ -270,7 +323,6 @@ class TestTreeGenerations:
     def test_letter_budget_is_decided_in_integers(self, monkeypatch):
         # the float estimate overflowed here, or printed "about inf letters";
         # building a level would call None
-        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
         monkeypatch.setattr(bispecial, "_spell", None)
         refusal = (r"would materialize about (\d\.\d\de\d+|[\d,]+) letters, "
                    r"above the budget")
@@ -289,34 +341,46 @@ class TestTreeGenerations:
             assert bispecial._about(n) == text
 
     def test_generation_ceiling_is_refused_before_any_work(self, monkeypatch):
-        # at most two states a level over {2,4}: only the ceiling bounds it
-        monkeypatch.setattr(bispecial, "_root_states", None)
-        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        # at most two states a level over {2,4}: only the ceiling bounds it;
+        # walking states or spelling words would call None
+        monkeypatch.setattr(bispecial, "_state_levels", None)
         monkeypatch.setattr(bispecial, "_spell", None)
         for build in (tree_generation, generation_stats):
             with pytest.raises(ResourceCapError,
                                match=r"^generation 1001 above cap 1000$"):
                 build(AB24, "T", bispecial.MAX_GENERATION + 1)
 
-    def test_distinct_states_per_level(self):
+    def test_distinct_states_per_level(self, monkeypatch):
         # the bound the state budget is decided from: 2^g over odd letters,
-        # one state a vertex, and at most two over even letters
+        # one state a vertex, and at most two over even letters; the walk
+        # expands every state of level g as it builds level g + 1
+        expanded = []
+        child = bispecial._state_child_a
+
+        def recorded(state, *args):
+            expanded.append(state)
+            return child(state, *args)
+
+        monkeypatch.setattr(bispecial, "_state_child_a", recorded)
         for ab, depth in [*((Alphabet(a, b), 12) for a, b in
                             ((1, 3), (3, 5), (1, 5), (5, 7), (1, 9))),
                           *((Alphabet(a, b), 40) for a, b in
                             ((2, 4), (2, 6), (4, 6), (2, 8)))]:
             for family in FAMILIES:
-                level = bispecial._root_states(ab, family)
+                levels = bispecial._state_levels(ab, family, math.inf)
+                next(levels)
                 for g in range(depth + 1):
+                    expanded.clear()
+                    next(levels)
                     if ab.a % 2:
-                        assert len(level) == 2 ** g, (ab, family, g)
+                        assert len(set(expanded)) == len(expanded) == 2 ** g, \
+                            (ab, family, g)
                     else:
-                        assert len(level) <= 2, (ab, family, g)
-                    level = bispecial._state_children(level.items(), ab)
+                        assert len(expanded) <= 2, (ab, family, g)
 
     def test_mixed_horizon_refusal_names_its_numbers(self, monkeypatch):
-        # refused before any level is built: building one would call None
-        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        # refused before any level is built: spelling one would call None
+        monkeypatch.setattr(bispecial, "_spell", None)
         with pytest.raises(ResourceCapError, match=re.escape(
                 "horizon 1527 over {1,2}: its materialized tree walk grows "
                 "like horizon^2.7095 = 423,299,564, above the budget of "
@@ -594,33 +658,32 @@ class TestComplexity:
                 == exact_complexity(ab, 120).p)
 
     def test_each_level_is_built_once(self, monkeypatch):
-        # the walk spells exactly the vertices below the root whose children,
-        # of length 2a + sum(w), are within the horizon, each once; the others
-        # are counted from their parent's letter sums
+        # the walk spells both children of each vertex that has a child whose
+        # own children, of length 2a + sum(w), are within the horizon, each
+        # once and a block of parents at a time; the rest are counted from
+        # their parent's letter sums
         spelled = []
-        build = bispecial._primitive_bytes
-
-        def recorded(*args):
-            spelled.append(build(*args))
-            return spelled[-1]
-
         for ab, family, horizon in ((AB12, "T", 240), (AB14, "T3", 300),
                                     (Alphabet(2, 5), "T1", 400),
                                     (Alphabet(1, 6), "T2", 500)):
             spelled.clear()
-            monkeypatch.setattr(bispecial, "_primitive_bytes", recorded)
+            monkeypatch.setattr(bispecial, "_child_blocks",
+                                recording_blocks(spelled))
             tree_complexity(ab, family, horizon)
             monkeypatch.undo()
             expect = []
             for g in count(1):
-                level = [n.word.letters for n in tree_generation(ab, family, g)]
+                level = [n.word for n in tree_generation(ab, family, g)]
                 if min(map(len, level)) > horizon:
                     break
-                expect += [w for w in level if 2 * ab.a + sum(w) <= horizon]
+                expect += [w.letters for w in level
+                           if min(sum(w.letters), sum(w.complement().letters))
+                           <= horizon - 2 * ab.a]
             assert sorted(spelled) == sorted(expect), (ab, family)
             if ab == AB12:
-                # unpruned, levels 1..11 would be built: 2^12 - 2 = 4,094 words
-                assert len(spelled) == 966
+                # unpruned, levels 1..11 would be built: 2^12 - 2 = 4,094
+                # words; 966 of the 974 spelled are kept, 8 are siblings
+                assert len(spelled) == 974
 
     def test_pruned_states_are_those_with_children_within_the_horizon(
             self, monkeypatch):
@@ -647,6 +710,42 @@ class TestComplexity:
                                for node in level
                                if 2 * ab.a + sum(node.word.letters) <= 200}
                 assert sorted(expanded) == sorted(expect), (ab, family)
+
+    @pytest.mark.parametrize("ab", [AB12, AB14, Alphabet(2, 3), Alphabet(2, 5),
+                                    Alphabet(1, 6)])
+    def test_mixed_walk_matches_per_vertex_primitive(self, ab, monkeypatch):
+        # parents are spelled a block at a time and each child's first letter
+        # tells which text holds its a-first one; tiny blocks put a block cut
+        # after every parent
+        expect = {(family, horizon): pruned_reference(ab, family, horizon)
+                  for family in bispecial._families(ab)
+                  for horizon in (0, 7, 40, 150, 260)}
+        spelled = []
+        monkeypatch.setattr(bispecial, "_child_blocks", recording_blocks(spelled))
+        for slice_bytes in (None, 1, 2, 3, 5):
+            if slice_bytes is not None:
+                monkeypatch.setattr(words, "_SLICE", slice_bytes)
+            for (family, horizon), (hist, children) in expect.items():
+                spelled.clear()
+                got = bispecial._pruned_word_histogram(ab, family, horizon)
+                assert got == hist, (family, horizon, slice_bytes)
+                assert sorted(spelled) == sorted(children), \
+                    (family, horizon, slice_bytes)
+
+    @pytest.mark.parametrize("ab", [AB13, Alphabet(3, 5), Alphabet(1, 5),
+                                    Alphabet(5, 9), Alphabet(1, 9), AB24])
+    def test_state_walk_matches_the_merged_states(self, ab):
+        # over odd letters a level is a flat list, one state a vertex, with
+        # nothing merged; the Counter merge of the reference gives the same
+        # lengths level by level, pruned or not
+        for family in FAMILIES:
+            for horizon in (0, 9, 60, 400, 2000, math.inf):
+                got = bispecial._state_levels(ab, family, horizon)
+                want = merged_state_levels(ab, family, horizon)
+                if horizon == math.inf:
+                    got, want = islice(got, 13), islice(want, 13)
+                assert list(map(Counter, got)) == list(want), \
+                    (ab, family, horizon)
 
     @pytest.mark.parametrize("ab", [AB12, AB13, AB14, AB24, Alphabet(2, 5),
                                     Alphabet(1, 6), Alphabet(3, 5)])

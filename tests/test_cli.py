@@ -268,17 +268,19 @@ class TestComplexity:
 
     @pytest.mark.parametrize("tree_only", [[], ["--tree-only"]])
     def test_horizon_above_cap_exits_3(self, tree_only):
-        code, out, err = run_cli("complexity", "--max", "1000000000",
-                                 *tree_only)
-        assert code == 3
-        assert out == ""
-        assert "cap" in err
+        # the table goes to --max + 2, so the cap on --max is 2 below the
+        # horizon's, and the refusal names the number typed
+        for horizon in ("99999", "1000000000"):
+            code, out, err = run_cli("complexity", "--max", horizon, *tree_only)
+            assert code == 3
+            assert out == ""
+            assert err == f"error: --max {horizon} above cap 99998\n"
 
     def test_tree_walk_budget_is_checked_before_any_level(self, monkeypatch):
         from smoothwords import bispecial
 
-        # building a level would call None
-        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        # spelling a level would call None
+        monkeypatch.setattr(bispecial, "_spell", None)
         code, out, err = run_cli("complexity", "--max", "1525", "--tree-only")
         assert code == 3
         assert out == ""
@@ -343,8 +345,7 @@ class TestTree:
         from smoothwords import bispecial
 
         # building a level would call None on either route
-        monkeypatch.setattr(bispecial, "_root_states", None)
-        monkeypatch.setattr(bispecial, "_primitive_bytes", None)
+        monkeypatch.setattr(bispecial, "_state_levels", None)
         monkeypatch.setattr(bispecial, "_spell", None)
         code, out, err = run_cli(*argv)
         assert code == 3

@@ -239,7 +239,7 @@ def assert_matches_definitions(w):
         assert [c.letters for c in cert.chain] == chain
         assert cert.height == len(chain) - 1
     assert is_r_smooth(w) == (not ref_walk(letters, ab, "r")[-1])
-    for depth in range(-3, 7):
+    for depth in range(7):
         assert check_smooth_depth(w, depth) == ref_depth(letters, ab, depth)
 
 

@@ -7,6 +7,7 @@ from smoothwords import (
     Alphabet,
     ConstructionError,
     ResourceCapError,
+    UsageError,
     build_smooth_from_r,
     check_smooth_depth,
     coupled_pair_prefix,
@@ -216,6 +217,12 @@ class TestDepthCheck:
 
     def test_empty_fails(self):
         assert not check_smooth_depth(AB12.empty(), 1)
+
+    def test_negative_depth_is_refused(self):
+        # it read as depth 0, which every word survives
+        for depth in (-1, -3):
+            with pytest.raises(UsageError, match="depth must be nonnegative"):
+                check_smooth_depth(AB12.word("12"), depth)
 
 
 @given(st.integers(min_value=1, max_value=400))
