@@ -31,25 +31,26 @@ even letters it holds at most two states, merged with their multiplicities.
 A materialized level is spelled a block of parents at a time, not one
 `primitive` per child: the exponents a, w1, a, a, w2, a, ... of a block go
 through one run-spelling call, and the text is cut at the children's
-lengths, 2a + sum(w) each.  A segment whose exponents start at an odd index
-spells the b-first child instead of the a-first one; either way its sibling
-is its complement, the letters swapped, so one swap of the whole block gives
-the other half of the level.
+lengths, 2a + sum(w) each.  Each child's sibling is its complement, the
+letters swapped, so one swap of the whole block gives the other half of the
+level.
 
 The complexity walk stops at its horizon: both children of a vertex w have
 length 2a + sum(w), so a vertex whose children pass the horizon is not
 expanded.  Over one parity it is the state walk, pruned.  Over a mixed
-alphabet a child is kept only when its own children are within the horizon,
-which its parent's letter sums tell; the parents with a child kept are
-spelled in blocks as above.  The unpruned level walks behind
+alphabet only the parents with a child whose own children are within the
+horizon, which their letter sums tell, are spelled in blocks as above, and
+of their children those within it are kept.  The unpruned level walks behind
 `tree_generation` and `generation_stats` remain, with their size budgets,
-as the oracle the pruned walks are tested against.
+as the oracle the pruned walks are tested against.  The complexity is linear
+in the length histograms, so the side families' are summed with their signs
+and counted once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import accumulate, compress, islice
+from itertools import accumulate, islice
 from math import inf, log
 from operator import add, sub
 from typing import Iterator, Optional
@@ -243,22 +244,21 @@ def _about(n: int) -> str:
     return f"{lead[0]}.{lead[1:3]}e{len(digits) + len(lead) - 4}"
 
 
-def _child_blocks(parents: list[bytes], a: int,
-                  b: int) -> Iterator[tuple[Iterator[bytes], Iterator[bytes]]]:
-    """Each parent's two children, spelled a block of about `words._SLICE`
-    parent letters at a time: one `_spell` call and one swap of the letters
-    a block (see the module docstring).  Yields, for each block, its children
-    cut from the spelled text and those cut from its swap; the i-th of each
-    are parent i's children, the a-first one in either."""
+def _children(parents: list[bytes], a: int, b: int) -> list[bytes]:
+    """Both children of every parent, in no promised order, spelled a block
+    of about `words._SLICE` parent letters at a time: one `_spell` call and
+    one swap of the letters a block (see the module docstring)."""
     swap = _swap_table(a, b)
     edge, seam = bytes((a,)), bytes((a, a))
+    children = []
     for block in _blocks(parents):
         spelled = _spell(edge + seam.join(block) + edge, a, b)
         ends = list(accumulate([2 * a + a * len(w) + (b - a) * w.count(b)
                                 for w in block]))
         cuts = list(map(slice, [0, *ends], ends))
-        yield (map(spelled.__getitem__, cuts),
-               map(spelled.translate(swap).__getitem__, cuts))
+        children += map(spelled.__getitem__, cuts)
+        children += map(spelled.translate(swap).__getitem__, cuts)
+    return children
 
 
 def _word_level(alphabet: Alphabet, family: str, generation: int) -> list[bytes]:
@@ -267,7 +267,7 @@ def _word_level(alphabet: Alphabet, family: str, generation: int) -> list[bytes]
     (len(root) + 4a / d) * (a + b)^g with d = a + b - 2, grows with g, so
     checking the level asked for covers every level built on the way.
 
-    Each level is spelled by `_child_blocks`, so a spelled text holds one
+    Each level is spelled by `_children`, so a spelled text holds one
     block's children at most.  The words are those of two `primitive` calls
     per parent, in another order."""
     _check_size("generation", generation, MAX_GENERATION)
@@ -283,11 +283,7 @@ def _word_level(alphabet: Alphabet, family: str, generation: int) -> list[bytes]
         )
     level = [root]
     for _ in range(generation):
-        children = []
-        for spelled, swapped in _child_blocks(level, a, b):
-            children += spelled
-            children += swapped
-        level = children
+        level = _children(level, a, b)
     return level
 
 
@@ -483,40 +479,39 @@ def _pruned_word_histogram(alphabet: Alphabet, family: str,
     Both children of w have length 2a + sum(w).  With S1 and S2 the sums of
     the letters of w at even and odd indices, the child with first letter x
     (other letter y) has letter sum a*x + y*S1 + x*S2 + a*(x if len(w) is odd
-    else y), so its children's length is known before it is spelled: a child
-    whose children pass the horizon is counted by its length alone.  The
-    parents with a child kept are spelled by `_child_blocks`.
+    else y), so a parent whose two children both have children past the
+    horizon is not spelled: its children are counted by their length alone.
+    The other parents are spelled by `_children`.  Where only one child of a
+    parent has its children within the horizon, the one kept is told by its
+    own letter sum; counting that for every child would cost {1,2} about 5 %.
     """
     a, b = alphabet.a, alphabet.b
+    limit = horizon - 2 * a
     root = family_root(alphabet, family).letters
     hist = Counter([len(root)])
     level = [root]
     while level:
-        parents, wanted = [], []
+        both, one = [], []
         for w in level:
             even, odd = w[0::2], w[1::2]
             s1 = a * len(even) + (b - a) * even.count(b)
             s2 = a * len(odd) + (b - a) * odd.count(b)
             hist[2 * a + s1 + s2] += 2
             last_a, last_b = (a, b) if len(w) & 1 else (b, a)
-            keep = (2 * a + a * a + b * s1 + a * s2 + a * last_a <= horizon,
-                    2 * a + a * b + a * s1 + b * s2 + a * last_b <= horizon)
-            if any(keep):
-                parents.append(w)
-                wanted.append(keep)
-        level = []
-        wanted = iter(wanted)
-        for spelled, swapped in _child_blocks(parents, a, b):
-            for pair in zip(spelled, swapped):
-                if pair[0][0] != a:  # the segment spelled the b-first child
-                    pair = pair[::-1]
-                level += compress(pair, next(wanted))
+            sums = (a * a + b * s1 + a * s2 + a * last_a,
+                    a * b + a * s1 + b * s2 + a * last_b)  # of the children
+            if max(sums) <= limit:
+                both.append(w)
+            elif min(sums) <= limit:
+                one.append(w)
+        level = _children(both, a, b)
+        level += [c for c in _children(one, a, b)
+                  if a * len(c) + (b - a) * c.count(b) <= limit]
     return hist
 
 
-def tree_complexity(alphabet: Alphabet, family: str,
-                    horizon: int) -> tuple[int, ...]:
-    """Count array p of one family's vertices by length up to the horizon.
+def _family_histogram(alphabet: Alphabet, family: str, horizon: int) -> Counter:
+    """Length histogram of one family's vertices, complete up to the horizon.
 
     The walk stops at the horizon: both children of a vertex w have length
     2a + sum(w), longer than w, so a vertex whose children pass the horizon
@@ -525,9 +520,7 @@ def tree_complexity(alphabet: Alphabet, family: str,
     of parents at a time with a two-level length lookahead.  The horizon is
     refused before any work when the materialized walk would grow past its
     budget.  The unpruned level walks of `tree_generation` and
-    `generation_stats` are the oracle the tests compare this walk with.  The
-    count array is linear in the histogram, so it is counted once from the
-    summed lengths.
+    `generation_stats` are the oracle the tests compare this walk with.
     """
     _check_size("horizon", horizon, MAX_HORIZON)
     if alphabet.parity is Parity.MIXED:
@@ -540,11 +533,17 @@ def tree_complexity(alphabet: Alphabet, family: str,
                 f"grows like horizon^{exponent:.4f} = {growth:,.0f}, above the "
                 f"budget of {MIXED_WALK_LIMIT:,}"
             )
-        hist = _pruned_word_histogram(alphabet, family, horizon)
-    else:
-        hist = Counter()
-        for lengths in _state_levels(alphabet, family, horizon):
-            hist.update(lengths)
+        return _pruned_word_histogram(alphabet, family, horizon)
+    hist = Counter()
+    for lengths in _state_levels(alphabet, family, horizon):
+        hist.update(lengths)
+    return hist
+
+
+def tree_complexity(alphabet: Alphabet, family: str,
+                    horizon: int) -> tuple[int, ...]:
+    """Count array p of one family's vertices by length up to the horizon."""
+    hist = _family_histogram(alphabet, family, horizon)
     return _complexity_counts(hist, horizon)
 
 
@@ -562,10 +561,10 @@ class ComplexityTable(_Record):
 def _table(alphabet: Alphabet, horizon: int, p: tuple[int, ...],
            p_T: tuple[int, ...], provenance: str) -> ComplexityTable:
     """Complete p with its differences and the bounds from the T-tree's p_T."""
-    s = tuple(p[n + 1] - p[n] for n in range(horizon))
-    b = tuple(s[n + 1] - s[n] for n in range(horizon - 1))
-    lower = tuple(1 + n + p_T[n] for n in range(horizon + 1))
-    upper = tuple(1 + n + 3 * p_T[n] for n in range(horizon + 1))
+    s = tuple(map(sub, p[1:], p))
+    b = tuple(map(sub, s[1:], s))
+    lower = tuple(map(add, range(1, horizon + 2), p_T))
+    upper = tuple(map(add, lower, map(add, p_T, p_T)))
     return ComplexityTable(alphabet, horizon, p, s, b, lower, upper, provenance)
 
 
@@ -575,11 +574,19 @@ def tree_derived_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable
     With consecutive letters the empty-rooted tree is everything:
     p(n) = 1 + n + p_T(n).  Otherwise the two strong families add and the
     two weak families subtract: p(n) = 1 + n + p_T + p_T1 + p_T2 - p_T3 - p_T4.
-    Both identities are exact, not bounds.
+    Both identities are exact, not bounds.  The side families' histograms
+    are summed with their signs, and that sum is counted once beside p_T.
     """
     p_T = tree_complexity(alphabet, "T", horizon)
-    p = range(1, horizon + 2)  # 1 + n
-    for family in _families(alphabet):
-        counts = p_T if family == "T" else tree_complexity(alphabet, family, horizon)
-        p = map(add if family_multiplicity(family) > 0 else sub, p, counts)
+    p = map(add, range(1, horizon + 2), p_T)  # 1 + n + p_T
+    sides = _families(alphabet)[1:]
+    if sides:
+        signed = Counter()
+        for family in sides:
+            hist = _family_histogram(alphabet, family, horizon)
+            if family_multiplicity(family) > 0:
+                signed.update(hist)
+            else:
+                signed.subtract(hist)
+        p = map(add, p, _complexity_counts(signed, horizon))
     return _table(alphabet, horizon, tuple(p), p_T, "tree-derived")

@@ -125,7 +125,7 @@ def _criterion(number: int, name: str, alphabets: Iterable[tuple[int, int]]):
                 if len(failures) > 4:
                     detail += f"; and {len(failures) - 4} more"
             return CheckResult(number, name, not failures, detail,
-                               time.perf_counter() - started)
+                               round(time.perf_counter() - started, 12))
 
         check.__name__ = check.__qualname__ = body.__name__
         check.__doc__ = body.__doc__

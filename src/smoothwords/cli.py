@@ -44,23 +44,13 @@ def _parse_alphabet(text: str) -> Alphabet:
     return Alphabet(min(x, y), max(x, y))
 
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return round(obj, 12)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
-
-
 def _emit(fmt: str, payload: dict, header: list[str], rows: Iterable,
           lines: Iterable[str]) -> None:
     """Print one record: `payload` as JSON, `header` and `rows` as CSV with
     LF endings, or `lines` as text; each is written as it is read, so an
     iterator of rows or lines is read only by the format that prints it."""
     if fmt == "json":
-        json.dump(_round_floats(payload), sys.stdout, indent=2, ensure_ascii=False)
+        json.dump(payload, sys.stdout, indent=2, ensure_ascii=False)
         sys.stdout.write("\n")
     elif fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -238,8 +228,9 @@ def _cmd_exponents(args, alphabet: Alphabet) -> int:
     rep = smoothwords.spectral.exponent_report(alphabet)
     values = {f: getattr(rep, f) for f in _REPORT_FIELDS}
     fixed = {f: None if v is None else f"{v:.12f}" for f, v in values.items()}
+    rounded = {f: None if v is None else round(v, 12) for f, v in values.items()}
     _emit(args.format,
-          {"alphabet": str(alphabet), **values, "formulas": rep.formulas},
+          {"alphabet": str(alphabet), **rounded, "formulas": rep.formulas},
           ["field", "value", "formula"],
           [[f, fixed[f] or "", rep.formulas[f]] for f in _REPORT_FIELDS],
           [f"{f} = {fixed[f] or 'n/a'}" for f in _REPORT_FIELDS])
@@ -255,8 +246,7 @@ def _cmd_verify(args, alphabet: Optional[Alphabet]) -> int:
     records = [{f: getattr(r, f) for f in _VERIFY_FIELDS} for r in results]
     _emit(args.format, {"suite": args.suite, "results": records},
           list(_VERIFY_FIELDS),
-          [[r.criterion, r.name, str(r.passed).lower(), r.detail,
-            round(r.elapsed, 12)]
+          [[r.criterion, r.name, str(r.passed).lower(), r.detail, r.elapsed]
            for r in results],
           [r.line() for r in results])
     return 0 if all(r.passed for r in results) else 1

@@ -19,8 +19,8 @@ from .errors import ResourceCapError, _check_size
 from .words import Alphabet, Word
 
 
-# Most nodes the tries of all alphabets may hold together: about 19 bytes a
-# node, so {1,2} alone stops after length 189 at 89 MB peak RSS.
+# Most nodes the tries of all alphabets may hold together: about 18 bytes a
+# node, so {1,2} alone stops after length 189 at 85 MB peak RSS.
 TRIE_NODE_LIMIT = 1 << 22
 
 
@@ -56,10 +56,10 @@ class _Trie:
     child of w without its last letter.  Levels are built in order, a-child
     before b-child, so the nodes of length n are the ids offsets[n] to
     offsets[n + 1] - 1 in lexicographic order.  Besides its children and
-    parent, a node stores the letter and exponent of its last run, whether
-    that run is its only one, and `inner`: the node of its derivative
-    without the last run's cut (cut of the first run, then the interior
-    exponents; the root for a single run).
+    parent, a node stores the letter and exponent of its last run and
+    `inner`: the node of its derivative without the last run's cut (cut of
+    the first run, then the interior exponents; the root for a single run).
+    A node of length n is one run exactly when that exponent is n.
 
     Membership of a child w + x is one lookup: the derivative D(w + x) is
     shorter than w + x and the language is factorial, so w + x is f-smooth
@@ -74,7 +74,6 @@ class _Trie:
         self.parent = array("i", (-1, 0, 0))
         self.letter = array("B", (0, a, b))
         self.exponent = array("B", (0, 1, 1))
-        self.single = array("B", (0, 1, 1))
         self.inner = array("i", (0, 0, 0))
 
     def grow(self, n: int) -> None:
@@ -84,14 +83,14 @@ class _Trie:
         while len(offsets) <= n + 1:
             lo, hi = offsets[-2], offsets[-1]
             _check_level(self.alphabet, len(offsets) - 1, hi, hi - lo)
-            self._build(lo, hi)
+            self._build(lo, hi, len(offsets) - 2)
             offsets.append(len(self.parent))
 
-    def _build(self, lo: int, hi: int) -> None:
-        """Append the children of nodes lo .. hi - 1 (one whole level)."""
+    def _build(self, lo: int, hi: int, n: int) -> None:
+        """Append the children of nodes lo .. hi - 1, the level of length n."""
         a, b = self.alphabet.a, self.alphabet.b
         parent, letter, exponent = self.parent, self.letter, self.exponent
-        single, inner, child = self.single, self.inner, self.child
+        inner, child = self.inner, self.child
         ca, cb = child[a], child[b]
         node = hi
         for w in range(lo, hi):
@@ -100,7 +99,7 @@ class _Trie:
             same = up if e < a else cb[up] if e < b else -1
             # a new run starts: D = inner + e (e now interior), or cut(e)
             # when w is one run; the new run's cut(1) is empty
-            if single[w]:
+            if e == n:
                 new = 0 if e <= a else 2
             else:
                 new = ca[up] if e == a else cb[up] if e == b else -1
@@ -113,11 +112,9 @@ class _Trie:
                 letter.append(x)
                 if x == c:
                     exponent.append(e + 1)
-                    single.append(single[w])
                     inner.append(up)
                 else:
                     exponent.append(1)
-                    single.append(0)
                     inner.append(d)
         ca.extend(repeat(-1, node - hi))
         cb.extend(repeat(-1, node - hi))

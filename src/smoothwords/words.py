@@ -320,6 +320,9 @@ class Word(_Record):
 
     # The hottest constructor: it checks the letters and writes both fields itself.
     def __init__(self, alphabet: Alphabet, letters: bytes):
+        if type(letters) is not bytes:
+            raise UsageError(
+                f"word letters must be bytes, got {type(letters).__name__}")
         rest = letters.translate(None, bytes([alphabet.a, alphabet.b]))
         if rest:
             raise UsageError(f"letter {rest[0]} not in alphabet {alphabet}")

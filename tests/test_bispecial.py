@@ -2,7 +2,7 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import chain, count, islice, product
+from itertools import count, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,15 +69,14 @@ def tree_vertices(ab, generations):
 
 
 def recording_blocks(spelled):
-    """`bispecial._child_blocks`, also listing in `spelled` every child it
-    yields."""
-    blocks = bispecial._child_blocks
+    """`bispecial._children`, also listing in `spelled` every child it
+    returns."""
+    children = bispecial._children
 
     def recorded(*args):
-        for texts in blocks(*args):
-            texts = [list(children) for children in texts]
-            spelled.extend(chain.from_iterable(texts))
-            yield texts
+        level = children(*args)
+        spelled.extend(level)
+        return level
 
     return recorded
 
@@ -101,6 +100,16 @@ def pruned_reference(ab, family, horizon):
             kept += within
         level = kept
     return hist, spelled
+
+
+def reference_columns(p, p_T, horizon):
+    """The differences and bounds of a complexity table by their index-loop
+    definitions."""
+    s = tuple(p[n + 1] - p[n] for n in range(horizon))
+    b = tuple(s[n + 1] - s[n] for n in range(horizon - 1))
+    lower = tuple(1 + n + p_T[n] for n in range(horizon + 1))
+    upper = tuple(1 + n + 3 * p_T[n] for n in range(horizon + 1))
+    return s, b, lower, upper
 
 
 def merged_state_levels(ab, family, horizon):
@@ -657,6 +666,26 @@ class TestComplexity:
         assert (tree_derived_complexity(ab, 120).p
                 == exact_complexity(ab, 120).p)
 
+    @pytest.mark.parametrize("ab", [AB14, Alphabet(2, 5), Alphabet(3, 5),
+                                    Alphabet(2, 6), Alphabet(1, 6),
+                                    Alphabet(7, 200)])
+    def test_signed_sum_matches_each_family_counted_alone(self, ab):
+        # the side families' histograms are summed with their signs and
+        # counted once; counting each family alone must give the same p, and
+        # the columns must match their index-loop definitions
+        roots = {len(root) for root in bispecial._roots(ab).values()}
+        horizons = {0, 1, 300, 1500} | {n + d for n in roots for d in (-1, 1)}
+        for horizon in sorted(horizons - {-1}):
+            counts = {family: tree_complexity(ab, family, horizon)
+                      for family in bispecial._families(ab)}
+            table = tree_derived_complexity(ab, horizon)
+            assert table.p == tuple(
+                1 + n + sum(bispecial.family_multiplicity(family) * p[n]
+                            for family, p in counts.items())
+                for n in range(horizon + 1)), horizon
+            assert (table.s, table.b, table.lower, table.upper) == \
+                reference_columns(table.p, counts["T"], horizon), horizon
+
     def test_each_level_is_built_once(self, monkeypatch):
         # the walk spells both children of each vertex that has a child whose
         # own children, of length 2a + sum(w), are within the horizon, each
@@ -667,7 +696,7 @@ class TestComplexity:
                                     (Alphabet(2, 5), "T1", 400),
                                     (Alphabet(1, 6), "T2", 500)):
             spelled.clear()
-            monkeypatch.setattr(bispecial, "_child_blocks",
+            monkeypatch.setattr(bispecial, "_children",
                                 recording_blocks(spelled))
             tree_complexity(ab, family, horizon)
             monkeypatch.undo()
@@ -714,14 +743,14 @@ class TestComplexity:
     @pytest.mark.parametrize("ab", [AB12, AB14, Alphabet(2, 3), Alphabet(2, 5),
                                     Alphabet(1, 6)])
     def test_mixed_walk_matches_per_vertex_primitive(self, ab, monkeypatch):
-        # parents are spelled a block at a time and each child's first letter
-        # tells which text holds its a-first one; tiny blocks put a block cut
-        # after every parent
+        # parents are spelled a block at a time, each block's children from
+        # its text and its swap; tiny blocks put a block cut after every
+        # parent
         expect = {(family, horizon): pruned_reference(ab, family, horizon)
                   for family in bispecial._families(ab)
                   for horizon in (0, 7, 40, 150, 260)}
         spelled = []
-        monkeypatch.setattr(bispecial, "_child_blocks", recording_blocks(spelled))
+        monkeypatch.setattr(bispecial, "_children", recording_blocks(spelled))
         for slice_bytes in (None, 1, 2, 3, 5):
             if slice_bytes is not None:
                 monkeypatch.setattr(words, "_SLICE", slice_bytes)

@@ -121,8 +121,8 @@ class TestTrieAgainstOracle:
         f_smooth_count(AB12, 10)
         trie = smoothness._TRIES[AB12]
         nodes, offsets = len(trie.parent), list(trie.offsets)
-        columns = (trie.parent, trie.letter, trie.exponent, trie.single,
-                   trie.inner, *trie.child.values())
+        columns = (trie.parent, trie.letter, trie.exponent, trie.inner,
+                   *trie.child.values())
         before = [column[:] for column in columns]
         bound = 2 * f_smooth_count(AB12, 10)
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound - 1)

@@ -7,6 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from smoothwords import Alphabet, Parity, Word
 from smoothwords import words
+from smoothwords.errors import UsageError
 from smoothwords.generators import _STEP_RUNS
 from smoothwords.words import _bytes_runs, _spell
 
@@ -71,6 +72,16 @@ class TestAlphabet:
             with pytest.raises(ValueError,
                                match=rf"^letter {bad} not in alphabet \{{1,2\}}$"):
                 ab.word(letters)
+
+    def test_word_refuses_letters_that_are_not_bytes(self):
+        # a bytearray would give a mutable, unhashable word; the others would
+        # fail inside the letter check with an error that is not a UsageError
+        ab = Alphabet(1, 2)
+        for letters in (bytearray(b"\2\2\1\1"), [2, 2, 1, 1], "2211",
+                        memoryview(b"\2\2\1\1")):
+            with pytest.raises(UsageError, match=(
+                    f"^word letters must be bytes, got {type(letters).__name__}$")):
+                Word(ab, letters)
 
 
 class TestWord:
