@@ -555,10 +555,10 @@ class TestMultiplicitySums:
 
     def test_length_past_the_default_cap_is_refused(self, monkeypatch):
         # the trie grows to n + 2, so n = 188 needs level 190 over {1,2}
-        monkeypatch.setattr(smoothness, "_TRIES", {})
+        monkeypatch.setattr(smoothness, "_LANGUAGES", {})
         with pytest.raises(ResourceCapError, match=r"^level 190 of the "):
             bispecial_multiplicity_sum(AB12, 188)
-        assert smoothness._TRIES == {}
+        assert smoothness._LANGUAGES == {}
         with pytest.raises(ValueError, match="nonnegative, got -1"):
             bispecial_multiplicity_sum(AB12, -1)
 
@@ -824,16 +824,17 @@ class TestComplexity:
 
     def test_enumeration_horizon_is_refused_before_any_work(self, monkeypatch):
         def unreachable(*args, **kwargs):
-            raise AssertionError("a trie level was built before the budget check")
+            raise AssertionError("a level was walked before the budget check")
 
-        monkeypatch.setattr(smoothness, "_TRIES", {})
+        monkeypatch.setattr(smoothness, "_LANGUAGES", {})
         monkeypatch.setattr(smoothness._Trie, "_build", unreachable)
+        monkeypatch.setattr(smoothness._Automaton, "_expand", unreachable)
         with pytest.raises(ResourceCapError, match=re.escape(
                 "level 190 of the f-smooth words over {1,2} could add "
                 "157,020 trie nodes to 4,039,361, above the budget of "
                 "4,194,304")):
             exact_complexity(AB12, 190)
-        assert smoothness._TRIES == {}
+        assert smoothness._LANGUAGES == {}
 
     def test_provenance_labels(self):
         assert exact_complexity(AB12, 3).provenance == "enumeration"

@@ -40,19 +40,22 @@ LEVEL_190 = ("error: level 190 of the f-smooth words over {1,2} could add "
 
 def refused_before_any_level(monkeypatch, argv):
     """The stderr of a command that must exit 3 before the enumeration trie
-    builds a level."""
+    builds a level or the automaton works out a state."""
     from smoothwords import smoothness
 
     def unreachable(*args):
-        raise AssertionError("a trie level was built before the budget check")
+        raise AssertionError("a level was walked before the budget check")
 
-    tries = dict(smoothness._TRIES)
-    levels = {ab: list(trie.offsets) for ab, trie in tries.items()}
+    languages = dict(smoothness._LANGUAGES)
+    levels = {ab: (list(x.trie.offsets), len(x.p), len(x.letter))
+              for ab, x in languages.items()}
     monkeypatch.setattr(smoothness._Trie, "_build", unreachable)
+    monkeypatch.setattr(smoothness._Automaton, "_expand", unreachable)
     code, out, err = run_cli(*argv)
     assert (code, out) == (3, "")
-    assert smoothness._TRIES == tries
-    assert {ab: trie.offsets for ab, trie in tries.items()} == levels
+    assert smoothness._LANGUAGES == languages
+    assert {ab: (x.trie.offsets, len(x.p), len(x.letter))
+            for ab, x in languages.items()} == levels
     return err
 
 

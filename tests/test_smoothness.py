@@ -9,11 +9,13 @@ from smoothwords import (
     ResourceCapError,
     derive_f,
     enumerate_f_smooth,
+    exact_complexity,
     f_smooth_count,
     is_f_smooth,
     is_r_smooth,
     left_extensions,
     right_extensions,
+    tree_derived_complexity,
 )
 from smoothwords import smoothness
 from smoothwords.derivation import _F, _is_smooth_bytes
@@ -93,6 +95,11 @@ class TestEnumeration:
                 assert is_f_smooth(w) is not None
 
 
+def size(language):
+    """An alphabet's share of the node budget: its states and trie nodes."""
+    return len(language.letter) + len(language.trie.parent)
+
+
 class TestTrieAgainstOracle:
     """The derivative trie against from-scratch derivation chains."""
 
@@ -117,12 +124,12 @@ class TestTrieAgainstOracle:
                       if _is_smooth_bytes(w + bytes([c]), a, b, _F)]
 
     def test_node_budget_refuses_before_building(self, monkeypatch):
-        monkeypatch.setattr(smoothness, "_TRIES", {})
-        f_smooth_count(AB12, 10)
-        trie = smoothness._TRIES[AB12]
+        monkeypatch.setattr(smoothness, "_LANGUAGES", {})
+        enumerate_f_smooth(AB12, 10)
+        automaton = smoothness._LANGUAGES[AB12]
+        trie = automaton.trie
         nodes, offsets = len(trie.parent), list(trie.offsets)
-        columns = (trie.parent, trie.letter, trie.exponent, trie.inner,
-                   *trie.child.values())
+        columns = (trie.parent, trie.letter, trie.state, *trie.child.values())
         before = [column[:] for column in columns]
         bound = 2 * f_smooth_count(AB12, 10)
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound - 1)
@@ -130,12 +137,12 @@ class TestTrieAgainstOracle:
                 f"level 11 of the f-smooth words over {{1,2}} could add "
                 f"{bound} trie nodes to {nodes}, above the budget of "
                 f"{nodes + bound - 1}")):
-            f_smooth_count(AB12, 11)
-        assert smoothness._TRIES == {AB12: trie}
+            enumerate_f_smooth(AB12, 11)
+        assert smoothness._LANGUAGES == {AB12: automaton}
         assert trie.offsets == offsets
         assert list(columns) == before
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound)
-        assert f_smooth_count(AB12, 11) == 62
+        assert len(enumerate_f_smooth(AB12, 11)) == 62
 
     @pytest.mark.parametrize("limit", [3_000, 40_000])
     @pytest.mark.parametrize("a,b", [(1, 2), (2, 3), (1, 3), (2, 4), (3, 8),
@@ -145,10 +152,10 @@ class TestTrieAgainstOracle:
         # the reference: the trie grown one level at a time until it refuses
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", limit)
         ab = Alphabet(a, b)
-        trie = smoothness._Trie(ab)
+        automaton = smoothness._Automaton(ab)
         for level in count(2):
             try:
-                trie.grow(level)
+                automaton.trie.grow(level, automaton)
             except ResourceCapError as exc:
                 refusal = str(exc)
                 break
@@ -167,11 +174,11 @@ class TestTrieAgainstOracle:
             smoothness._check_budget(ab, level)
 
     def test_interrupted_growth_leaves_no_trie(self, monkeypatch):
-        monkeypatch.setattr(smoothness, "_TRIES", {})
-        f_smooth_count(AB12, 12)
-        f_smooth_count(AB13, 10)
-        other = smoothness._TRIES[AB12]
-        offsets, nodes = list(other.offsets), len(other.parent)
+        monkeypatch.setattr(smoothness, "_LANGUAGES", {})
+        enumerate_f_smooth(AB12, 12)
+        enumerate_f_smooth(AB13, 10)
+        other = smoothness._LANGUAGES[AB12]
+        offsets, nodes = list(other.trie.offsets), len(other.trie.parent)
 
         def interrupted(*args):  # called once the level's nodes are appended
             raise KeyboardInterrupt
@@ -179,34 +186,107 @@ class TestTrieAgainstOracle:
         with monkeypatch.context() as patch:
             patch.setattr(smoothness, "repeat", interrupted)
             with pytest.raises(KeyboardInterrupt):
-                f_smooth_count(AB13, 11)
-        assert smoothness._TRIES == {AB12: other}
-        assert (other.offsets, len(other.parent)) == (offsets, nodes)
+                enumerate_f_smooth(AB13, 11)
+        assert smoothness._LANGUAGES == {AB12: other}
+        assert (other.trie.offsets, len(other.trie.parent)) == (offsets, nodes)
         assert [w.letters for w in enumerate_f_smooth(AB13, 12)] == [
             bytes(w) for w in product((1, 3), repeat=12)
             if _is_smooth_bytes(bytes(w), 1, 3, _F)]
 
     def test_tries_of_all_alphabets_share_the_budget(self, monkeypatch):
         ab23 = Alphabet(2, 3)
-        monkeypatch.setattr(smoothness, "_TRIES", {})
+        monkeypatch.setattr(smoothness, "_LANGUAGES", {})
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", 3_000)
         words = enumerate_f_smooth(AB12, 20)
-        kept = smoothness._TRIES[AB12]
-        f_smooth_count(ab23, 10)
-        assert len(kept.parent) + len(smoothness._TRIES[ab23].parent) <= 3_000
-        tries = dict(smoothness._TRIES)
-        levels = {ab: list(trie.offsets) for ab, trie in tries.items()}
+        kept = smoothness._LANGUAGES[AB12]
+        enumerate_f_smooth(ab23, 10)
+        assert size(kept) + size(smoothness._LANGUAGES[ab23]) <= 3_000
+        languages = dict(smoothness._LANGUAGES)
+        levels = {ab: list(x.trie.offsets) for ab, x in languages.items()}
         # refused by the budget of {1,3} alone: nothing is evicted
         with pytest.raises(ResourceCapError, match=r"words over \{1,3\} could add"):
-            f_smooth_count(AB13, 40)
-        assert smoothness._TRIES == tries
-        assert {ab: trie.offsets for ab, trie in tries.items()} == levels
-        # admitted alone, but not beside {1,2}: growing {2,3} evicts it
-        assert smoothness._check_budget(ab23, 30) + len(kept.parent) > 3_000
-        f_smooth_count(ab23, 30)
-        assert list(smoothness._TRIES) == [ab23]
+            enumerate_f_smooth(AB13, 40)
+        assert smoothness._LANGUAGES == languages
+        assert {ab: x.trie.offsets for ab, x in languages.items()} == levels
+        # admitted alone, but its trie and states (a state a word at most)
+        # could not fit beside {1,2}: growing {2,3} evicts it
+        assert 2 * smoothness._check_budget(ab23, 30) + size(kept) > 3_000
+        enumerate_f_smooth(ab23, 30)
+        assert list(smoothness._LANGUAGES) == [ab23]
         assert enumerate_f_smooth(AB12, 20) == words
-        assert smoothness._TRIES[AB12] is not kept
+        assert smoothness._LANGUAGES[AB12] is not kept
+
+    def test_counts_share_the_budget(self, monkeypatch):
+        ab23 = Alphabet(2, 3)
+        monkeypatch.setattr(smoothness, "_LANGUAGES", {})
+        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", 3_000)
+        words = enumerate_f_smooth(AB12, 20)
+        kept = smoothness._LANGUAGES[AB12]
+        assert f_smooth_count(AB12, 20) == len(words)  # its own states fit
+        assert smoothness._LANGUAGES[AB12] is kept
+        f_smooth_count(ab23, 12)
+        states = len(smoothness._LANGUAGES[ab23].letter)
+        assert size(kept) + states <= 3_000
+        languages = dict(smoothness._LANGUAGES)
+        # counts are refused as the trie would be, evicting nothing
+        with pytest.raises(ResourceCapError, match=r"words over \{1,3\} could add"):
+            f_smooth_count(AB13, 40)
+        assert smoothness._LANGUAGES == languages
+        # admitted alone, but its states could not fit beside {1,2}'s trie
+        assert smoothness._check_budget(ab23, 30) + size(kept) > 3_000
+        f_smooth_count(ab23, 30)
+        assert list(smoothness._LANGUAGES) == [ab23]
+        assert len(smoothness._LANGUAGES[ab23].trie.parent) == 3  # not spelled
+
+    def test_counts_build_no_trie_level(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a trie level was built to count words")
+
+        monkeypatch.setattr(smoothness, "_LANGUAGES", {})
+        monkeypatch.setattr(smoothness._Trie, "_build", unreachable)
+        for ab in (AB12, AB13, Alphabet(254, 255)):
+            f_smooth_count(ab, 30)
+            exact_complexity(ab, 60)
+            assert smoothness._LANGUAGES[ab].trie.offsets == [0, 1, 3]
+
+
+class TestAutomatonAgainstOracle:
+    """The automaton's counts against the trie and from-scratch derivation."""
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5),
+                                     (3, 8), (1, 255), (254, 255)])
+    def test_counts_match_the_trie_and_every_word_filtered(self, a, b):
+        ab = Alphabet(a, b)
+        counted, spelled = smoothness._Automaton(ab), smoothness._Automaton(ab)
+        counted.count(14)
+        spelled.trie.grow(14, spelled)
+        for n in range(15):
+            expect = sum(_is_smooth_bytes(bytes(w), a, b, _F)
+                         for w in product((a, b), repeat=n))
+            assert counted.p[n] == len(spelled.trie.level(n)) == expect, n
+
+    def test_words_of_one_state_are_counted_together(self):
+        # a state opening a run can have several parent states; walked from
+        # two of them as one level, the words of both add up on it
+        automaton = smoothness._Automaton(AB12)
+        automaton.count(20)
+        ca, cb = automaton.child[1], automaton.child[2]
+        parents = {}
+        for s in range(len(automaton.letter)):
+            for t in (ca[s], cb[s]):
+                if t >= 0:
+                    parents.setdefault(t, []).append(s)
+        t, (s1, s2) = next((t, ps[:2]) for t, ps in parents.items() if len(ps) > 1)
+        automaton.p, automaton.level = [None], {s1: 2, s2: 3}
+        automaton.count(1)
+        assert automaton.level[t] == 5
+        assert automaton.p[1] == sum(2 * (c >= 0) for c in (ca[s1], cb[s1])) + sum(
+            3 * (c >= 0) for c in (ca[s2], cb[s2]))
+
+    def test_counts_match_the_trees_to_150(self):
+        automaton = smoothness._Automaton(AB12)
+        automaton.count(150)
+        assert tuple(automaton.p) == tree_derived_complexity(AB12, 150).p
 
 
 class TestCubeFree:
