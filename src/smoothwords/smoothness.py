@@ -3,16 +3,18 @@ derivative reaches the empty word (`derivation` decides one word).
 
 The language is factorial and extendable, so its words grow one letter at a
 time.  The automaton `_Automaton` of each alphabet works out the children
-of each state of a word once: `f_smooth_count` and `exact_complexity` count
-the words a level at a time by state, and the trie `_Trie` that spells them
-for `enumerate_f_smooth` and `bispecial_multiplicity_sum` takes its
-children from it.  All alphabets share one budget.
+of each state of a word once.  `f_smooth_count` and `exact_complexity`
+count the words a level at a time by state; `enumerate_f_smooth` and
+`bispecial_multiplicity_sum` spell them a level at a time, each word with
+its state, on from the one level each alphabet keeps spelled.  All
+alphabets share one budget.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, compress, repeat
+from collections import Counter
+from itertools import accumulate, compress, cycle
 from operator import itemgetter
 
 from .bispecial import (MAX_HORIZON, ComplexityTable, _table, tree_complexity,
@@ -21,16 +23,16 @@ from .errors import ResourceCapError, _check_size
 from .words import Alphabet, Word
 
 
-# The budget of one alphabet's trie nodes (17 bytes each), and of all
-# alphabets' trie nodes and automaton states (22 bytes each) before another
-# grows: {1,2} stops after length 189, whose trie and 202,049 states peak at
-# 85 MB RSS.
+# The budget of the words of one alphabet up to a length, one node per word
+# as in a trie of them, and of all alphabets' automaton states and spelled
+# levels before another grows: {1,2} stops after length 189, whose 202,049
+# states and 78,510 spelled words peak at 70 MB RSS.
 TRIE_NODE_LIMIT = 1 << 22
 
 
 def _check_level(alphabet: Alphabet, level: int, nodes: int, words: int) -> None:
     """Refuse level `level` when two children for each of the `words` words
-    before it could take the trie's `nodes` nodes past TRIE_NODE_LIMIT."""
+    before it could take the `nodes` words up to it past TRIE_NODE_LIMIT."""
     if nodes + 2 * words > TRIE_NODE_LIMIT:
         raise ResourceCapError(
             f"level {level} of the f-smooth words over {alphabet} could add "
@@ -38,19 +40,20 @@ def _check_level(alphabet: Alphabet, level: int, nodes: int, words: int) -> None
             f"{TRIE_NODE_LIMIT:,}")
 
 
-def _check_budget(alphabet: Alphabet, n: int) -> int:
-    """Refuse, before any level is built, the first level up to n that
-    `_Trie.grow` would refuse, from the level sizes p(k) the bispecial trees
-    count exactly; else return the trie's node count once level n is built.
-    The count's horizon doubles from 64 up to n; as p(k) >= k + 1, the trie
-    passes its budget by level 2,895 over any alphabet."""
-    horizon, p = 0, (1, 2)  # the trie starts with the root and both letters
+def _check_budget(alphabet: Alphabet, n: int) -> tuple[int, ...]:
+    """Refuse, before any level is walked, the first level k up to n whose
+    words, two for each word of length k - 1, could take the words up to
+    length k past TRIE_NODE_LIMIT; else return the level sizes p(k) for k
+    up to n at least, which the bispecial trees count exactly.  The count's
+    horizon doubles from 64 up to n; as p(k) >= k + 1, the budget is passed
+    by level 2,895 over any alphabet."""
+    horizon, p = 0, (1, 2)
     while horizon < n:
         horizon = min(max(2 * horizon, 64), n)
         p = tree_derived_complexity(alphabet, horizon).p
         for level, nodes, words in zip(range(1, horizon + 1), accumulate(p), p):
             _check_level(alphabet, level, nodes, words)
-    return sum(p)
+    return p
 
 
 _UNSEEN = -2  # children of a state not yet worked out
@@ -66,7 +69,9 @@ class _Automaton:
     0 is the empty word, 1 and 2 the words a and b.  A state of exponent e >=
     2 has one parent state; the one opening a run of x after inner state d
     is `opened[x][d]`.  `p` counts the words of each length walked, `level`
-    those of the last by state.
+    those of the last by state.  `words` is the level spelled last, in
+    lexicographic order, and `states` their states.  `sizes` are the level
+    sizes up to the longest length the budget has admitted.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -78,7 +83,8 @@ class _Automaton:
                       b: array("i", (2, _UNSEEN, _UNSEEN))}
         self.opened = {a: array("i", (-1, -1, -1)), b: array("i", (-1, -1, -1))}
         self.p, self.level = [1, 2], {1: 1, 2: 1}
-        self.trie = _Trie(alphabet)  # no reference back: both go when dropped
+        self.words, self.states = [b""], [0]
+        self.sizes = (1, 2)
 
     def _add(self, x: int, e: int, up: int) -> int:
         """A new state: last run x^e, inner state `up`."""
@@ -118,15 +124,21 @@ class _Automaton:
             new = opened[new]
         self.child[c][s], self.child[x][s] = same, new
 
+    def _expand_level(self, states, firsts) -> None:
+        """Work out the children of a level's states, whose a-children are
+        `firsts`, where not yet worked out."""
+        ca = self.child[self.alphabet.a]
+        for s in compress(states, map(_UNSEEN.__eq__, firsts)):
+            if ca[s] == _UNSEEN:  # unless expanded since as an inner state
+                self._expand(s)
+
     def count(self, n: int) -> None:
         """Walk the levels up to length n, counting their words by state."""
         ca, cb = self.child[self.alphabet.a], self.child[self.alphabet.b]
         while len(self.p) <= n:
             # two states or more: the swap of a word ends in the other letter
             get = itemgetter(*self.level)
-            for s in compress(self.level, map(_UNSEEN.__eq__, get(ca))):
-                if ca[s] == _UNSEEN:  # unless expanded since as an inner state
-                    self._expand(s)
+            self._expand_level(self.level, get(ca))
             children, counts = get(ca) + get(cb), tuple(self.level.values()) * 2
             level = dict(zip(children, counts))
             level.pop(-1, None)
@@ -138,96 +150,27 @@ class _Automaton:
             self.level = level
             self.p.append(sum(level.values()))
 
-
-class _Trie:
-    """The f-smooth words of one alphabet as a trie of node ids.
-
-    Node 0 is the empty word; every other node is an f-smooth word w, the
-    child of w without its last letter.  Levels are built in order, a-child
-    before b-child, so the nodes of length n are the ids offsets[n] to
-    offsets[n + 1] - 1 in lexicographic order.  A node stores its children,
-    parent, last letter and automaton state, whose children are its own.
-    """
-
-    def __init__(self, alphabet: Alphabet):
-        a, b = alphabet.a, alphabet.b
-        self.alphabet = alphabet
-        self.offsets = [0, 1, 3]  # the root, then the words a and b
-        self.child = {a: array("i", (1, -1, -1)), b: array("i", (2, -1, -1))}
-        self.parent = array("i", (-1, 0, 0))
-        self.letter = array("B", (0, a, b))
-        self.state = array("i", (0, 1, 2))
-
-    def grow(self, n: int, automaton: _Automaton) -> None:
-        """Build every level up to length n from the automaton's states,
-        refusing a level that could take the trie past TRIE_NODE_LIMIT
-        before building it."""
-        offsets = self.offsets
-        while len(offsets) <= n + 1:
-            lo, hi = offsets[-2], offsets[-1]
-            _check_level(self.alphabet, len(offsets) - 1, hi, hi - lo)
-            self._build(lo, hi, automaton)
-            offsets.append(len(self.parent))
-
-    def _build(self, lo: int, hi: int, automaton: _Automaton) -> None:
-        """Append the children of nodes lo .. hi - 1."""
+    def spell(self, n: int) -> None:
+        """Spell the words of length n and their states, on from the level
+        spelled last unless that is longer, else from the empty word.  A
+        word's a-child comes before its b-child, and only the children with
+        a state are concatenated."""
         a, b = self.alphabet.a, self.alphabet.b
-        parent, letter, state = self.parent, self.letter, self.state
         ca, cb = self.child[a], self.child[b]
-        sa, sb = automaton.child[a], automaton.child[b]
-        node = hi
-        for w in range(lo, hi):
-            s = state[w]
-            if sa[s] == _UNSEEN:
-                automaton._expand(s)
-            if (t := sa[s]) >= 0:
-                ca[w] = node
-                node += 1
-                parent.append(w)
-                letter.append(a)
-                state.append(t)
-            if (t := sb[s]) >= 0:
-                cb[w] = node
-                node += 1
-                parent.append(w)
-                letter.append(b)
-                state.append(t)
-        ca.extend(repeat(-1, node - hi))
-        cb.extend(repeat(-1, node - hi))
-
-    def level(self, n: int) -> range:
-        """Node ids of the words of length n."""
-        return range(self.offsets[n], self.offsets[n + 1])
-
-    def spell(self, n: int) -> list[bytes]:
-        """The words of length n, read off their parent chains one letter
-        position at a time, last position first, at C speed."""
-        if not n:
-            return [b""]
-        # at least two ids, so itemgetter returns tuples: the language is
-        # closed under swapping the letters
-        ids = self.level(n)
-        letters = bytearray(n * len(ids))  # letter k of word i at i * n + k
-        for k in reversed(range(n)):
-            get = itemgetter(*ids)
-            letters[k::n] = bytes(get(self.letter))
-            ids = get(self.parent)
-        letters = bytes(letters)
-        return [letters[i:i + n] for i in range(0, len(letters), n)]
-
-    def prepended(self, x: int, n: int) -> list[int]:
-        """For every node id w of length n, in order, the node of x + w, or -1.
-
-        Walks down the trie from the node of x one level at a time: x + w is
-        a child of x + parent(w) whenever that exists.
-        """
-        child, offsets = self.child, self.offsets
-        nodes = [child[x][0]]
-        for k in range(1, n + 1):
-            up_lo, lo, hi = offsets[k - 1], offsets[k], offsets[k + 1]
-            nodes = [up if (up := nodes[p - up_lo]) < 0 else child[c][up]
-                     for p, c in zip(self.parent[lo:hi], self.letter[lo:hi])]
-        return nodes
+        if n < len(self.words[0]):
+            self.words, self.states = [b""], [0]
+        words, states = self.words, self.states
+        for _ in range(len(words[0]), n):
+            self._expand_level(states, map(ca.__getitem__, states))
+            children, parents = [0] * (2 * len(states)), [b""] * (2 * len(states))
+            children[::2] = map(ca.__getitem__, states)
+            children[1::2] = map(cb.__getitem__, states)
+            parents[::2] = parents[1::2] = words
+            keep = list(map((-1).__lt__, children))
+            words = list(map(bytes.__add__, compress(parents, keep),
+                             compress(cycle((bytes((a,)), bytes((b,)))), keep)))
+            states = list(compress(children, keep))
+        self.words, self.states = words, states
 
 
 _LANGUAGES: dict[Alphabet, _Automaton] = {}
@@ -235,22 +178,26 @@ _LANGUAGES: dict[Alphabet, _Automaton] = {}
 
 def _language(alphabet: Alphabet, n: int, spelled: bool = False) -> _Automaton:
     """The alphabet's automaton with its levels counted to length n or, when
-    spelled, its trie grown to n, once the trie's budget admits n.  First
-    the other alphabets are dropped if all could pass TRIE_NODE_LIMIT.  It is
-    out of `_LANGUAGES` while it grows, so a cut growth leaves none of it."""
-    _check_size("enumeration length", n)  # the trie's own budget caps it
+    spelled, its level n spelled.  Only a length past those the budget has
+    admitted for the alphabet is checked.  The other alphabets are dropped
+    first if all could pass TRIE_NODE_LIMIT, each holding its states and
+    spelled words.  It is out of `_LANGUAGES` while it walks, so a cut walk
+    leaves none of it."""
+    _check_size("enumeration length", n)  # the budget caps it
     automaton = _LANGUAGES.get(alphabet)
-    if automaton is None or n >= (len(automaton.trie.offsets) - 1 if spelled
-                                  else len(automaton.p)):
-        nodes = _check_budget(alphabet, n)
+    if automaton is None or (n != len(automaton.words[0]) if spelled
+                             else n >= len(automaton.p)):
+        sizes = (automaton.sizes if automaton is not None
+                 and n < len(automaton.sizes) else _check_budget(alphabet, n))
         automaton = _LANGUAGES.pop(alphabet, None) or _Automaton(alphabet)
-        # a state a word at most, and a node a word when spelled
-        own = max(len(automaton.letter), nodes) + (
-            nodes if spelled else len(automaton.trie.parent))
-        if own + sum(len(x.letter) + len(x.trie.parent)
+        automaton.sizes = sizes
+        # a state a word at most, and level n spelled when spelled
+        own = max(len(automaton.letter), sum(sizes[:n + 1])) + (
+            sizes[n] if spelled else len(automaton.words))
+        if own + sum(len(x.letter) + len(x.words)
                      for x in _LANGUAGES.values()) > TRIE_NODE_LIMIT:
             _LANGUAGES.clear()
-        automaton.trie.grow(n, automaton) if spelled else automaton.count(n)
+        automaton.spell(n) if spelled else automaton.count(n)
         _LANGUAGES[alphabet] = automaton
     return automaton
 
@@ -258,11 +205,11 @@ def _language(alphabet: Alphabet, n: int, spelled: bool = False) -> _Automaton:
 def enumerate_f_smooth(alphabet: Alphabet, n: int) -> list[Word]:
     """All f-smooth words of length n, lexicographically ordered.
 
-    Spelled from the alphabet's derivative trie, which is built up from
-    length n-1 members by single-letter extension; that is sound and
-    complete because the language is factorial and extendable.
+    Spelled from the alphabet's automaton by single-letter extension of the
+    length n-1 members; that is sound and complete because the language is
+    factorial and extendable.
     """
-    return [Word(alphabet, w) for w in _language(alphabet, n, True).trie.spell(n)]
+    return [Word(alphabet, w) for w in _language(alphabet, n, True).words]
 
 
 def f_smooth_count(alphabet: Alphabet, n: int) -> int:
@@ -282,16 +229,15 @@ def exact_complexity(alphabet: Alphabet, horizon: int) -> ComplexityTable:
 def bispecial_multiplicity_sum(alphabet: Alphabet, n: int) -> int:
     """Sum of multiplicities over all bispecial words of length n.
 
-    Read from the derivative trie grown to n + 2: w + y is a child of w,
-    and x + w and x + w + y are found by walking down from the node of x.
+    Read off the words of length n + 2: as the language is extendable, their
+    prefixes are the words of length n + 1, and their middles w come once
+    for each x + w + y.  A word w whose four one-letter extensions are words
+    is bispecial, of multiplicity its count of x + w + y less 3.
     """
-    _check_size("enumeration length", n)  # the trie's own budget caps it
-    a, b = alphabet.a, alphabet.b
-    trie = _language(alphabet, n + 2, True).trie
-    ca, cb = trie.child[a], trie.child[b]
-    total = 0
-    for w, xa, xb in zip(trie.level(n), trie.prepended(a, n),
-                         trie.prepended(b, n)):
-        if min(ca[w], cb[w], xa, xb) >= 0:  # bispecial
-            total += (ca[xa] >= 0) + (cb[xa] >= 0) + (ca[xb] >= 0) + (cb[xb] >= 0) - 3
-    return total
+    _check_size("enumeration length", n)  # n + 2 alone would pass -1 and -2
+    words = _language(alphabet, n + 2, True).words
+    shorter = {u[:-1] for u in words}
+    a, b = bytes((alphabet.a,)), bytes((alphabet.b,))
+    return sum(m - 3 for w, m in Counter(u[1:-1] for u in words).items()
+               if m > 1 and a + w in shorter and b + w in shorter
+               and w + a in shorter and w + b in shorter)

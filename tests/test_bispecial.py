@@ -554,7 +554,7 @@ class TestMultiplicitySums:
                 assert bispecial_multiplicity_sum(ab, n) == b_n, (ab, n)
 
     def test_length_past_the_default_cap_is_refused(self, monkeypatch):
-        # the trie grows to n + 2, so n = 188 needs level 190 over {1,2}
+        # the sum spells level n + 2, so n = 188 needs level 190 over {1,2}
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
         with pytest.raises(ResourceCapError, match=r"^level 190 of the "):
             bispecial_multiplicity_sum(AB12, 188)
@@ -562,12 +562,15 @@ class TestMultiplicitySums:
         with pytest.raises(ValueError, match="nonnegative, got -1"):
             bispecial_multiplicity_sum(AB12, -1)
 
-    @pytest.mark.parametrize("ab", [AB12, AB13, AB24, Alphabet(2, 5)])
-    def test_trie_sum_matches_per_word_probes(self, ab):
-        # the per-word probes re-derive every extension from scratch
+    @pytest.mark.parametrize("ab", [AB12, AB13, AB24, Alphabet(2, 5),
+                                    Alphabet(1, 255), Alphabet(254, 255)])
+    def test_sum_matches_per_word_probes(self, ab):
+        # the per-word probes re-derive every extension from scratch; the
+        # levels spelled in between move the one level the alphabet keeps
         for n in range(21):
             expect = sum(multiplicity(w)
                          for w in enumerate_f_smooth(ab, n) if is_bispecial(w))
+            enumerate_f_smooth(ab, (7 * n) % 23)
             assert bispecial_multiplicity_sum(ab, n) == expect, (ab, n)
 
 
@@ -827,8 +830,8 @@ class TestComplexity:
             raise AssertionError("a level was walked before the budget check")
 
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
-        monkeypatch.setattr(smoothness._Trie, "_build", unreachable)
-        monkeypatch.setattr(smoothness._Automaton, "_expand", unreachable)
+        for walk in ("spell", "count", "_expand"):
+            monkeypatch.setattr(smoothness._Automaton, walk, unreachable)
         with pytest.raises(ResourceCapError, match=re.escape(
                 "level 190 of the f-smooth words over {1,2} could add "
                 "157,020 trie nodes to 4,039,361, above the budget of "

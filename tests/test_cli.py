@@ -39,22 +39,22 @@ LEVEL_190 = ("error: level 190 of the f-smooth words over {1,2} could add "
 
 
 def refused_before_any_level(monkeypatch, argv):
-    """The stderr of a command that must exit 3 before the enumeration trie
-    builds a level or the automaton works out a state."""
+    """The stderr of a command that must exit 3 before the automaton spells
+    or counts a level or works out a state."""
     from smoothwords import smoothness
 
     def unreachable(*args):
         raise AssertionError("a level was walked before the budget check")
 
     languages = dict(smoothness._LANGUAGES)
-    levels = {ab: (list(x.trie.offsets), len(x.p), len(x.letter))
+    levels = {ab: (x.words, len(x.p), len(x.letter))
               for ab, x in languages.items()}
-    monkeypatch.setattr(smoothness._Trie, "_build", unreachable)
-    monkeypatch.setattr(smoothness._Automaton, "_expand", unreachable)
+    for walk in ("spell", "count", "_expand"):
+        monkeypatch.setattr(smoothness._Automaton, walk, unreachable)
     code, out, err = run_cli(*argv)
     assert (code, out) == (3, "")
     assert smoothness._LANGUAGES == languages
-    assert {ab: (x.trie.offsets, len(x.p), len(x.letter))
+    assert {ab: (x.words, len(x.p), len(x.letter))
             for ab, x in languages.items()} == levels
     return err
 
@@ -598,7 +598,7 @@ BAD_ARGV = st.one_of(
 @example(["--alphabet", "100,255", "tree", "--generation", "138"])
 @example(["--alphabet", "1,3", "tree", "--generation", "21", "--stats"])
 @example(["kappa", "--length", str(HUGE)])
-# the first lengths the enumeration trie's node budget refuses
+# the first lengths the enumeration's node budget refuses
 @example(["enumerate", "--length", "190"])
 @example(["complexity", "--max", "188"])
 @example(["--alphabet", "1,255", "enumerate", "--length", "894"])
@@ -635,7 +635,7 @@ LOADS = ("import json, sys\n"
          "print(json.dumps([code, sorted(sys.modules)]))")
 EVERY_COMMAND = {"cli", "derivation", "errors", "words"}
 TREES = {"bispecial"}
-TRIE = {"bispecial", "smoothness"}
+ENUMERATION = {"bispecial", "smoothness"}
 STREAMS = {"generators"}
 # the modules each command loads besides EVERY_COMMAND
 LOADED = {
@@ -643,8 +643,8 @@ LOADED = {
     "derive 122112 --chain": set(),
     "check 1221": set(),
     "check 1221 --kind r": set(),
-    "enumerate --length 6": TRIE,
-    "complexity --max 6": TRIE,
+    "enumerate --length 6": ENUMERATION,
+    "complexity --max 6": ENUMERATION,
     "complexity --max 6 --tree-only": TREES,
     "tree --generation 3": TREES,
     "tree --generation 3 --stats": TREES,
@@ -652,7 +652,7 @@ LOADED = {
     "pair --alphabet 1,3 --length 20": STREAMS,
     "exponents": {"spectral"},
     "exponents --reference-table": {"spectral"},
-    "verify --suite mistake": TRIE | STREAMS | {"spectral", "checks"},
+    "verify --suite mistake": ENUMERATION | STREAMS | {"spectral", "checks"},
 }
 
 

@@ -63,9 +63,10 @@ def test_relative_imports_have_a_topological_order():
         TopologicalSorter(graph).prepare()
     except CycleError as error:
         raise AssertionError(f"import cycle: {' -> '.join(error.args[1])}") from None
-    assert "smoothness" not in graph["bispecial"]  # the trie reads the trees
-    # membership is derivation's and the embedding generators': the trie
-    # reads neither, and the generators read no tree or trie
+    # the enumeration's budget reads the trees
+    assert "smoothness" not in graph["bispecial"]
+    # membership is derivation's and the embedding generators': the
+    # automaton reads neither, and the generators read no tree or automaton
     assert not graph["smoothness"] & {"derivation", "generators"}
     assert not graph["generators"] & {"bispecial", "smoothness"}
 

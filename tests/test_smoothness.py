@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from smoothwords import (
     Alphabet,
     ResourceCapError,
+    bispecial_multiplicity_sum,
     derive_f,
     enumerate_f_smooth,
     exact_complexity,
@@ -96,12 +97,21 @@ class TestEnumeration:
 
 
 def size(language):
-    """An alphabet's share of the node budget: its states and trie nodes."""
-    return len(language.letter) + len(language.trie.parent)
+    """An alphabet's share of the node budget: its states and spelled words."""
+    return len(language.letter) + len(language.words)
+
+
+def columns(language):
+    """Copies of everything an alphabet's automaton holds."""
+    return [column[:] for column in (
+        language.letter, language.exponent, language.inner, language.p,
+        language.words, language.states, *language.child.values(),
+        *language.opened.values())] + [dict(language.level), language.sizes]
 
 
 class TestTrieAgainstOracle:
-    """The derivative trie against from-scratch derivation chains."""
+    """The spelled levels and their budget against from-scratch derivation
+    chains, one node per word as in a trie."""
 
     @pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 4), (1, 4), (2, 5), (3, 5)])
     def test_every_word_filtered(self, a, b):
@@ -125,22 +135,20 @@ class TestTrieAgainstOracle:
 
     def test_node_budget_refuses_before_building(self, monkeypatch):
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
+        nodes = sum(f_smooth_count(AB12, k) for k in range(11))
+        bound = 2 * f_smooth_count(AB12, 10)
         enumerate_f_smooth(AB12, 10)
         automaton = smoothness._LANGUAGES[AB12]
-        trie = automaton.trie
-        nodes, offsets = len(trie.parent), list(trie.offsets)
-        columns = (trie.parent, trie.letter, trie.state, *trie.child.values())
-        before = [column[:] for column in columns]
-        bound = 2 * f_smooth_count(AB12, 10)
+        before = columns(automaton)
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound - 1)
-        with pytest.raises(ResourceCapError, match=re.escape(
-                f"level 11 of the f-smooth words over {{1,2}} could add "
-                f"{bound} trie nodes to {nodes}, above the budget of "
-                f"{nodes + bound - 1}")):
-            enumerate_f_smooth(AB12, 11)
-        assert smoothness._LANGUAGES == {AB12: automaton}
-        assert trie.offsets == offsets
-        assert list(columns) == before
+        for walk in (enumerate_f_smooth, f_smooth_count):
+            with pytest.raises(ResourceCapError, match=re.escape(
+                    f"level 11 of the f-smooth words over {{1,2}} could add "
+                    f"{bound} trie nodes to {nodes}, above the budget of "
+                    f"{nodes + bound - 1}")):
+                walk(AB12, 11)
+            assert smoothness._LANGUAGES == {AB12: automaton}
+            assert columns(automaton) == before
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound)
         assert len(enumerate_f_smooth(AB12, 11)) == 62
 
@@ -149,16 +157,20 @@ class TestTrieAgainstOracle:
                                      (1, 255), (254, 255)])
     def test_budget_decided_from_the_trees_matches_growth(self, monkeypatch,
                                                           a, b, limit):
-        # the reference: the trie grown one level at a time until it refuses
+        # the reference: levels grown one at a time by filtering every
+        # extension, each checked before it is grown, until one is refused
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", limit)
         ab = Alphabet(a, b)
-        automaton = smoothness._Automaton(ab)
+        words, nodes = [bytes([a]), bytes([b])], 3
         for level in count(2):
             try:
-                automaton.trie.grow(level, automaton)
+                smoothness._check_level(ab, level, nodes, len(words))
             except ResourceCapError as exc:
                 refusal = str(exc)
                 break
+            words = [u for w in words for u in (w + bytes([a]), w + bytes([b]))
+                     if _is_smooth_bytes(u, a, b, _F)]
+            nodes += len(words)
         smoothness._check_budget(ab, level - 1)
         for n in (level, level + 1, 10 ** 9):
             with pytest.raises(ResourceCapError) as decided:
@@ -178,17 +190,19 @@ class TestTrieAgainstOracle:
         enumerate_f_smooth(AB12, 12)
         enumerate_f_smooth(AB13, 10)
         other = smoothness._LANGUAGES[AB12]
-        offsets, nodes = list(other.trie.offsets), len(other.trie.parent)
+        before = columns(other)
+        expand_level = smoothness._Automaton._expand_level
 
-        def interrupted(*args):  # called once the level's nodes are appended
+        def interrupted(*args):  # once new states are added
+            expand_level(*args)
             raise KeyboardInterrupt
 
         with monkeypatch.context() as patch:
-            patch.setattr(smoothness, "repeat", interrupted)
+            patch.setattr(smoothness._Automaton, "_expand_level", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 enumerate_f_smooth(AB13, 11)
         assert smoothness._LANGUAGES == {AB12: other}
-        assert (other.trie.offsets, len(other.trie.parent)) == (offsets, nodes)
+        assert columns(other) == before
         assert [w.letters for w in enumerate_f_smooth(AB13, 12)] == [
             bytes(w) for w in product((1, 3), repeat=12)
             if _is_smooth_bytes(bytes(w), 1, 3, _F)]
@@ -202,15 +216,16 @@ class TestTrieAgainstOracle:
         enumerate_f_smooth(ab23, 10)
         assert size(kept) + size(smoothness._LANGUAGES[ab23]) <= 3_000
         languages = dict(smoothness._LANGUAGES)
-        levels = {ab: list(x.trie.offsets) for ab, x in languages.items()}
+        levels = {ab: columns(x) for ab, x in languages.items()}
         # refused by the budget of {1,3} alone: nothing is evicted
         with pytest.raises(ResourceCapError, match=r"words over \{1,3\} could add"):
             enumerate_f_smooth(AB13, 40)
         assert smoothness._LANGUAGES == languages
-        assert {ab: x.trie.offsets for ab, x in languages.items()} == levels
-        # admitted alone, but its trie and states (a state a word at most)
-        # could not fit beside {1,2}: growing {2,3} evicts it
-        assert 2 * smoothness._check_budget(ab23, 30) + size(kept) > 3_000
+        assert {ab: columns(x) for ab, x in languages.items()} == levels
+        # admitted alone, but its states (a state a word at most) and its
+        # level 30 could not fit beside {1,2}: spelling {2,3} evicts it
+        p = smoothness._check_budget(ab23, 30)
+        assert sum(p) + p[30] + size(kept) > 3_000
         enumerate_f_smooth(ab23, 30)
         assert list(smoothness._LANGUAGES) == [ab23]
         assert enumerate_f_smooth(AB12, 20) == words
@@ -228,30 +243,84 @@ class TestTrieAgainstOracle:
         states = len(smoothness._LANGUAGES[ab23].letter)
         assert size(kept) + states <= 3_000
         languages = dict(smoothness._LANGUAGES)
-        # counts are refused as the trie would be, evicting nothing
+        # counts are refused as spelling would be, evicting nothing
         with pytest.raises(ResourceCapError, match=r"words over \{1,3\} could add"):
             f_smooth_count(AB13, 40)
         assert smoothness._LANGUAGES == languages
-        # admitted alone, but its states could not fit beside {1,2}'s trie
-        assert smoothness._check_budget(ab23, 30) + size(kept) > 3_000
-        f_smooth_count(ab23, 30)
+        # admitted alone, but its states could not fit beside {1,2}'s
+        # states and spelled level
+        assert sum(smoothness._check_budget(ab23, 32)) + 1 + size(kept) > 3_000
+        f_smooth_count(ab23, 32)
         assert list(smoothness._LANGUAGES) == [ab23]
-        assert len(smoothness._LANGUAGES[ab23].trie.parent) == 3  # not spelled
+        assert smoothness._LANGUAGES[ab23].words == [b""]  # not spelled
+
+    def test_spelled_level_evicts_what_cannot_fit_beside_it(self, monkeypatch):
+        ab23 = Alphabet(2, 3)
+        monkeypatch.setattr(smoothness, "_LANGUAGES", {})
+        enumerate_f_smooth(AB12, 20)
+        kept = smoothness._LANGUAGES[AB12]
+        p = smoothness._check_budget(ab23, 30)
+        # {2,3}'s states (a state a word at most) fit beside {1,2}, and not
+        # with its level 30 spelled
+        limit = size(kept) + sum(p) + 1
+        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", limit)
+        assert f_smooth_count(ab23, 30) == p[30]
+        assert list(smoothness._LANGUAGES) == [AB12, ab23]
+        assert smoothness._LANGUAGES[AB12] is kept
+        assert len(enumerate_f_smooth(ab23, 30)) == p[30]
+        assert list(smoothness._LANGUAGES) == [ab23]
+        assert size(smoothness._LANGUAGES[ab23]) <= sum(p) + p[30]
 
     def test_counts_build_no_trie_level(self, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("a trie level was built to count words")
+            raise AssertionError("a word was spelled to count words")
 
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
-        monkeypatch.setattr(smoothness._Trie, "_build", unreachable)
+        monkeypatch.setattr(smoothness._Automaton, "spell", unreachable)
         for ab in (AB12, AB13, Alphabet(254, 255)):
             f_smooth_count(ab, 30)
             exact_complexity(ab, 60)
-            assert smoothness._LANGUAGES[ab].trie.offsets == [0, 1, 3]
+            assert smoothness._LANGUAGES[ab].words == [b""]
+
+    @pytest.mark.parametrize("a,b", [(1, 2), (1, 255), (254, 255)])
+    def test_spelled_level_resumes_or_starts_again(self, monkeypatch, a, b):
+        # each level filters every extension of the one before it
+        levels = [[b""]]
+        for n in range(40):
+            levels.append([w + bytes([c]) for w in levels[-1] for c in (a, b)
+                           if _is_smooth_bytes(w + bytes([c]), a, b, _F)])
+        monkeypatch.setattr(smoothness, "_LANGUAGES", {})
+        ab = Alphabet(a, b)
+        for n in (20, 7, 21, 0, 40, 40, 39):
+            assert [w.letters for w in enumerate_f_smooth(ab, n)] == levels[n], n
+            automaton = smoothness._LANGUAGES[ab]
+            assert automaton.words == levels[n]
+            assert [automaton.letter[s] for s in automaton.states] == [
+                w[-1] if w else 0 for w in levels[n]]
+
+    def test_sums_after_a_table_check_no_budget(self, monkeypatch):
+        checks = []
+        check_budget = smoothness._check_budget
+
+        def counted(alphabet, n):
+            checks.append(n)
+            return check_budget(alphabet, n)
+
+        monkeypatch.setattr(smoothness, "_LANGUAGES", {})
+        monkeypatch.setattr(smoothness, "_check_budget", counted)
+        exact_complexity(AB12, 44)
+        assert checks == [44]
+        for n in range(25):
+            bispecial_multiplicity_sum(AB12, n)
+        enumerate_f_smooth(AB12, 3)
+        assert checks == [44]
+        bispecial_multiplicity_sum(AB12, 43)
+        assert checks == [44, 45]
 
 
 class TestAutomatonAgainstOracle:
-    """The automaton's counts against the trie and from-scratch derivation."""
+    """The automaton's counts against its spelled levels and from-scratch
+    derivation."""
 
     @pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5),
                                      (3, 8), (1, 255), (254, 255)])
@@ -259,11 +328,12 @@ class TestAutomatonAgainstOracle:
         ab = Alphabet(a, b)
         counted, spelled = smoothness._Automaton(ab), smoothness._Automaton(ab)
         counted.count(14)
-        spelled.trie.grow(14, spelled)
         for n in range(15):
-            expect = sum(_is_smooth_bytes(bytes(w), a, b, _F)
-                         for w in product((a, b), repeat=n))
-            assert counted.p[n] == len(spelled.trie.level(n)) == expect, n
+            expect = [bytes(w) for w in product((a, b), repeat=n)
+                      if _is_smooth_bytes(bytes(w), a, b, _F)]
+            spelled.spell(n)
+            assert spelled.words == expect, n
+            assert counted.p[n] == len(expect), n
 
     def test_words_of_one_state_are_counted_together(self):
         # a state opening a run can have several parent states; walked from
