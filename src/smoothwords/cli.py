@@ -171,7 +171,7 @@ def _cmd_tree(args, alphabet: Alphabet) -> int:
                   "total_len"]
         row = [args.family, args.generation, stats.count, stats.min_len,
                stats.max_len, stats.total_len]
-        histogram = {str(k): v for k, v in sorted(stats.histogram.items())}
+        histogram = {str(k): v for k, v in stats.histogram.items()}
         lines = [f"{key}: {value}" for key, value in zip(header, row)]
         lines.append("histogram: " + ", ".join(f"{k}:{v}"
                                                for k, v in histogram.items()))

@@ -3,11 +3,12 @@ derivative reaches the empty word (`derivation` decides one word).
 
 The language is factorial and extendable, so its words grow one letter at a
 time.  The automaton `_Automaton` of each alphabet works out the children
-of each state of a word once.  `f_smooth_count` and `exact_complexity`
-count the words a level at a time by state; `enumerate_f_smooth` and
-`bispecial_multiplicity_sum` spell them a level at a time, each word with
-its state, on from the one level each alphabet keeps spelled.  All
-alphabets share one budget.
+of each state of a word once, and walks the levels with one step, from a
+level's states to the next one's: `f_smooth_count` and `exact_complexity`
+keep the states alone, and `enumerate_f_smooth` and
+`bispecial_multiplicity_sum` spell each word beside its state.  Each
+alphabet keeps one level, which both walks go on from.  All alphabets share
+one budget.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .words import Alphabet, Word
 
 
 # The budget of the words of one alphabet up to a length, one node per word
-# as in a trie of them, and of all alphabets' automaton states and spelled
-# levels before another grows: {1,2} stops after length 189, whose 202,049
-# states and 78,510 spelled words peak at 70 MB RSS.
+# as in a trie of them, and of all alphabets' automaton states plus each
+# one's kept level before another grows: {1,2} stops after length 189, whose
+# 202,049 states and 78,510 spelled words peak at 68 MB RSS.
 TRIE_NODE_LIMIT = 1 << 22
 
 
@@ -68,10 +69,11 @@ class _Automaton:
     state keeps the first two and the state of `inner` (-1: one run).  State
     0 is the empty word, 1 and 2 the words a and b.  A state of exponent e >=
     2 has one parent state; the one opening a run of x after inner state d
-    is `opened[x][d]`.  `p` counts the words of each length walked, `level`
-    those of the last by state.  `words` is the level spelled last, in
-    lexicographic order, and `states` their states.  `sizes` are the level
-    sizes up to the longest length the budget has admitted.
+    is `opened[x][d]`.  `p` counts the words of each length walked.  The
+    kept level is `n`: `states`, the states of its words in lexicographic
+    order, one a word, and `words`, their letters when it was spelled, else
+    None.  `sizes` are the level sizes up to the longest length the budget
+    has admitted.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -82,8 +84,7 @@ class _Automaton:
         self.child = {a: array("i", (1, _UNSEEN, _UNSEEN)),
                       b: array("i", (2, _UNSEEN, _UNSEEN))}
         self.opened = {a: array("i", (-1, -1, -1)), b: array("i", (-1, -1, -1))}
-        self.p, self.level = [1, 2], {1: 1, 2: 1}
-        self.words, self.states = [b""], [0]
+        self.p, self.n, self.states, self.words = [1], 0, [0], [b""]
         self.sizes = (1, 2)
 
     def _add(self, x: int, e: int, up: int) -> int:
@@ -124,53 +125,42 @@ class _Automaton:
             new = opened[new]
         self.child[c][s], self.child[x][s] = same, new
 
-    def _expand_level(self, states, firsts) -> None:
-        """Work out the children of a level's states, whose a-children are
-        `firsts`, where not yet worked out."""
-        ca = self.child[self.alphabet.a]
-        for s in compress(states, map(_UNSEEN.__eq__, firsts)):
-            if ca[s] == _UNSEEN:  # unless expanded since as an inner state
-                self._expand(s)
-
-    def count(self, n: int) -> None:
-        """Walk the levels up to length n, counting their words by state."""
-        ca, cb = self.child[self.alphabet.a], self.child[self.alphabet.b]
-        while len(self.p) <= n:
-            # two states or more: the swap of a word ends in the other letter
-            get = itemgetter(*self.level)
-            self._expand_level(self.level, get(ca))
-            children, counts = get(ca) + get(cb), tuple(self.level.values()) * 2
-            level = dict(zip(children, counts))
-            level.pop(-1, None)
-            if len(level) < len(children) - children.count(-1):
-                level = {}  # words of one state: add up their counts
-                for t, m in zip(children, counts):
-                    if t >= 0:
-                        level[t] = level.get(t, 0) + m
-            self.level = level
-            self.p.append(sum(level.values()))
-
-    def spell(self, n: int) -> None:
-        """Spell the words of length n and their states, on from the level
-        spelled last unless that is longer, else from the empty word.  A
-        word's a-child comes before its b-child, and only the children with
-        a state are concatenated."""
+    def _step(self, states: list, words: list | None) -> tuple:
+        """The next level after the one of `states`, and its words when the
+        level's `words` are given, else None.  The children of its states
+        are worked out where not yet; each state's a-child comes before its
+        b-child, and only the children with a state are kept."""
         a, b = self.alphabet.a, self.alphabet.b
         ca, cb = self.child[a], self.child[b]
-        if n < len(self.words[0]):
-            self.words, self.states = [b""], [0]
-        words, states = self.words, self.states
-        for _ in range(len(words[0]), n):
-            self._expand_level(states, map(ca.__getitem__, states))
-            children, parents = [0] * (2 * len(states)), [b""] * (2 * len(states))
-            children[::2] = map(ca.__getitem__, states)
-            children[1::2] = map(cb.__getitem__, states)
+        # level 0, the empty word, is the only level of one word
+        get = (itemgetter(*states) if len(states) > 1
+               else lambda column: (column[states[0]],))
+        for s in [s for s, c in zip(states, get(ca)) if c == _UNSEEN]:
+            if ca[s] == _UNSEEN:  # unless worked out since as an inner state
+                self._expand(s)
+        children = [0] * (2 * len(states))
+        children[::2], children[1::2] = get(ca), get(cb)
+        keep = [c >= 0 for c in children]
+        if words is not None:
+            parents = [b""] * len(children)
             parents[::2] = parents[1::2] = words
-            keep = list(map((-1).__lt__, children))
             words = list(map(bytes.__add__, compress(parents, keep),
                              compress(cycle((bytes((a,)), bytes((b,)))), keep)))
-            states = list(compress(children, keep))
-        self.words, self.states = words, states
+        return list(compress(children, keep)), words
+
+    def walk(self, n: int, spelled: bool) -> None:
+        """Keep level n, its words spelled when `spelled`: on from the kept
+        level, unless that is longer, or `spelled` and it was only counted,
+        in which case from the empty word.  Each level past `p` is counted
+        into it."""
+        if n < self.n or spelled and self.words is None:
+            self.n, self.states, self.words = 0, [0], [b""]
+        states, words = self.states, self.words if spelled else None
+        for k in range(self.n + 1, n + 1):
+            states, words = self._step(states, words)
+            if k == len(self.p):
+                self.p.append(len(states))
+        self.n, self.states, self.words = n, states, words
 
 
 _LANGUAGES: dict[Alphabet, _Automaton] = {}
@@ -180,24 +170,23 @@ def _language(alphabet: Alphabet, n: int, spelled: bool = False) -> _Automaton:
     """The alphabet's automaton with its levels counted to length n or, when
     spelled, its level n spelled.  Only a length past those the budget has
     admitted for the alphabet is checked.  The other alphabets are dropped
-    first if all could pass TRIE_NODE_LIMIT, each holding its states and
-    spelled words.  It is out of `_LANGUAGES` while it walks, so a cut walk
-    leaves none of it."""
+    first if all could pass TRIE_NODE_LIMIT, each holding its states and its
+    kept level, one entry a word whichever walk kept it.  It is out of
+    `_LANGUAGES` while it walks, so a cut walk leaves none of it."""
     _check_size("enumeration length", n)  # the budget caps it
     automaton = _LANGUAGES.get(alphabet)
-    if automaton is None or (n != len(automaton.words[0]) if spelled
-                             else n >= len(automaton.p)):
+    if automaton is None or ((n != automaton.n or automaton.words is None)
+                             if spelled else n >= len(automaton.p)):
         sizes = (automaton.sizes if automaton is not None
                  and n < len(automaton.sizes) else _check_budget(alphabet, n))
         automaton = _LANGUAGES.pop(alphabet, None) or _Automaton(alphabet)
         automaton.sizes = sizes
-        # a state a word at most, and level n spelled when spelled
-        own = max(len(automaton.letter), sum(sizes[:n + 1])) + (
-            sizes[n] if spelled else len(automaton.words))
-        if own + sum(len(x.letter) + len(x.words)
+        # a state a word at most, and level n kept
+        own = max(len(automaton.letter), sum(sizes[:n + 1])) + sizes[n]
+        if own + sum(len(x.letter) + len(x.states)
                      for x in _LANGUAGES.values()) > TRIE_NODE_LIMIT:
             _LANGUAGES.clear()
-        automaton.spell(n) if spelled else automaton.count(n)
+        automaton.walk(n, spelled)
         _LANGUAGES[alphabet] = automaton
     return automaton
 

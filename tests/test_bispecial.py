@@ -830,7 +830,7 @@ class TestComplexity:
             raise AssertionError("a level was walked before the budget check")
 
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
-        for walk in ("spell", "count", "_expand"):
+        for walk in ("walk", "_step", "_expand"):
             monkeypatch.setattr(smoothness._Automaton, walk, unreachable)
         with pytest.raises(ResourceCapError, match=re.escape(
                 "level 190 of the f-smooth words over {1,2} could add "

@@ -39,23 +39,24 @@ LEVEL_190 = ("error: level 190 of the f-smooth words over {1,2} could add "
 
 
 def refused_before_any_level(monkeypatch, argv):
-    """The stderr of a command that must exit 3 before the automaton spells
-    or counts a level or works out a state."""
+    """The stderr of a command that must exit 3 before the automaton walks
+    to a level, steps one or works out a state."""
     from smoothwords import smoothness
 
     def unreachable(*args):
         raise AssertionError("a level was walked before the budget check")
 
+    def kept(x):
+        return x.n, x.states, x.words, len(x.p), len(x.letter)
+
     languages = dict(smoothness._LANGUAGES)
-    levels = {ab: (x.words, len(x.p), len(x.letter))
-              for ab, x in languages.items()}
-    for walk in ("spell", "count", "_expand"):
+    levels = {ab: kept(x) for ab, x in languages.items()}
+    for walk in ("walk", "_step", "_expand"):
         monkeypatch.setattr(smoothness._Automaton, walk, unreachable)
     code, out, err = run_cli(*argv)
     assert (code, out) == (3, "")
     assert smoothness._LANGUAGES == languages
-    assert {ab: (x.words, len(x.p), len(x.letter))
-            for ab, x in languages.items()} == levels
+    assert {ab: kept(x) for ab, x in languages.items()} == levels
     return err
 
 

@@ -97,16 +97,17 @@ class TestEnumeration:
 
 
 def size(language):
-    """An alphabet's share of the node budget: its states and spelled words."""
-    return len(language.letter) + len(language.words)
+    """An alphabet's share of the node budget: its states and kept level."""
+    return len(language.letter) + len(language.states)
 
 
 def columns(language):
     """Copies of everything an alphabet's automaton holds."""
     return [column[:] for column in (
         language.letter, language.exponent, language.inner, language.p,
-        language.words, language.states, *language.child.values(),
-        *language.opened.values())] + [dict(language.level), language.sizes]
+        language.states, *language.child.values(),
+        *language.opened.values())] + [
+            language.n, language.words and language.words[:], language.sizes]
 
 
 class TestTrieAgainstOracle:
@@ -185,20 +186,20 @@ class TestTrieAgainstOracle:
         with pytest.raises(ResourceCapError, match=f"^level {level} of "):
             smoothness._check_budget(ab, level)
 
-    def test_interrupted_growth_leaves_no_trie(self, monkeypatch):
+    def test_interrupted_walk_leaves_no_automaton(self, monkeypatch):
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
         enumerate_f_smooth(AB12, 12)
         enumerate_f_smooth(AB13, 10)
         other = smoothness._LANGUAGES[AB12]
         before = columns(other)
-        expand_level = smoothness._Automaton._expand_level
+        step = smoothness._Automaton._step
 
-        def interrupted(*args):  # once new states are added
-            expand_level(*args)
+        def interrupted(*args):  # once the level's new states are added
+            step(*args)
             raise KeyboardInterrupt
 
         with monkeypatch.context() as patch:
-            patch.setattr(smoothness._Automaton, "_expand_level", interrupted)
+            patch.setattr(smoothness._Automaton, "_step", interrupted)
             with pytest.raises(KeyboardInterrupt):
                 enumerate_f_smooth(AB13, 11)
         assert smoothness._LANGUAGES == {AB12: other}
@@ -207,7 +208,7 @@ class TestTrieAgainstOracle:
             bytes(w) for w in product((1, 3), repeat=12)
             if _is_smooth_bytes(bytes(w), 1, 3, _F)]
 
-    def test_tries_of_all_alphabets_share_the_budget(self, monkeypatch):
+    def test_kept_levels_of_all_alphabets_share_the_budget(self, monkeypatch):
         ab23 = Alphabet(2, 3)
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", 3_000)
@@ -237,50 +238,58 @@ class TestTrieAgainstOracle:
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", 3_000)
         words = enumerate_f_smooth(AB12, 20)
         kept = smoothness._LANGUAGES[AB12]
-        assert f_smooth_count(AB12, 20) == len(words)  # its own states fit
+        assert f_smooth_count(AB12, 20) == len(words)  # spelling counted it
         assert smoothness._LANGUAGES[AB12] is kept
-        f_smooth_count(ab23, 12)
-        states = len(smoothness._LANGUAGES[ab23].letter)
-        assert size(kept) + states <= 3_000
+        # {2,3}'s states (a state a word at most) and its level 29 fit
+        # beside {1,2}'s states and level 20
+        p = smoothness._check_budget(ab23, 30)
+        assert sum(p[:30]) + p[29] + size(kept) <= 3_000
+        f_smooth_count(ab23, 29)
+        assert list(smoothness._LANGUAGES) == [AB12, ab23]
+        assert size(kept) + size(smoothness._LANGUAGES[ab23]) <= 3_000
         languages = dict(smoothness._LANGUAGES)
         # counts are refused as spelling would be, evicting nothing
         with pytest.raises(ResourceCapError, match=r"words over \{1,3\} could add"):
             f_smooth_count(AB13, 40)
         assert smoothness._LANGUAGES == languages
-        # admitted alone, but its states could not fit beside {1,2}'s
-        # states and spelled level
-        assert sum(smoothness._check_budget(ab23, 32)) + 1 + size(kept) > 3_000
-        f_smooth_count(ab23, 32)
+        # admitted alone, but not with its level 30 beside {1,2}
+        assert sum(p) + p[30] + size(kept) > 3_000
+        f_smooth_count(ab23, 30)
         assert list(smoothness._LANGUAGES) == [ab23]
-        assert smoothness._LANGUAGES[ab23].words == [b""]  # not spelled
+        assert smoothness._LANGUAGES[ab23].words is None  # not spelled
 
     def test_spelled_level_evicts_what_cannot_fit_beside_it(self, monkeypatch):
         ab23 = Alphabet(2, 3)
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
         enumerate_f_smooth(AB12, 20)
         kept = smoothness._LANGUAGES[AB12]
-        p = smoothness._check_budget(ab23, 30)
-        # {2,3}'s states (a state a word at most) fit beside {1,2}, and not
-        # with its level 30 spelled
-        limit = size(kept) + sum(p) + 1
+        p = smoothness._check_budget(ab23, 31)
+        # {2,3}'s states (a state a word at most) and its level 30 fit beside
+        # {1,2}, counted or spelled alike, and not with its level 31 spelled
+        limit = size(kept) + sum(p[:31]) + p[30]
         monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", limit)
         assert f_smooth_count(ab23, 30) == p[30]
+        assert len(enumerate_f_smooth(ab23, 30)) == p[30]
         assert list(smoothness._LANGUAGES) == [AB12, ab23]
         assert smoothness._LANGUAGES[AB12] is kept
-        assert len(enumerate_f_smooth(ab23, 30)) == p[30]
+        assert size(smoothness._LANGUAGES[ab23]) <= sum(p[:31]) + p[30]
+        assert sum(p) + p[31] + size(kept) > limit
+        assert len(enumerate_f_smooth(ab23, 31)) == p[31]
         assert list(smoothness._LANGUAGES) == [ab23]
-        assert size(smoothness._LANGUAGES[ab23]) <= sum(p) + p[30]
 
-    def test_counts_build_no_trie_level(self, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("a word was spelled to count words")
+    def test_counts_spell_no_word(self, monkeypatch):
+        walk = smoothness._Automaton.walk
+
+        def counted(automaton, n, spelled):
+            assert not spelled, "a word was spelled to count words"
+            walk(automaton, n, spelled)
 
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
-        monkeypatch.setattr(smoothness._Automaton, "spell", unreachable)
+        monkeypatch.setattr(smoothness._Automaton, "walk", counted)
         for ab in (AB12, AB13, Alphabet(254, 255)):
             f_smooth_count(ab, 30)
             exact_complexity(ab, 60)
-            assert smoothness._LANGUAGES[ab].words == [b""]
+            assert smoothness._LANGUAGES[ab].words is None
 
     @pytest.mark.parametrize("a,b", [(1, 2), (1, 255), (254, 255)])
     def test_spelled_level_resumes_or_starts_again(self, monkeypatch, a, b):
@@ -317,6 +326,31 @@ class TestTrieAgainstOracle:
         bispecial_multiplicity_sum(AB12, 43)
         assert checks == [44, 45]
 
+    @pytest.mark.parametrize("a,b,n", [(1, 2, 30), (1, 255, 50), (254, 255, 60)])
+    def test_counts_after_spelling_walk_no_level(self, monkeypatch, a, b, n):
+        steps = []
+        step = smoothness._Automaton._step
+
+        def counted(automaton, states, words):
+            steps.append(len(states))
+            return step(automaton, states, words)
+
+        ab = Alphabet(a, b)
+        monkeypatch.setattr(smoothness, "_LANGUAGES", {})
+        monkeypatch.setattr(smoothness._Automaton, "_step", counted)
+        words = enumerate_f_smooth(ab, n)
+        assert len(steps) == n
+        assert f_smooth_count(ab, n) == len(words)
+        assert tuple(f_smooth_count(ab, k) for k in range(n + 1)) == (
+            tree_derived_complexity(ab, n).p)
+        assert len(steps) == n
+        # counting goes on from the spelled level; spelling the counted
+        # level starts again from the empty word
+        f_smooth_count(ab, n + 1)
+        assert steps[n:] == [len(words)]
+        enumerate_f_smooth(ab, n + 1)
+        assert len(steps) == 2 * n + 2
+
 
 class TestAutomatonAgainstOracle:
     """The automaton's counts against its spelled levels and from-scratch
@@ -324,38 +358,31 @@ class TestAutomatonAgainstOracle:
 
     @pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 3), (2, 4), (2, 5),
                                      (3, 8), (1, 255), (254, 255)])
-    def test_counts_match_the_trie_and_every_word_filtered(self, a, b):
+    def test_walks_match_every_word_filtered(self, a, b):
         ab = Alphabet(a, b)
         counted, spelled = smoothness._Automaton(ab), smoothness._Automaton(ab)
-        counted.count(14)
+        counted.walk(14, False)
         for n in range(15):
             expect = [bytes(w) for w in product((a, b), repeat=n)
                       if _is_smooth_bytes(bytes(w), a, b, _F)]
-            spelled.spell(n)
+            spelled.walk(n, True)
             assert spelled.words == expect, n
             assert counted.p[n] == len(expect), n
 
-    def test_words_of_one_state_are_counted_together(self):
-        # a state opening a run can have several parent states; walked from
-        # two of them as one level, the words of both add up on it
-        automaton = smoothness._Automaton(AB12)
-        automaton.count(20)
-        ca, cb = automaton.child[1], automaton.child[2]
-        parents = {}
-        for s in range(len(automaton.letter)):
-            for t in (ca[s], cb[s]):
-                if t >= 0:
-                    parents.setdefault(t, []).append(s)
-        t, (s1, s2) = next((t, ps[:2]) for t, ps in parents.items() if len(ps) > 1)
-        automaton.p, automaton.level = [None], {s1: 2, s2: 3}
-        automaton.count(1)
-        assert automaton.level[t] == 5
-        assert automaton.p[1] == sum(2 * (c >= 0) for c in (ca[s1], cb[s1])) + sum(
-            3 * (c >= 0) for c in (ca[s2], cb[s2]))
+    @pytest.mark.parametrize("a,b", [(1, 2), (1, 255), (254, 255)])
+    def test_counted_and_spelled_levels_keep_the_same_states(self, a, b):
+        ab = Alphabet(a, b)
+        counted, spelled = smoothness._Automaton(ab), smoothness._Automaton(ab)
+        for n in range(41):
+            counted.walk(n, False)
+            spelled.walk(n, True)
+            assert counted.states == spelled.states, n
+            assert counted.words is None and len(spelled.words) == counted.p[n]
+        assert spelled.p == counted.p
 
     def test_counts_match_the_trees_to_150(self):
         automaton = smoothness._Automaton(AB12)
-        automaton.count(150)
+        automaton.walk(150, False)
         assert tuple(automaton.p) == tree_derived_complexity(AB12, 150).p
 
 
