@@ -3,12 +3,14 @@ derivative reaches the empty word (`derivation` decides one word).
 
 The language is factorial and extendable, so its words grow one letter at a
 time.  The automaton `_Automaton` of each alphabet works out the children
-of each state of a word once, and walks the levels with one step, from a
-level's states to the next one's: `f_smooth_count` and `exact_complexity`
-keep the states alone, and `enumerate_f_smooth` and
-`bispecial_multiplicity_sum` spell each word beside its state.  Each
-alphabet keeps one level, which both walks go on from.  All alphabets share
-one budget.
+of its states once, a batch at a time: each batch takes every state past a
+watermark and reads their children off columns that earlier batches
+filled.  It walks the levels with one step, from a level's states to the
+next one's, which gathers their children and drops the 0s, the children
+that are not f-smooth.  `f_smooth_count` and `exact_complexity` keep the
+states alone, and `enumerate_f_smooth` and `bispecial_multiplicity_sum`
+spell each word beside its state.  Each alphabet keeps one level, which
+both walks go on from.  All alphabets share one budget of words.
 """
 
 from __future__ import annotations
@@ -24,40 +26,43 @@ from .errors import ResourceCapError, _check_size
 from .words import Alphabet, Word
 
 
-# The budget of the words of one alphabet up to a length, one node per word
-# as in a trie of them, and of all alphabets' automaton states plus each
-# one's kept level before another grows: {1,2} stops after length 189, whose
-# 202,049 states and 78,510 spelled words peak at 68 MB RSS.
-TRIE_NODE_LIMIT = 1 << 22
+# The budget of the words a walk passes, over every level up to the length
+# asked, and of what all alphabets keep before another grows: each one's
+# automaton states plus its kept level.  {1,2} stops after length 189, whose
+# 202,049 states and 78,510 spelled words peak at 67 MB RSS.
+WORD_BUDGET = 1 << 22
 
 
-def _check_level(alphabet: Alphabet, level: int, nodes: int, words: int) -> None:
-    """Refuse level `level` when two children for each of the `words` words
-    before it could take the `nodes` words up to it past TRIE_NODE_LIMIT."""
-    if nodes + 2 * words > TRIE_NODE_LIMIT:
+def _check_level(alphabet: Alphabet, level: int, total: int, words: int) -> None:
+    """Refuse level `level` when the `total` words of the levels before it
+    and two children for each of the `words` words of the last of them
+    could pass WORD_BUDGET."""
+    if total + 2 * words > WORD_BUDGET:
         raise ResourceCapError(
             f"level {level} of the f-smooth words over {alphabet} could add "
-            f"{2 * words:,} trie nodes to {nodes:,}, above the budget of "
-            f"{TRIE_NODE_LIMIT:,}")
+            f"{2 * words:,} words to {total:,}, above the budget of "
+            f"{WORD_BUDGET:,}")
 
 
 def _check_budget(alphabet: Alphabet, n: int) -> tuple[int, ...]:
     """Refuse, before any level is walked, the first level k up to n whose
-    words, two for each word of length k - 1, could take the words up to
-    length k past TRIE_NODE_LIMIT; else return the level sizes p(k) for k
-    up to n at least, which the bispecial trees count exactly.  The count's
-    horizon doubles from 64 up to n; as p(k) >= k + 1, the budget is passed
-    by level 2,895 over any alphabet."""
+    words, two for each word of length k - 1, could take the words a walk
+    to length k passes past WORD_BUDGET; else return the level sizes p(k)
+    for k up to n at least, which the bispecial trees count exactly.  The
+    count's horizon doubles from 64 up to n; as p(k) >= k + 1, the budget
+    is passed by level 2,895 over any alphabet."""
     horizon, p = 0, (1, 2)
     while horizon < n:
         horizon = min(max(2 * horizon, 64), n)
         p = tree_derived_complexity(alphabet, horizon).p
-        for level, nodes, words in zip(range(1, horizon + 1), accumulate(p), p):
-            _check_level(alphabet, level, nodes, words)
+        for level, total, words in zip(range(1, horizon + 1), accumulate(p), p):
+            _check_level(alphabet, level, total, words)
     return p
 
 
-_UNSEEN = -2  # children of a state not yet worked out
+def _gather(ids):
+    """The entries `ids` of a column, as a tuple even when there is one."""
+    return itemgetter(*ids) if len(ids) > 1 else lambda column: (column[ids[0]],)
 
 
 class _Automaton:
@@ -69,11 +74,22 @@ class _Automaton:
     state keeps the first two and the state of `inner` (-1: one run).  State
     0 is the empty word, 1 and 2 the words a and b.  A state of exponent e >=
     2 has one parent state; the one opening a run of x after inner state d
-    is `opened[x][d]`.  `p` counts the words of each length walked.  The
-    kept level is `n`: `states`, the states of its words in lexicographic
-    order, one a word, and `words`, their letters when it was spelled, else
-    None.  `sizes` are the level sizes up to the longest length the budget
-    has admitted.
+    is `opened[x][d]`, 0 while there is none.
+
+    States are worked out in id order, a batch at a time.  `child[x]` holds
+    the state of w + x for each state below its length, the watermark, and 0
+    where w + x is not f-smooth: state 0 is nobody's child.  A batch works
+    out every state from the watermark to the last one.  The inner state of
+    each was worked out in an earlier batch: a same-run child keeps its
+    parent's, and a new-run child's is a child of its parent's inner state,
+    created when that was worked out, so no later than the batch creating
+    the new-run child.  A broken invariant would read past the watermark
+    and raise IndexError.
+
+    `p` counts the words of each length walked.  The kept level is `n`:
+    `states`, the states of its words in lexicographic order, one a word,
+    and `words`, their letters when it was spelled, else None.  `sizes` are
+    the level sizes up to the longest length the budget has admitted.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -81,72 +97,76 @@ class _Automaton:
         self.alphabet = alphabet
         self.letter, self.exponent = array("B", (0, a, b)), array("B", (0, 1, 1))
         self.inner = array("i", (0, -1, -1))
-        self.child = {a: array("i", (1, _UNSEEN, _UNSEEN)),
-                      b: array("i", (2, _UNSEEN, _UNSEEN))}
-        self.opened = {a: array("i", (-1, -1, -1)), b: array("i", (-1, -1, -1))}
+        self.child = {a: array("i", (1,)), b: array("i", (2,))}
+        self.opened = {a: array("i"), b: array("i")}
         self.p, self.n, self.states, self.words = [1], 0, [0], [b""]
         self.sizes = (1, 2)
 
-    def _add(self, x: int, e: int, up: int) -> int:
-        """A new state: last run x^e, inner state `up`."""
-        self.letter.append(x)
-        self.exponent.append(e)
-        self.inner.append(up)
-        for column in self.child.values():
-            column.append(_UNSEEN)
-        for column in self.opened.values():
-            column.append(-1)
-        return len(self.letter) - 1
-
-    def _expand(self, s: int) -> None:
-        """Work out the children of state s.  A child w + x is f-smooth
-        exactly when its derivative, a shorter word, has a state."""
+    def _grow(self) -> None:
+        """Work out the states from the watermark to the last one.  A child
+        w + x is f-smooth exactly when its derivative, a shorter word, has a
+        state: one of the inner state's children, already worked out."""
         a, b = self.alphabet.a, self.alphabet.b
-        ca, cb = self.child[a], self.child[b]
-        c, e, up = self.letter[s], self.exponent[s], self.inner[s]
-        if up < 0:  # one run, whose cut is the first run's
-            same = 0 if e < a else 2 if e < b else -1
-            new = 0 if e <= a else 2
-        else:
-            if ca[up] == _UNSEEN:
-                self._expand(up)
-            # the last run grows: D(w + c) = inner + cut(e + 1)
-            same = up if e < a else cb[up] if e < b else -1
-            # a new run starts: D = inner + e (e now interior); its cut(1)
-            # is empty
-            new = ca[up] if e == a else cb[up] if e == b else -1
-        x = a + b - c
-        if same >= 0:
-            same = self._add(c, e + 1, up)
-        if new >= 0:
-            opened = self.opened[x]
-            if opened[new] < 0:
-                opened[new] = self._add(x, 1, new)
-            new = opened[new]
-        self.child[c][s], self.child[x][s] = same, new
+        ca, cb, oa, ob = self.child[a], self.child[b], self.opened[a], self.opened[b]
+        letter, exponent, inner = self.letter, self.exponent, self.inner
+        low, top = len(ca), len(letter)
+        cs, es, ups = letter[low:top], exponent[low:top], inner[low:top]
+        gather = _gather(ups)  # one run's -1 reads the last entry, unused
+        via_a, via_b = gather(ca), gather(cb)
+        # the last run grows: D(w + c) = inner + cut(e + 1), a state when
+        # the cut is empty (e < a), or is b and inner + b has a state; one run
+        # is cut as a first run, to b when e >= a.  These new states take the
+        # ids from top on.
+        k = top - 1
+        same = [(k := k + 1) if e < a or e < b and (up < 0 or y) else 0
+                for e, up, y in zip(es, ups, via_b)]
+        letter.extend(compress(cs, same))
+        exponent.fromlist([e + 1 for e, s in zip(es, same) if s])
+        inner.extend(compress(ups, same))
+        # a new run of x starts: D = inner + e (e now interior), its cut(1)
+        # empty, and D = cut(e) after one run; d, the state of that, is -1
+        # when there is none
+        opens = [(0 if e <= a else 2) if up < 0
+                 else (y if e == a else z if e == b else 0) or -1
+                 for e, up, y, z in zip(es, ups, via_a, via_b)]
+        pad = bytes(oa.itemsize * (top - len(oa)))
+        oa.frombytes(pad)
+        ob.frombytes(pad)
+        # a run of a opened after d is keyed d, one of b ~d: the states
+        # opening them are added once, as first met
+        fresh = dict.fromkeys(d if c == b else ~d for c, d in zip(cs, opens)
+                              if d >= 0 and not (ob if c == a else oa)[d])
+        for s, d in enumerate(fresh, len(letter)):
+            if d >= 0:
+                oa[d] = s
+            else:
+                ob[~d] = s
+        letter.extend(a if d >= 0 else b for d in fresh)
+        exponent.frombytes(bytes((1,)) * len(fresh))
+        inner.extend(d if d >= 0 else ~d for d in fresh)
+        new = [(ob if c == a else oa)[d] if d >= 0 else 0
+               for c, d in zip(cs, opens)]
+        ca.fromlist([s if c == a else t for c, s, t in zip(cs, same, new)])
+        cb.fromlist([t if c == a else s for c, s, t in zip(cs, same, new)])
 
     def _step(self, states: list, words: list | None) -> tuple:
         """The next level after the one of `states`, and its words when the
-        level's `words` are given, else None.  The children of its states
-        are worked out where not yet; each state's a-child comes before its
-        b-child, and only the children with a state are kept."""
+        level's `words` are given, else None.  The automaton grows first
+        if a state is past the watermark; each state's a-child comes before
+        its b-child, and only the children with a state are kept."""
         a, b = self.alphabet.a, self.alphabet.b
         ca, cb = self.child[a], self.child[b]
-        # level 0, the empty word, is the only level of one word
-        get = (itemgetter(*states) if len(states) > 1
-               else lambda column: (column[states[0]],))
-        for s in [s for s, c in zip(states, get(ca)) if c == _UNSEEN]:
-            if ca[s] == _UNSEEN:  # unless worked out since as an inner state
-                self._expand(s)
+        if max(states) >= len(ca):
+            self._grow()
+        get = _gather(states)
         children = [0] * (2 * len(states))
         children[::2], children[1::2] = get(ca), get(cb)
-        keep = [c >= 0 for c in children]
         if words is not None:
             parents = [b""] * len(children)
             parents[::2] = parents[1::2] = words
-            words = list(map(bytes.__add__, compress(parents, keep),
-                             compress(cycle((bytes((a,)), bytes((b,)))), keep)))
-        return list(compress(children, keep)), words
+            words = list(map(bytes.__add__, compress(parents, children),
+                             compress(cycle((bytes((a,)), bytes((b,)))), children)))
+        return list(filter(None, children)), words
 
     def walk(self, n: int, spelled: bool) -> None:
         """Keep level n, its words spelled when `spelled`: on from the kept
@@ -170,7 +190,7 @@ def _language(alphabet: Alphabet, n: int, spelled: bool = False) -> _Automaton:
     """The alphabet's automaton with its levels counted to length n or, when
     spelled, its level n spelled.  Only a length past those the budget has
     admitted for the alphabet is checked.  The other alphabets are dropped
-    first if all could pass TRIE_NODE_LIMIT, each holding its states and its
+    first if all could pass WORD_BUDGET, each holding its states and its
     kept level, one entry a word whichever walk kept it.  It is out of
     `_LANGUAGES` while it walks, so a cut walk leaves none of it."""
     _check_size("enumeration length", n)  # the budget caps it
@@ -184,7 +204,7 @@ def _language(alphabet: Alphabet, n: int, spelled: bool = False) -> _Automaton:
         # a state a word at most, and level n kept
         own = max(len(automaton.letter), sum(sizes[:n + 1])) + sizes[n]
         if own + sum(len(x.letter) + len(x.states)
-                     for x in _LANGUAGES.values()) > TRIE_NODE_LIMIT:
+                     for x in _LANGUAGES.values()) > WORD_BUDGET:
             _LANGUAGES.clear()
         automaton.walk(n, spelled)
         _LANGUAGES[alphabet] = automaton

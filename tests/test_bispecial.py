@@ -830,11 +830,11 @@ class TestComplexity:
             raise AssertionError("a level was walked before the budget check")
 
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
-        for walk in ("walk", "_step", "_expand"):
+        for walk in ("walk", "_step", "_grow"):
             monkeypatch.setattr(smoothness._Automaton, walk, unreachable)
         with pytest.raises(ResourceCapError, match=re.escape(
                 "level 190 of the f-smooth words over {1,2} could add "
-                "157,020 trie nodes to 4,039,361, above the budget of "
+                "157,020 words to 4,039,361, above the budget of "
                 "4,194,304")):
             exact_complexity(AB12, 190)
         assert smoothness._LANGUAGES == {}

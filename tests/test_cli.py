@@ -35,7 +35,7 @@ def run_cli(*argv):
 
 
 LEVEL_190 = ("error: level 190 of the f-smooth words over {1,2} could add "
-             "157,020 trie nodes to 4,039,361, above the budget of 4,194,304\n")
+             "157,020 words to 4,039,361, above the budget of 4,194,304\n")
 
 
 def refused_before_any_level(monkeypatch, argv):
@@ -51,7 +51,7 @@ def refused_before_any_level(monkeypatch, argv):
 
     languages = dict(smoothness._LANGUAGES)
     levels = {ab: kept(x) for ab, x in languages.items()}
-    for walk in ("walk", "_step", "_expand"):
+    for walk in ("walk", "_step", "_grow"):
         monkeypatch.setattr(smoothness._Automaton, walk, unreachable)
     code, out, err = run_cli(*argv)
     assert (code, out) == (3, "")
@@ -234,10 +234,10 @@ class TestEnumerate:
         (["enumerate", "--length", "200"], LEVEL_190),
         (["--alphabet", "1,255", "enumerate", "--length", "2000"],
          "error: level 894 of the f-smooth words over {1,255} could add "
-         "22,800 trie nodes to 4,180,885, above the budget of 4,194,304\n"),
+         "22,800 words to 4,180,885, above the budget of 4,194,304\n"),
         (["--alphabet", "254,255", "enumerate", "--length", "3000"],
          "error: level 1679 of the f-smooth words over {254,255} could add "
-         "11,388 trie nodes to 4,185,093, above the budget of 4,194,304\n"),
+         "11,388 words to 4,185,093, above the budget of 4,194,304\n"),
     ])
     def test_node_budget_is_decided_before_any_level(self, monkeypatch, argv,
                                                      stderr):
@@ -599,7 +599,7 @@ BAD_ARGV = st.one_of(
 @example(["--alphabet", "100,255", "tree", "--generation", "138"])
 @example(["--alphabet", "1,3", "tree", "--generation", "21", "--stats"])
 @example(["kappa", "--length", str(HUGE)])
-# the first lengths the enumeration's node budget refuses
+# the first lengths the enumeration's word budget refuses
 @example(["enumerate", "--length", "190"])
 @example(["complexity", "--max", "188"])
 @example(["--alphabet", "1,255", "enumerate", "--length", "894"])

@@ -1,4 +1,5 @@
 import re
+from bisect import bisect_right
 from itertools import count, product
 
 import pytest
@@ -97,7 +98,7 @@ class TestEnumeration:
 
 
 def size(language):
-    """An alphabet's share of the node budget: its states and kept level."""
+    """An alphabet's share of the word budget: its states and kept level."""
     return len(language.letter) + len(language.states)
 
 
@@ -111,8 +112,8 @@ def columns(language):
 
 
 class TestTrieAgainstOracle:
-    """The spelled levels and their budget against from-scratch derivation
-    chains, one node per word as in a trie."""
+    """The spelled levels and the word budget against from-scratch
+    derivation chains."""
 
     @pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 4), (1, 4), (2, 5), (3, 5)])
     def test_every_word_filtered(self, a, b):
@@ -136,21 +137,21 @@ class TestTrieAgainstOracle:
 
     def test_node_budget_refuses_before_building(self, monkeypatch):
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
-        nodes = sum(f_smooth_count(AB12, k) for k in range(11))
+        total = sum(f_smooth_count(AB12, k) for k in range(11))
         bound = 2 * f_smooth_count(AB12, 10)
         enumerate_f_smooth(AB12, 10)
         automaton = smoothness._LANGUAGES[AB12]
         before = columns(automaton)
-        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound - 1)
+        monkeypatch.setattr(smoothness, "WORD_BUDGET", total + bound - 1)
         for walk in (enumerate_f_smooth, f_smooth_count):
             with pytest.raises(ResourceCapError, match=re.escape(
                     f"level 11 of the f-smooth words over {{1,2}} could add "
-                    f"{bound} trie nodes to {nodes}, above the budget of "
-                    f"{nodes + bound - 1}")):
+                    f"{bound} words to {total}, above the budget of "
+                    f"{total + bound - 1}")):
                 walk(AB12, 11)
             assert smoothness._LANGUAGES == {AB12: automaton}
             assert columns(automaton) == before
-        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", nodes + bound)
+        monkeypatch.setattr(smoothness, "WORD_BUDGET", total + bound)
         assert len(enumerate_f_smooth(AB12, 11)) == 62
 
     @pytest.mark.parametrize("limit", [3_000, 40_000])
@@ -160,18 +161,18 @@ class TestTrieAgainstOracle:
                                                           a, b, limit):
         # the reference: levels grown one at a time by filtering every
         # extension, each checked before it is grown, until one is refused
-        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", limit)
+        monkeypatch.setattr(smoothness, "WORD_BUDGET", limit)
         ab = Alphabet(a, b)
-        words, nodes = [bytes([a]), bytes([b])], 3
+        words, total = [bytes([a]), bytes([b])], 3
         for level in count(2):
             try:
-                smoothness._check_level(ab, level, nodes, len(words))
+                smoothness._check_level(ab, level, total, len(words))
             except ResourceCapError as exc:
                 refusal = str(exc)
                 break
             words = [u for w in words for u in (w + bytes([a]), w + bytes([b]))
                      if _is_smooth_bytes(u, a, b, _F)]
-            nodes += len(words)
+            total += len(words)
         smoothness._check_budget(ab, level - 1)
         for n in (level, level + 1, 10 ** 9):
             with pytest.raises(ResourceCapError) as decided:
@@ -211,7 +212,7 @@ class TestTrieAgainstOracle:
     def test_kept_levels_of_all_alphabets_share_the_budget(self, monkeypatch):
         ab23 = Alphabet(2, 3)
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
-        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", 3_000)
+        monkeypatch.setattr(smoothness, "WORD_BUDGET", 3_000)
         words = enumerate_f_smooth(AB12, 20)
         kept = smoothness._LANGUAGES[AB12]
         enumerate_f_smooth(ab23, 10)
@@ -235,7 +236,7 @@ class TestTrieAgainstOracle:
     def test_counts_share_the_budget(self, monkeypatch):
         ab23 = Alphabet(2, 3)
         monkeypatch.setattr(smoothness, "_LANGUAGES", {})
-        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", 3_000)
+        monkeypatch.setattr(smoothness, "WORD_BUDGET", 3_000)
         words = enumerate_f_smooth(AB12, 20)
         kept = smoothness._LANGUAGES[AB12]
         assert f_smooth_count(AB12, 20) == len(words)  # spelling counted it
@@ -267,7 +268,7 @@ class TestTrieAgainstOracle:
         # {2,3}'s states (a state a word at most) and its level 30 fit beside
         # {1,2}, counted or spelled alike, and not with its level 31 spelled
         limit = size(kept) + sum(p[:31]) + p[30]
-        monkeypatch.setattr(smoothness, "TRIE_NODE_LIMIT", limit)
+        monkeypatch.setattr(smoothness, "WORD_BUDGET", limit)
         assert f_smooth_count(ab23, 30) == p[30]
         assert len(enumerate_f_smooth(ab23, 30)) == p[30]
         assert list(smoothness._LANGUAGES) == [AB12, ab23]
@@ -379,6 +380,58 @@ class TestAutomatonAgainstOracle:
             assert counted.states == spelled.states, n
             assert counted.words is None and len(spelled.words) == counted.p[n]
         assert spelled.p == counted.p
+
+    @pytest.mark.parametrize("a,b,n", [
+        (1, 2, 12), (1, 3, 12), (2, 4, 14), (1, 4, 12), (2, 5, 14), (3, 5, 14),
+        (1, 255, 40), (254, 255, 40), (100, 255, 40)])
+    def test_children_match_the_derivation(self, a, b, n):
+        # for every word w of each level below n, on state s: the child of s
+        # for x is a state, not 0, exactly when w + x is f-smooth
+        ab = Alphabet(a, b)
+        automaton = smoothness._Automaton(ab)
+        for k in range(n):
+            automaton.walk(k, True)
+            states, words = automaton.states, automaton.words
+            automaton.walk(k + 1, True)  # works out the states of level k
+            for s, w in zip(states, words):
+                for x in (a, b):
+                    child = automaton.child[x][s]
+                    smooth = is_f_smooth(ab.word(w + bytes((x,)))) is not None
+                    assert (child != 0) == smooth, (w, x)
+                    assert not child or automaton.letter[child] == x, (w, x)
+
+    @pytest.mark.parametrize("a,b,n,made", [
+        (1, 2, 60, 9_515), (1, 3, 60, 4_557), (2, 5, 70, 1_545),
+        (254, 255, 400, 1_601), (100, 255, 300, 2_213)])
+    def test_batches_work_out_only_the_walked_levels(self, monkeypatch, a, b,
+                                                     n, made):
+        starts, walked = [], set()
+        grow, step = smoothness._Automaton._grow, smoothness._Automaton._step
+
+        def grown(automaton):
+            starts.append(len(automaton.child[a]))
+            grow(automaton)
+
+        def stepped(automaton, states, words):
+            walked.update(states)
+            return step(automaton, states, words)
+
+        monkeypatch.setattr(smoothness._Automaton, "_grow", grown)
+        monkeypatch.setattr(smoothness._Automaton, "_step", stepped)
+        automaton = smoothness._Automaton(Alphabet(a, b))
+        automaton.walk(n, False)
+        # the states worked out are those of the levels below n, and the
+        # states made are those and level n's
+        assert len(automaton.letter) == made
+        assert set(range(len(automaton.child[a]))) == walked
+        assert len(automaton.child[b]) == len(automaton.child[a])
+        assert walked | set(automaton.states) == set(range(made))
+        # the inner state of each state past the empty word was worked out in
+        # an earlier batch, the states past the watermark being the next one's
+        starts.append(len(automaton.child[a]))
+        batch = [bisect_right(starts, s) for s in range(made)]
+        assert all(batch[d] < batch[s]
+                   for s, d in enumerate(automaton.inner[1:], 1) if d >= 0)
 
     def test_counts_match_the_trees_to_150(self):
         automaton = smoothness._Automaton(AB12)
