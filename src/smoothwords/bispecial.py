@@ -11,16 +11,11 @@ b^(b-1).  Growing each root with the two primitive constructors yields five
 complete binary trees whose level populations drive the factor complexity of
 the whole language through second differences.
 
-The probes `is_bispecial`, `multiplicity` and `root_of` derive a word w
-once for all nine x·w·y with x, y in {none, a, b}, in one extension walk,
-`_extensions`.  While w has at least two runs, x·w·y differs from w only in
-its first and last runs, so it derives to x' + D + y': D spells the
-interior exponents of w, shared by all nine, and x' (likewise y') is empty,
-one letter or outside the domain, depending only on x and the first run of
-w.  Each level of that shared-middle walk is one run-length encoding; only
-the nine words of at most three runs left at its end are derived one by
-one, and the (none, none) context is w's own chain, which `root_of` follows
-down to the root.
+The probes `is_bispecial`, `multiplicity` and `root_of` read the word's
+extension walk, `derivation._extensions`, which derives all nine x·w·y with
+x, y in {none, a, b} at once and is shared with the one-letter extensions.
+Its (none, none) context is w's own chain, which `root_of` follows down to
+the root.
 
 Level statistics are computed two ways: materializing the words, or walking
 exact parity-count states (possible when both letters share a parity, since
@@ -53,13 +48,12 @@ from collections import Counter
 from itertools import accumulate, islice
 from math import inf, log
 from operator import add, sub
-from typing import Iterator, Optional
+from typing import Iterator
 
-from .derivation import _F, _derivatives, _is_smooth_bytes, derive_f
+from .derivation import _F, _derivatives, _extends, _extensions, derive_f
 from .errors import (FAMILIES, InvalidFamilyError, ResourceCapError, UsageError,
                      _check_size)
-from .words import (Alphabet, Parity, Word, _blocks, _bytes_runs, _Record, _spell,
-                    _swap_table)
+from .words import Alphabet, Parity, Word, _blocks, _Record, _spell, _swap_table
 
 MATERIALIZE_LETTER_LIMIT = 80_000_000
 # Distinct parity-count states of one level: exactly 2^g at generation g
@@ -109,64 +103,6 @@ def primitive(word: Word, first_letter: int) -> Word:
 
 
 # -- bispecial probes -----------------------------------------------------
-
-
-def _edge(contexts: tuple, c: int, p: int, a: int, b: int, letter: dict) -> tuple:
-    """The contexts of one side one level down, where the word's run on that
-    side is c^p.  Beside the empty context that run is the boundary; the
-    context c lengthens it by one; the other letter is a run of one, cut to
-    the empty word, which makes c^p interior."""
-    step = {
-        b"": None if p > b else b"" if p <= a else letter[b],
-        letter[c]: None if p >= b else b"" if p < a else letter[b],
-        letter[a + b - c]: letter.get(p),
-    }
-    return tuple(map(step.get, contexts))
-
-
-def _extensions(letters: bytes, a: int, b: int) -> Optional[tuple]:
-    """Derive all nine x·w·y at once, x and y in the contexts (none, a, b),
-    through the middle they share (see the module docstring).
-
-    Returns (steps, left, middle, right): after `steps` levels, x·w·y has
-    derived to left[x] + middle + right[y], each context being empty, one
-    letter, or None once outside the domain.  The walk stops at a middle of
-    at most one run.  Returns None when none of the nine is f-smooth: an
-    interior exponent outside {a, b} or a run past 255 rules out all nine,
-    and so do both one-letter contexts of one side, as the language is
-    extendable.
-    """
-    letter = {a: bytes((a,)), b: bytes((b,))}
-    left = right = (b"", letter[a], letter[b])
-    pair = letter[a] + letter[b]
-    steps = 0
-    while True:
-        try:
-            exps = bytes(_bytes_runs(letters, a, b))
-        except ValueError:  # a run longer than 255
-            return None
-        if len(exps) < 2:
-            return steps, left, letters, right
-        middle = exps[1:-1]
-        if middle.translate(None, pair):
-            return None
-        left = _edge(left, letters[0], exps[0], a, b, letter)
-        right = _edge(right, letters[-1], exps[-1], a, b, letter)
-        if left[1:] == (None, None) or right[1:] == (None, None):
-            return None
-        letters = middle
-        steps += 1
-
-
-def _extends(walk, x: int, y: int, a: int, b: int) -> bool:
-    """True when x·w·y is f-smooth, read off w's walk `_extensions(w, a, b)`;
-    x and y index the contexts (none, a, b)."""
-    if walk is None:
-        return False
-    _, left, middle, right = walk
-    start, end = left[x], right[y]
-    return (start is not None and end is not None
-            and _is_smooth_bytes(start + middle + end, a, b, _F))
 
 
 def _bispecial_walk(word: Word):

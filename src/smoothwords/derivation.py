@@ -23,15 +23,24 @@ on it break otherwise.  The prefix rule treats the final run as possibly
 unfinished: it only has to fit in [1, b] and is dropped.
 
 Every rule contracts the length of any nonempty word, so iteration terminates.
-Every iteration of one word (f- and r-smooth membership and the one-letter
-extensions here, the left embedding, the depth check and the CLI's chain)
-reads the one walk `_derivatives`.  The bispecial probes derive a word
-together with its two-sided extensions in `bispecial._extensions`, which
-runs the two-sided rule on the shared middle and hands the short words left
-at its end to `_is_smooth_bytes`.  The one incremental exception is the
-stack of right derivatives in `generators` (`_r_push`), which decides every
-prefix of a growing word in amortised O(1) per letter for the greedy
-extension and the every-prefix check of `verify`.
+Every iteration of one word (f- and r-smooth membership, the left embedding,
+the depth check and the CLI's chain) reads the one walk `_derivatives`.  The
+one incremental exception is the stack of right derivatives in `generators`
+(`_r_push`), which decides every prefix of a growing word in amortised O(1)
+per letter for the greedy extension and the every-prefix check of `verify`.
+
+The one-letter extensions of a word w derive w once for all nine x·w·y with
+x, y in the contexts (none, a, b), in one extension walk, `_extensions`.
+While w has at least two runs, x·w·y differs from w only in its first and
+last runs, so it derives to x' + D + y': D spells the interior exponents of
+w, shared by all nine, and x' (likewise y') is empty, one letter or outside
+the domain, depending only on x and the first run of w.  Each level of that
+shared-middle walk is one run-length encoding; only the nine words of at
+most three runs left at its end are derived one by one, by
+`_is_smooth_bytes`.  The walk of the last word asked about is kept, so
+`left_extensions`, `right_extensions` and the bispecial probes
+(`is_bispecial`, `multiplicity`, `root_of`) on one word walk it once between
+them.
 
 One step reads the exponents as a `bytes` object from `words._bytes_runs`,
 whose boundary marks assume the letters lie in {a, b}; every caller passes
@@ -41,6 +50,7 @@ b <= 255 it is outside the domain of every rule, so the step refuses it.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .errors import NotDerivableError, NotRDerivableError, UsageError
@@ -135,6 +145,65 @@ def _is_smooth_bytes(letters: bytes, a: int, b: int, rule) -> bool:
     return not last
 
 
+def _edge(contexts: tuple, c: int, p: int, a: int, b: int, letter: dict) -> tuple:
+    """The contexts of one side one level down, where the word's run on that
+    side is c^p.  Beside the empty context that run is the boundary; the
+    context c lengthens it by one; the other letter is a run of one, cut to
+    the empty word, which makes c^p interior."""
+    step = {
+        b"": None if p > b else b"" if p <= a else letter[b],
+        letter[c]: None if p >= b else b"" if p < a else letter[b],
+        letter[a + b - c]: letter.get(p),
+    }
+    return tuple(map(step.get, contexts))
+
+
+@lru_cache(maxsize=1)
+def _extensions(letters: bytes, a: int, b: int) -> Optional[tuple]:
+    """Derive all nine x·w·y at once, x and y in the contexts (none, a, b),
+    through the middle they share (see the module docstring).
+
+    Returns (steps, left, middle, right): after `steps` levels, x·w·y has
+    derived to left[x] + middle + right[y], each context being empty, one
+    letter, or None once outside the domain.  The walk stops at a middle of
+    at most one run.  Returns None when none of the nine is f-smooth: an
+    interior exponent outside {a, b} or a run past 255 rules out all nine,
+    and so do both one-letter contexts of one side, as the language is
+    extendable.
+    """
+    letter = {a: bytes((a,)), b: bytes((b,))}
+    left = right = (b"", letter[a], letter[b])
+    pair = letter[a] + letter[b]
+    steps = 0
+    while True:
+        try:
+            exps = bytes(_bytes_runs(letters, a, b))
+        except ValueError:  # a run longer than 255
+            return None
+        if len(exps) < 2:
+            return steps, left, letters, right
+        middle = exps[1:-1]
+        if middle.translate(None, pair):
+            return None
+        left = _edge(left, letters[0], exps[0], a, b, letter)
+        right = _edge(right, letters[-1], exps[-1], a, b, letter)
+        if left[1:] == (None, None) or right[1:] == (None, None):
+            return None
+        letters = middle
+        steps += 1
+
+
+def _extends(walk, x: int, y: int, a: int, b: int) -> bool:
+    """True when x·w·y is f-smooth, read off w's walk `_extensions(w, a, b)`;
+    x and y index the contexts (none, a, b)."""
+    if walk is None:
+        return False
+    _, left, middle, right = walk
+    start, end = left[x], right[y]
+    return (start is not None and end is not None
+            and _is_smooth_bytes(start + middle + end, a, b, _F))
+
+
 class FSmoothCertificate(_Record):
     """Witness of f-smoothness: the full derivative chain down to empty.
 
@@ -162,20 +231,16 @@ def is_r_smooth(word: Word) -> bool:
 
 def left_extensions(word: Word) -> tuple[int, ...]:
     """Letters c with c + word f-smooth, ascending."""
-    ab = word.alphabet
-    return tuple(
-        c for c in (ab.a, ab.b)
-        if _is_smooth_bytes(bytes([c]) + word.letters, ab.a, ab.b, _F)
-    )
+    a, b = word.alphabet.a, word.alphabet.b
+    walk = _extensions(word.letters, a, b)
+    return tuple(c for x, c in ((1, a), (2, b)) if _extends(walk, x, 0, a, b))
 
 
 def right_extensions(word: Word) -> tuple[int, ...]:
     """Letters c with word + c f-smooth, ascending."""
-    ab = word.alphabet
-    return tuple(
-        c for c in (ab.a, ab.b)
-        if _is_smooth_bytes(word.letters + bytes([c]), ab.a, ab.b, _F)
-    )
+    a, b = word.alphabet.a, word.alphabet.b
+    walk = _extensions(word.letters, a, b)
+    return tuple(c for y, c in ((1, a), (2, b)) if _extends(walk, 0, y, a, b))
 
 
 def derivability(word: Word, kind: str = "f") -> DerivabilityReport:

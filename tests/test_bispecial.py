@@ -12,6 +12,7 @@ from smoothwords import (
     FAMILIES,
     InvalidFamilyError,
     ResourceCapError,
+    UsageError,
     Word,
     bispecial_multiplicity_sum,
     derive_f,
@@ -21,16 +22,19 @@ from smoothwords import (
     generation_swap,
     is_bispecial,
     is_f_smooth,
+    kappa_prefix,
+    left_extensions,
     multiplicity,
     primitive,
+    right_extensions,
     root_of,
     tree_complexity,
     tree_derived_complexity,
     tree_generation,
 )
 from smoothwords import bispecial, derivation, smoothness, words
-from smoothwords.bispecial import _extends, _extensions
-from smoothwords.derivation import _F, _derivatives, _is_smooth_bytes
+from smoothwords.derivation import (_F, _derivatives, _extends, _extensions,
+                                    _is_smooth_bytes)
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -43,8 +47,8 @@ SHORT_WORD_ALPHABETS = [
 ]
 
 
-def short_words(ab):
-    longest = 12 if ab.b <= 3 else 10
+def short_words(ab, longest=None):
+    longest = longest or (12 if ab.b <= 3 else 10)
     for n in range(longest + 1):
         yield from map(bytes, product((ab.a, ab.b), repeat=n))
 
@@ -465,6 +469,40 @@ def ref_root_of(word):
 WALK_TREE_ALPHABETS = [AB12, AB13, AB14, Alphabet(2, 5)]
 
 
+def multiplicity_or_none(w):
+    try:
+        return multiplicity(w)
+    except UsageError:
+        return None
+
+
+def probes_alone(w):
+    """The four extension probes of w, each on a cleared walk memo."""
+    answers = []
+    for probe in (left_extensions, right_extensions, is_bispecial, multiplicity_or_none):
+        _extensions.cache_clear()
+        answers.append(probe(w))
+    return tuple(answers)
+
+
+def probes_in_order(w):
+    """The probes of w in the benchmark's order, sharing one walk."""
+    is_f_smooth(w)
+    left, right, flag = left_extensions(w), right_extensions(w), is_bispecial(w)
+    return left, right, flag, multiplicity(w) if flag else None
+
+
+def probes_alternating(w):
+    """The probes of w, each after the same probe of w's letters over the
+    other alphabet of {1,2} and {1,3}."""
+    other = Word(AB13 if w.alphabet == AB12 else AB12, w.letters)
+    answers = []
+    for probe in (left_extensions, right_extensions, is_bispecial, multiplicity_or_none):
+        probe(other)
+        answers.append(probe(w))
+    return tuple(answers)
+
+
 class TestExtensionWalk:
     """The shared-middle walk against membership of each x·w·y."""
 
@@ -507,19 +545,87 @@ class TestExtensionWalk:
         # one run-length encoding per level of the word's chain, shared by
         # all its extensions, plus the short chains that finish them
         calls = 0
-        runs = bispecial._bytes_runs
+        runs = derivation._bytes_runs
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return runs(*args)
 
-        monkeypatch.setattr(bispecial, "_bytes_runs", counted)
         monkeypatch.setattr(derivation, "_bytes_runs", counted)
         for g, w in tree_vertices(ab, range(2, 7)):
+            _extensions.cache_clear()  # a walk kept by an earlier test costs nothing
             calls = 0
             assert root_of(w)[2] == g
             assert g <= calls <= g + 9, (ab, w, calls)
+
+    @pytest.mark.parametrize("ab", WALK_TREE_ALPHABETS, ids=str)
+    def test_probes_of_a_word_share_one_walk(self, ab, monkeypatch):
+        # The probes of a κ-factor in the benchmark's order: the certificate
+        # encodes each of the h nonempty words of its chain, the first
+        # extension probe walks at most h + 1 levels, and every probe then
+        # only finishes its words, each chain of at most three runs costing
+        # at most two encodings.  Without the shared walk, right_extensions
+        # alone encodes a chain of about h levels for each f-smooth extension.
+        calls = 0
+        runs = derivation._bytes_runs
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return runs(*args)
+
+        monkeypatch.setattr(derivation, "_bytes_runs", counted)
+        kappa = kappa_prefix(ab, 4000, start=ab.a).letters
+        for offset in range(0, 2500, 250):
+            w = Word(ab, kappa[offset:offset + 1500])
+            _extensions.cache_clear()
+            costs = []
+            for probe in (is_f_smooth, left_extensions, right_extensions,
+                          is_bispecial, multiplicity_or_none):
+                calls = 0
+                probe(w)
+                costs.append(calls)
+            h = is_f_smooth(w).height
+            member, left, right, flag, mult = costs
+            where = (ab, offset, costs)
+            assert member == h and left <= h + 1 + 2 * 2, where
+            assert right <= 2 * 2 and flag <= 2 * 4 and mult <= 2 * 4, where
+
+    @staticmethod
+    def assert_probes_match(ab, letters, probe):
+        """`probe(w)` gives (left, right, bispecial flag, multiplicity or
+        None) as the oracle does: one `_is_smooth_bytes` per x·w·y."""
+        a, b = ab.a, ab.b
+
+        def smooth(x, y):
+            return _is_smooth_bytes(bytes(x) + letters + bytes(y), a, b, _F)
+
+        left = tuple(c for c in (a, b) if smooth([c], []))
+        right = tuple(c for c in (a, b) if smooth([], [c]))
+        flag = len(left) == 2 == len(right)
+        mult = sum(smooth([x], [y]) for x in (a, b) for y in (a, b)) - 3 if flag else None
+        assert probe(Word(ab, letters)) == (left, right, flag, mult), (ab, letters)
+
+    @pytest.mark.parametrize("ab", SHORT_WORD_ALPHABETS, ids=str)
+    def test_probes_of_short_words(self, ab):
+        for letters in short_words(ab, 12):
+            self.assert_probes_match(ab, letters, probes_alone)
+            self.assert_probes_match(ab, letters, probes_in_order)
+
+    @pytest.mark.parametrize("ab", WALK_TREE_ALPHABETS, ids=str)
+    def test_probes_of_tree_vertices(self, ab):
+        for _, w in tree_vertices(ab, range(7)):
+            self.assert_probes_match(ab, w.letters, probes_alone)
+            self.assert_probes_match(ab, w.letters, probes_in_order)
+
+    def test_probes_alternating_alphabets_of_the_same_letters(self):
+        # 1^n is a word of {1,2} and of {1,3} with other extensions in each
+        # (3·111 is f-smooth over {1,3}; 111 has none over {1,2}): each probe
+        # follows one of the same letters over the other alphabet
+        for n in range(13):
+            for ab in (AB12, AB13):
+                self.assert_probes_match(ab, b"\x01" * n, probes_alternating)
 
 
 class TestGenerationSwap:
