@@ -12,10 +12,9 @@ complete binary trees whose level populations drive the factor complexity of
 the whole language through second differences.
 
 The probes `is_bispecial`, `multiplicity` and `root_of` read the word's
-extension walk, `derivation._extensions`, which derives all nine x·w·y with
-x, y in {none, a, b} at once and is shared with the one-letter extensions.
-Its (none, none) context is w's own chain, which `root_of` follows down to
-the root.
+extension walk, `derivation._extensions`, shared with every other probe of
+the word: `is_bispecial` its one-sided answers, `multiplicity` its final
+contexts, and `root_of` the word's own chain, followed down to the root.
 
 Level statistics are computed two ways: materializing the words, or walking
 exact parity-count states (possible when both letters share a parity, since
@@ -50,7 +49,7 @@ from math import inf, log
 from operator import add, sub
 from typing import Iterator
 
-from .derivation import _F, _derivatives, _extends, _extensions, derive_f
+from .derivation import _F, _derivatives, _extensions, _is_smooth_bytes, derive_f
 from .errors import (FAMILIES, InvalidFamilyError, ResourceCapError, UsageError,
                      _check_size)
 from .words import Alphabet, Parity, Word, _blocks, _Record, _spell, _swap_table
@@ -72,8 +71,6 @@ MAX_HORIZON = 100_000
 # 1526^e and 1527^e for {1,2}, the largest horizon that alphabet reached
 # under the 80,000,000-letter level budget of the unpruned walk.
 MIXED_WALK_LIMIT = 423_000_000
-# The (x, y) context pairs of a·w, b·w, w·a and w·b in the extension walk.
-_ONE_SIDED = ((1, 0), (2, 0), (0, 1), (0, 2))
 
 
 # -- primitives -----------------------------------------------------------
@@ -107,9 +104,8 @@ def primitive(word: Word, first_letter: int) -> Word:
 
 def _bispecial_walk(word: Word):
     """The extension walk of a bispecial word, or None for any other word."""
-    a, b = word.alphabet.a, word.alphabet.b
-    walk = _extensions(word.letters, a, b)
-    return walk if all(_extends(walk, x, y, a, b) for x, y in _ONE_SIDED) else None
+    walk = _extensions(word.letters, word.alphabet.a, word.alphabet.b)
+    return walk if walk is not None and all(walk[2]) else None
 
 
 def is_bispecial(word: Word) -> bool:
@@ -118,15 +114,16 @@ def is_bispecial(word: Word) -> bool:
 
 
 def multiplicity(word: Word) -> int:
-    """Two-sided extension count minus three, for bispecial words: as the
-    language is factorial and extendable, those whose 2x2 grid of extensions
-    x u y in it has no empty row or column."""
-    a, b = word.alphabet.a, word.alphabet.b
-    walk = _extensions(word.letters, a, b)
-    grid = [[_extends(walk, x, y, a, b) for y in (1, 2)] for x in (1, 2)]
-    if not all(map(any, [*grid, *zip(*grid)])):
+    """Two-sided extension count minus three, for bispecial words, read off
+    the final contexts of the word's extension walk."""
+    walk = _bispecial_walk(word)
+    if walk is None:
         raise UsageError(f"{word.render()!r} is not bispecial")
-    return sum(map(sum, grid)) - 3
+    a, b = word.alphabet.a, word.alphabet.b
+    _, (left, middle, right), _ = walk
+    return sum(x is not None and y is not None
+               and _is_smooth_bytes(x + middle + y, a, b, _F)
+               for x in left[1:] for y in right[1:]) - 3
 
 
 # -- tree families --------------------------------------------------------
@@ -372,9 +369,9 @@ def root_of(word: Word) -> tuple[Word, str, int]:
         raise UsageError(f"{word.render()!r} is not bispecial")
     ab = word.alphabet
     a, b = ab.a, ab.b
-    shared, left, middle, right = walk
+    levels, (left, middle, right), _ = walk
     chain = _derivatives(left[0] + middle + right[0], a, b, _F)
-    for steps, cur in enumerate(chain, shared):
+    for steps, cur in enumerate(chain, len(levels)):
         if a not in cur or b not in cur:  # fewer than two runs
             break
     root = Word(ab, cur)

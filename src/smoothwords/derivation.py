@@ -23,24 +23,25 @@ on it break otherwise.  The prefix rule treats the final run as possibly
 unfinished: it only has to fit in [1, b] and is dropped.
 
 Every rule contracts the length of any nonempty word, so iteration terminates.
-Every iteration of one word (f- and r-smooth membership, the left embedding,
-the depth check and the CLI's chain) reads the one walk `_derivatives`.  The
-one incremental exception is the stack of right derivatives in `generators`
-(`_r_push`), which decides every prefix of a growing word in amortised O(1)
-per letter for the greedy extension and the every-prefix check of `verify`.
+Every iteration of one word (r-smooth membership, the left embedding, the
+depth check, the CLI's chain and the ends of the extension walk) reads the
+one walk `_derivatives`.  The one incremental exception is the stack of
+right derivatives in `generators` (`_r_push`), which decides every prefix of
+a growing word in amortised O(1) per letter for the greedy extension and the
+every-prefix check of `verify`.
 
-The one-letter extensions of a word w derive w once for all nine x·w·y with
-x, y in the contexts (none, a, b), in one extension walk, `_extensions`.
-While w has at least two runs, x·w·y differs from w only in its first and
-last runs, so it derives to x' + D + y': D spells the interior exponents of
-w, shared by all nine, and x' (likewise y') is empty, one letter or outside
-the domain, depending only on x and the first run of w.  Each level of that
-shared-middle walk is one run-length encoding; only the nine words of at
-most three runs left at its end are derived one by one, by
-`_is_smooth_bytes`.  The walk of the last word asked about is kept, so
-`left_extensions`, `right_extensions` and the bispecial probes
-(`is_bispecial`, `multiplicity`, `root_of`) on one word walk it once between
-them.
+Every probe of one word w (f-smoothness and its chain, the one-letter
+extensions, the bispecial probes) reads one extension walk, `_extensions`,
+which derives w once for all nine x·w·y with x, y in the contexts (none, a,
+b).  While w has at least two runs, x·w·y differs from w only in its first
+and last runs, so it derives to x' + D + y': D spells the interior exponents
+of w, shared by all nine, and x' (likewise y') is empty, one letter or
+outside the domain, depending only on x and the first run of w.  Each level
+of that shared-middle walk is one run-length encoding.  The walk records w's
+own derivative at each level and, at a middle of at most one run, derives
+a·w, b·w, w·a and w·b, of at most three runs each, to their end.  The walk
+of the last word asked about is kept, so the probes of one word walk it once
+between them.
 
 One step reads the exponents as a `bytes` object from `words._bytes_runs`,
 whose boundary marks assume the letters lie in {a, b}; every caller passes
@@ -51,6 +52,7 @@ b <= 255 it is outside the domain of every rule, so the step refuses it.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator, Optional, Sequence
 
 from .errors import NotDerivableError, NotRDerivableError, UsageError
@@ -160,48 +162,44 @@ def _edge(contexts: tuple, c: int, p: int, a: int, b: int, letter: dict) -> tupl
 
 @lru_cache(maxsize=1)
 def _extensions(letters: bytes, a: int, b: int) -> Optional[tuple]:
-    """Derive all nine x·w·y at once, x and y in the contexts (none, a, b),
-    through the middle they share (see the module docstring).
+    """Derive w and all nine x·w·y at once, x and y in the contexts (none, a,
+    b), through the middle they share (see the module docstring).
 
-    Returns (steps, left, middle, right): after `steps` levels, x·w·y has
-    derived to left[x] + middle + right[y], each context being empty, one
-    letter, or None once outside the domain.  The walk stops at a middle of
-    at most one run.  Returns None when none of the nine is f-smooth: an
-    interior exponent outside {a, b} or a run past 255 rules out all nine,
-    and so do both one-letter contexts of one side, as the language is
-    extendable.
+    Returns (levels, (left, middle, right), one_sided): `levels` holds w and
+    its derivatives through the shared levels, after which x·w·y has derived
+    to left[x] + middle + right[y], with a middle of at most one run and each
+    context empty, one letter, or None once outside the domain, which the
+    empty context never is; `one_sided` tells whether a·w, b·w, w·a and w·b
+    are f-smooth.  Returns None as soon as w is seen not to be f-smooth: an
+    interior exponent outside {a, b} or a run past 255 rules out all nine, and
+    so do both one-letter contexts of one side, as the language is extendable.
     """
     letter = {a: bytes((a,)), b: bytes((b,))}
     left = right = (b"", letter[a], letter[b])
     pair = letter[a] + letter[b]
-    steps = 0
+    levels = []
     while True:
         try:
             exps = bytes(_bytes_runs(letters, a, b))
         except ValueError:  # a run longer than 255
             return None
         if len(exps) < 2:
-            return steps, left, letters, right
+            break
         middle = exps[1:-1]
         if middle.translate(None, pair):
             return None
+        levels.append(left[0] + letters + right[0])
         left = _edge(left, letters[0], exps[0], a, b, letter)
         right = _edge(right, letters[-1], exps[-1], a, b, letter)
         if left[1:] == (None, None) or right[1:] == (None, None):
             return None
         letters = middle
-        steps += 1
-
-
-def _extends(walk, x: int, y: int, a: int, b: int) -> bool:
-    """True when x·w·y is f-smooth, read off w's walk `_extensions(w, a, b)`;
-    x and y index the contexts (none, a, b)."""
-    if walk is None:
-        return False
-    _, left, middle, right = walk
-    start, end = left[x], right[y]
-    return (start is not None and end is not None
-            and _is_smooth_bytes(start + middle + end, a, b, _F))
+    (x, xa, xb), (y, ya, yb) = left, right
+    return tuple(levels), (left, letters, right), (
+        xa is not None and _is_smooth_bytes(xa + letters + y, a, b, _F),
+        xb is not None and _is_smooth_bytes(xb + letters + y, a, b, _F),
+        ya is not None and _is_smooth_bytes(x + letters + ya, a, b, _F),
+        yb is not None and _is_smooth_bytes(x + letters + yb, a, b, _F))
 
 
 class FSmoothCertificate(_Record):
@@ -217,7 +215,11 @@ class FSmoothCertificate(_Record):
 def is_f_smooth(word: Word) -> Optional[FSmoothCertificate]:
     """Certificate with the full derivative chain, or None if not f-smooth."""
     ab = word.alphabet
-    chain = list(_derivatives(word.letters, ab.a, ab.b, _F))
+    walk = _extensions(word.letters, ab.a, ab.b)
+    if walk is None:
+        return None
+    levels, (left, middle, right), _ = walk
+    chain = [*levels, *_derivatives(left[0] + middle + right[0], ab.a, ab.b, _F)]
     if chain[-1]:
         return None
     words = tuple(Word(ab, c) for c in chain)
@@ -233,14 +235,14 @@ def left_extensions(word: Word) -> tuple[int, ...]:
     """Letters c with c + word f-smooth, ascending."""
     a, b = word.alphabet.a, word.alphabet.b
     walk = _extensions(word.letters, a, b)
-    return tuple(c for x, c in ((1, a), (2, b)) if _extends(walk, x, 0, a, b))
+    return () if walk is None else tuple(compress((a, b), walk[2][:2]))
 
 
 def right_extensions(word: Word) -> tuple[int, ...]:
     """Letters c with word + c f-smooth, ascending."""
     a, b = word.alphabet.a, word.alphabet.b
     walk = _extensions(word.letters, a, b)
-    return tuple(c for y, c in ((1, a), (2, b)) if _extends(walk, 0, y, a, b))
+    return () if walk is None else tuple(compress((a, b), walk[2][2:]))
 
 
 def derivability(word: Word, kind: str = "f") -> DerivabilityReport:

@@ -33,8 +33,7 @@ from smoothwords import (
     tree_generation,
 )
 from smoothwords import bispecial, derivation, smoothness, words
-from smoothwords.derivation import (_F, _derivatives, _extends, _extensions,
-                                    _is_smooth_bytes)
+from smoothwords.derivation import _F, _derivatives, _extensions, _is_smooth_bytes
 
 AB12 = Alphabet(1, 2)
 AB13 = Alphabet(1, 3)
@@ -476,10 +475,20 @@ def multiplicity_or_none(w):
         return None
 
 
+def member_or_none(w):
+    """The height of w's certificate, or None when w is not f-smooth."""
+    cert = is_f_smooth(w)
+    return None if cert is None else cert.height
+
+
+PROBES = (member_or_none, left_extensions, right_extensions, is_bispecial,
+          multiplicity_or_none)
+
+
 def probes_alone(w):
-    """The four extension probes of w, each on a cleared walk memo."""
+    """The probes of w, each on a cleared walk memo."""
     answers = []
-    for probe in (left_extensions, right_extensions, is_bispecial, multiplicity_or_none):
+    for probe in PROBES:
         _extensions.cache_clear()
         answers.append(probe(w))
     return tuple(answers)
@@ -487,9 +496,9 @@ def probes_alone(w):
 
 def probes_in_order(w):
     """The probes of w in the benchmark's order, sharing one walk."""
-    is_f_smooth(w)
+    member = member_or_none(w)
     left, right, flag = left_extensions(w), right_extensions(w), is_bispecial(w)
-    return left, right, flag, multiplicity(w) if flag else None
+    return member, left, right, flag, multiplicity(w) if flag else None
 
 
 def probes_alternating(w):
@@ -497,7 +506,7 @@ def probes_alternating(w):
     other alphabet of {1,2} and {1,3}."""
     other = Word(AB13 if w.alphabet == AB12 else AB12, w.letters)
     answers = []
-    for probe in (left_extensions, right_extensions, is_bispecial, multiplicity_or_none):
+    for probe in PROBES:
         probe(other)
         answers.append(probe(w))
     return tuple(answers)
@@ -508,12 +517,28 @@ class TestExtensionWalk:
 
     @staticmethod
     def assert_nine_match(ab, letters):
+        """The walk of w against one `_derivatives` per x·w·y: its levels and
+        what its end derives to are w's chain, its one-sided answers and
+        final contexts tell which x·w·y are f-smooth, and a walk of None
+        means that none of the nine is."""
         a, b = ab.a, ab.b
         contexts = (b"", bytes([a]), bytes([b]))
+        smooth = {(i, j): _is_smooth_bytes(x + letters + y, a, b, _F)
+                  for (i, x), (j, y) in product(enumerate(contexts), repeat=2)}
         walk = _extensions(letters, a, b)
-        for (i, x), (j, y) in product(enumerate(contexts), repeat=2):
-            got = _extends(walk, i, j, a, b)
-            assert got == _is_smooth_bytes(x + letters + y, a, b, _F), (ab, letters, x, y)
+        if walk is None:
+            assert not any(smooth.values()), (ab, letters)
+            return
+        levels, (left, middle, right), one_sided = walk
+        tail = _derivatives(left[0] + middle + right[0], a, b, _F)
+        assert [*levels, *tail] == list(_derivatives(letters, a, b, _F)), (ab, letters)
+        sides = ((1, 0), (2, 0), (0, 1), (0, 2))
+        assert one_sided == tuple(map(smooth.get, sides)), (ab, letters)
+        for i, j in product((1, 2), repeat=2):
+            x, y = left[i], right[j]
+            got = (x is not None and y is not None
+                   and _is_smooth_bytes(x + middle + y, a, b, _F))
+            assert got == smooth[i, j], (ab, letters, i, j)
 
     @pytest.mark.parametrize("ab", SHORT_WORD_ALPHABETS, ids=str)
     def test_nine_extensions_of_short_words(self, ab):
@@ -562,11 +587,12 @@ class TestExtensionWalk:
     @pytest.mark.parametrize("ab", WALK_TREE_ALPHABETS, ids=str)
     def test_probes_of_a_word_share_one_walk(self, ab, monkeypatch):
         # The probes of a κ-factor in the benchmark's order: the certificate
-        # encodes each of the h nonempty words of its chain, the first
-        # extension probe walks at most h + 1 levels, and every probe then
-        # only finishes its words, each chain of at most three runs costing
-        # at most two encodings.  Without the shared walk, right_extensions
-        # alone encodes a chain of about h levels for each f-smooth extension.
+        # walks the word, encoding each of the h nonempty words of its chain
+        # once and the middle left at the end, then finishes the four
+        # one-sided words, of at most three runs, at about two encodings
+        # each.  The extension probes and the bispecial flag read that walk
+        # alone; the multiplicity finishes the four two-sided words.  A
+        # left_extensions that walks the word again costs h + 1 encodings.
         calls = 0
         runs = derivation._bytes_runs
 
@@ -588,24 +614,27 @@ class TestExtensionWalk:
                 costs.append(calls)
             h = is_f_smooth(w).height
             member, left, right, flag, mult = costs
-            where = (ab, offset, costs)
-            assert member == h and left <= h + 1 + 2 * 2, where
-            assert right <= 2 * 2 and flag <= 2 * 4 and mult <= 2 * 4, where
+            where = (ab, offset, h, costs)
+            assert h <= member <= h + 1 + 2 * 4, where
+            assert left == right == flag == 0 and mult <= 2 * 4, where
 
     @staticmethod
     def assert_probes_match(ab, letters, probe):
-        """`probe(w)` gives (left, right, bispecial flag, multiplicity or
-        None) as the oracle does: one `_is_smooth_bytes` per x·w·y."""
+        """`probe(w)` gives (height or None, left, right, bispecial flag,
+        multiplicity or None) as the oracle does: one `_derivatives` per
+        x·w·y."""
         a, b = ab.a, ab.b
 
         def smooth(x, y):
             return _is_smooth_bytes(bytes(x) + letters + bytes(y), a, b, _F)
 
+        chain = list(_derivatives(letters, a, b, _F))
+        member = None if chain[-1] else len(chain) - 1
         left = tuple(c for c in (a, b) if smooth([c], []))
         right = tuple(c for c in (a, b) if smooth([], [c]))
         flag = len(left) == 2 == len(right)
         mult = sum(smooth([x], [y]) for x in (a, b) for y in (a, b)) - 3 if flag else None
-        assert probe(Word(ab, letters)) == (left, right, flag, mult), (ab, letters)
+        assert probe(Word(ab, letters)) == (member, left, right, flag, mult), (ab, letters)
 
     @pytest.mark.parametrize("ab", SHORT_WORD_ALPHABETS, ids=str)
     def test_probes_of_short_words(self, ab):

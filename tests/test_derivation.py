@@ -1,3 +1,4 @@
+import random
 from itertools import groupby, product
 
 import pytest
@@ -16,8 +17,10 @@ from smoothwords import (
     derive_r,
     is_f_smooth,
     is_r_smooth,
+    kappa_prefix,
+    left_extensions,
 )
-from smoothwords import derivation
+from smoothwords import derivation, words
 from smoothwords.derivation import _F, _HUANG, _PREFIX, _R, _derivatives
 
 AB12 = Alphabet(1, 2)
@@ -296,3 +299,61 @@ def test_operators_match_definitions_on_runs_past_a_byte(a, b):
                     bytes([first if i % 2 == 0 else second]) * e
                     for i, e in enumerate(exponents))
                 assert_matches_definitions(Word(Alphabet(a, b), letters))
+
+
+def long_words(ab):
+    """κ windows of 1,000, 70,000 and 140,000 letters, the last two longer
+    than `words._SLICE`, and one with its middle letter swapped; one with a
+    run of 255, 256 or 300 letters spliced in, and such runs alone and
+    between two letters; the empty word; seeded random words."""
+    a, b = ab.a, ab.b
+    kappa = kappa_prefix(ab, 140_777).letters
+    windows = [kappa[777:777 + n] for n in (1_000, 70_000, 140_000)]
+    assert len(windows[1]) > words._SLICE
+    mid = 35_000
+    swapped = windows[1][:mid] + bytes([a + b - windows[1][mid]]) + windows[1][mid + 1:]
+    runs = [bytes([c]) * n for n in (255, 256, 300) for c in (a, b)]
+    other = {a: bytes([b]), b: bytes([a])}
+    runs += [other[r[0]] + r + other[r[0]] for r in runs]
+    runs += [windows[0][:500] + r + windows[0][500:] for r in runs[:6]]
+    rng = random.Random(256 * a + b)
+    noise = [bytes(rng.choice((a, b)) for _ in range(n)) for n in (12, 100, 1_000, 70_000)]
+    return [*windows, swapped, *runs, b"", *noise]
+
+
+def assert_certificate_matches_chain(ab, letters, before):
+    """`is_f_smooth` gives the chain `_derivatives` walks and its height, or
+    None where the chain stops short of the empty word, right after
+    `before` ran on a cleared walk memo."""
+    chain = list(_derivatives(letters, ab.a, ab.b, _F))
+    derivation._extensions.cache_clear()
+    before()
+    cert = is_f_smooth(Word(ab, letters))
+    if chain[-1]:
+        assert cert is None, (ab, len(letters))
+    else:
+        assert cert is not None, (ab, len(letters))
+        assert [c.letters for c in cert.chain] == chain, (ab, len(letters))
+        assert cert.height == len(chain) - 1
+
+
+@pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 5), (1, 255), (254, 255)])
+def test_certificates_of_long_words_match_the_chain(a, b):
+    ab = Alphabet(a, b)
+    cases = long_words(ab)
+    for letters in cases:
+        assert_certificate_matches_chain(ab, letters, lambda: None)
+        assert_certificate_matches_chain(
+            ab, letters, lambda: left_extensions(Word(ab, letters)))
+    members = [is_f_smooth(Word(ab, v)) is not None for v in cases]
+    assert members[:3] == [True] * 3 and not all(members[-3:]), members
+
+
+def test_certificates_alternating_alphabets_of_the_same_letters():
+    # a run of ones is a word of {1,2} and of {1,3}, with other chains in
+    # each: each certificate follows one of the same letters over the other
+    for n in (*range(13), 255, 256, 300):
+        for ab, other in ((AB12, AB13), (AB13, AB12)):
+            letters = b"\x01" * n
+            assert_certificate_matches_chain(
+                ab, letters, lambda: is_f_smooth(Word(other, letters)))
