@@ -14,7 +14,8 @@ the whole language through second differences.
 The probes `is_bispecial`, `multiplicity` and `root_of` read the word's
 extension walk, `derivation._extensions`, shared with every other probe of
 the word: `is_bispecial` its one-sided answers, `multiplicity` its final
-contexts, and `root_of` the word's own chain, followed down to the root.
+contexts, whose four two-sided words `derivation._ends_smooth` decides from
+their runs, and `root_of` the word's own chain, followed down to the root.
 
 Level statistics are computed two ways: materializing the words, or walking
 exact parity-count states (possible when both letters share a parity, since
@@ -49,7 +50,7 @@ from math import inf, log
 from operator import add, sub
 from typing import Iterator
 
-from .derivation import _F, _derivatives, _extensions, _is_smooth_bytes, derive_f
+from .derivation import _F, _derivatives, _ends_smooth, _extensions, derive_f
 from .errors import (FAMILIES, InvalidFamilyError, ResourceCapError, UsageError,
                      _check_size)
 from .words import Alphabet, Parity, Word, _blocks, _Record, _spell, _swap_table
@@ -121,8 +122,7 @@ def multiplicity(word: Word) -> int:
         raise UsageError(f"{word.render()!r} is not bispecial")
     a, b = word.alphabet.a, word.alphabet.b
     _, (left, middle, right), _ = walk
-    return sum(x is not None and y is not None
-               and _is_smooth_bytes(x + middle + y, a, b, _F)
+    return sum(_ends_smooth(x, middle, y, a, b)
                for x in left[1:] for y in right[1:]) - 3
 
 

@@ -24,11 +24,11 @@ unfinished: it only has to fit in [1, b] and is dropped.
 
 Every rule contracts the length of any nonempty word, so iteration terminates.
 Every iteration of one word (r-smooth membership, the left embedding, the
-depth check, the CLI's chain and the ends of the extension walk) reads the
-one walk `_derivatives`.  The one incremental exception is the stack of
-right derivatives in `generators` (`_r_push`), which decides every prefix of
-a growing word in amortised O(1) per letter for the greedy extension and the
-every-prefix check of `verify`.
+depth check, the CLI's chain and the tail of a certificate or root after the
+extension walk) reads the one walk `_derivatives`.  The one incremental
+exception is the stack of right derivatives in `generators` (`_r_push`),
+which decides every prefix of a growing word in amortised O(1) per letter
+for the greedy extension and the every-prefix check of `verify`.
 
 Every probe of one word w (f-smoothness and its chain, the one-letter
 extensions, the bispecial probes) reads one extension walk, `_extensions`,
@@ -38,10 +38,12 @@ and last runs, so it derives to x' + D + y': D spells the interior exponents
 of w, shared by all nine, and x' (likewise y') is empty, one letter or
 outside the domain, depending only on x and the first run of w.  Each level
 of that shared-middle walk is one run-length encoding.  The walk records w's
-own derivative at each level and, at a middle of at most one run, derives
-a·w, b·w, w·a and w·b, of at most three runs each, to their end.  The walk
-of the last word asked about is kept, so the probes of one word walk it once
-between them.
+own derivative at each level and stops at a middle of at most one run.  The
+words x' + middle + y' left there have at most three runs, and
+`_ends_smooth` decides them from their exponents without deriving them: the
+walk's one-sided answers for a·w, b·w, w·a and w·b, and the two-sided cells
+of `bispecial.multiplicity`.  The walk of the last word asked about is kept,
+so the probes of one word walk it once between them.
 
 One step reads the exponents as a `bytes` object from `words._bytes_runs`,
 whose boundary marks assume the letters lie in {a, b}; every caller passes
@@ -160,6 +162,29 @@ def _edge(contexts: tuple, c: int, p: int, a: int, b: int, letter: dict) -> tupl
     return tuple(map(step.get, contexts))
 
 
+def _ends_smooth(x: Optional[bytes], middle: bytes, y: Optional[bytes],
+                 a: int, b: int) -> bool:
+    """Whether x + middle + y is f-smooth, for x and y empty, one letter or
+    None (outside the domain) and a middle of at most one run, read off its
+    runs.
+
+    The word is a run c^p, c the first letter of the middle (or of the
+    contexts, around an empty middle), and a run of one on each side whose
+    context is the other letter d.  One or two runs in [1, b] derive to at
+    most two letters b, which derive to the empty word.  In three runs,
+    d c^p d, c^p is interior: p must be a or b, and the word derives to p.
+    """
+    if x is None or y is None:
+        return False
+    c = middle[:1] or x or y
+    if not c:
+        return True
+    p = len(middle) + (x == c) + (y == c)
+    if x and y and x != c != y:
+        return p == a or p == b
+    return p <= b
+
+
 @lru_cache(maxsize=1)
 def _extensions(letters: bytes, a: int, b: int) -> Optional[tuple]:
     """Derive w and all nine x·w·y at once, x and y in the contexts (none, a,
@@ -170,9 +195,10 @@ def _extensions(letters: bytes, a: int, b: int) -> Optional[tuple]:
     to left[x] + middle + right[y], with a middle of at most one run and each
     context empty, one letter, or None once outside the domain, which the
     empty context never is; `one_sided` tells whether a·w, b·w, w·a and w·b
-    are f-smooth.  Returns None as soon as w is seen not to be f-smooth: an
-    interior exponent outside {a, b} or a run past 255 rules out all nine, and
-    so do both one-letter contexts of one side, as the language is extendable.
+    are f-smooth, read off the runs of the words left at the end.  Returns
+    None as soon as w is seen not to be f-smooth: an interior exponent
+    outside {a, b} or a run past 255 rules out all nine, and so do both
+    one-letter contexts of one side, as the language is extendable.
     """
     letter = {a: bytes((a,)), b: bytes((b,))}
     left = right = (b"", letter[a], letter[b])
@@ -196,10 +222,8 @@ def _extensions(letters: bytes, a: int, b: int) -> Optional[tuple]:
         letters = middle
     (x, xa, xb), (y, ya, yb) = left, right
     return tuple(levels), (left, letters, right), (
-        xa is not None and _is_smooth_bytes(xa + letters + y, a, b, _F),
-        xb is not None and _is_smooth_bytes(xb + letters + y, a, b, _F),
-        ya is not None and _is_smooth_bytes(x + letters + ya, a, b, _F),
-        yb is not None and _is_smooth_bytes(x + letters + yb, a, b, _F))
+        _ends_smooth(xa, letters, y, a, b), _ends_smooth(xb, letters, y, a, b),
+        _ends_smooth(x, letters, ya, a, b), _ends_smooth(x, letters, yb, a, b))
 
 
 class FSmoothCertificate(_Record):

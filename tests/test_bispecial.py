@@ -568,7 +568,8 @@ class TestExtensionWalk:
     @pytest.mark.parametrize("ab", WALK_TREE_ALPHABETS, ids=str)
     def test_root_of_encodes_each_shared_level_once(self, ab, monkeypatch):
         # one run-length encoding per level of the word's chain, shared by
-        # all its extensions, plus the short chains that finish them
+        # all its extensions, plus the one that finds the middle left at
+        # the end, whose extensions are read off its runs
         calls = 0
         runs = derivation._bytes_runs
 
@@ -582,17 +583,18 @@ class TestExtensionWalk:
             _extensions.cache_clear()  # a walk kept by an earlier test costs nothing
             calls = 0
             assert root_of(w)[2] == g
-            assert g <= calls <= g + 9, (ab, w, calls)
+            assert g <= calls <= g + 1, (ab, w, calls)
 
     @pytest.mark.parametrize("ab", WALK_TREE_ALPHABETS, ids=str)
     def test_probes_of_a_word_share_one_walk(self, ab, monkeypatch):
         # The probes of a κ-factor in the benchmark's order: the certificate
         # walks the word, encoding each of the h nonempty words of its chain
-        # once and the middle left at the end, then finishes the four
-        # one-sided words, of at most three runs, at about two encodings
-        # each.  The extension probes and the bispecial flag read that walk
-        # alone; the multiplicity finishes the four two-sided words.  A
-        # left_extensions that walks the word again costs h + 1 encodings.
+        # once and the middle left at the end.  The words of at most three
+        # runs left at the end of the walk are decided from their runs, so
+        # the extension probes, the bispecial flag and the multiplicity read
+        # that walk alone.  A left_extensions that walks the word again
+        # costs h + 1 encodings, and one that derives the short words to
+        # their end costs one to three more each.
         calls = 0
         runs = derivation._bytes_runs
 
@@ -615,8 +617,8 @@ class TestExtensionWalk:
             h = is_f_smooth(w).height
             member, left, right, flag, mult = costs
             where = (ab, offset, h, costs)
-            assert h <= member <= h + 1 + 2 * 4, where
-            assert left == right == flag == 0 and mult <= 2 * 4, where
+            assert h <= member <= h + 1, where
+            assert left == right == flag == mult == 0, where
 
     @staticmethod
     def assert_probes_match(ab, letters, probe):

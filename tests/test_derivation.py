@@ -357,3 +357,24 @@ def test_certificates_alternating_alphabets_of_the_same_letters():
             letters = b"\x01" * n
             assert_certificate_matches_chain(
                 ab, letters, lambda: is_f_smooth(Word(other, letters)))
+
+
+@pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 3), (2, 5), (3, 7), (1, 255),
+                                 (100, 255), (254, 255)])
+def test_words_at_the_end_of_the_walk_match_their_derivation(a, b):
+    # x·c^m·y with x, y empty or one letter: one to three runs, decided from
+    # their exponents as the walk's one-sided and two-sided answers are.
+    # Three runs d·c^m·d take m = a and m = b; over {1,2} a run of 3 is
+    # already too long, and a middle of 255 is the longest a byte holds.
+    # A context of None, outside the domain, rules the word out.
+    contexts = (b"", bytes([a]), bytes([b]))
+    for c in (a, b):
+        for m in (*range(b + 3), 254, 255):
+            middle = bytes([c]) * m
+            for x, y in product(contexts, repeat=2):
+                expected = derivation._is_smooth_bytes(x + middle + y, a, b, _F)
+                assert derivation._ends_smooth(x, middle, y, a, b) == expected, (
+                    a, b, x, c, m, y)
+            for x in contexts:
+                assert not derivation._ends_smooth(x, middle, None, a, b)
+                assert not derivation._ends_smooth(None, middle, x, a, b)
