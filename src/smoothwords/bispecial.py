@@ -51,18 +51,14 @@ from operator import add, sub
 from typing import Iterator
 
 from .derivation import _F, _derivatives, _ends_smooth, _extensions, derive_f
-from .errors import (FAMILIES, InvalidFamilyError, ResourceCapError, UsageError,
-                     _check_size)
+from .errors import (FAMILIES, MAX_GENERATION, InvalidFamilyError,
+                     ResourceCapError, UsageError, _check_size)
 from .words import Alphabet, Parity, Word, _blocks, _Record, _spell, _swap_table
 
 MATERIALIZE_LETTER_LIMIT = 80_000_000
 # Distinct parity-count states of one level: exactly 2^g at generation g
 # over odd letters, one per vertex, and at most two over even letters.
 STATE_LIMIT = 2 ** 20
-# Deepest level the unpruned walks build: over an even alphabet the state
-# walk keeps at most two states a level, so nothing else bounds it.  Every
-# count of a level this deep has under 2,710 digits.
-MAX_GENERATION = 1_000
 # Longest complexity horizon.  Every family keeps one array of this length,
 # and the pruned state walk over {1,3}, the costliest, builds its whole table
 # at this horizon in about a second.

@@ -167,10 +167,8 @@ def _cmd_tree(args, alphabet: Alphabet) -> int:
     if args.stats:
         stats = smoothwords.bispecial.generation_stats(alphabet, args.family,
                                                        args.generation)
-        header = ["family", "generation", "count", "min_len", "max_len",
-                  "total_len"]
-        row = [args.family, args.generation, stats.count, stats.min_len,
-               stats.max_len, stats.total_len]
+        *header, _ = stats.__slots__  # every field but the histogram
+        row = [getattr(stats, f) for f in header]
         histogram = {str(k): v for k, v in stats.histogram.items()}
         lines = [f"{key}: {value}" for key, value in zip(header, row)]
         lines.append("histogram: " + ", ".join(f"{k}:{v}"
@@ -192,11 +190,6 @@ def _cmd_tree(args, alphabet: Alphabet) -> int:
     return 0
 
 
-_TABLE_FIELDS = ("rho", "zeta", "beta")
-_REPORT_FIELDS = ("rho", "alpha", "beta", "zeta", "growth_lambda",
-                  "rho_prime", "c_constant")
-
-
 def _reference_table_cells() -> list[tuple[str, dict[str, str]]]:
     """Computed exponent values formatted at the reference display widths."""
     spectral = smoothwords.spectral
@@ -204,8 +197,8 @@ def _reference_table_cells() -> list[tuple[str, dict[str, str]]]:
     for (a, b), row in spectral.REFERENCE_EXPONENT_TABLE.items():
         rep = spectral.exponent_report(Alphabet(a, b))
         formatted = {}
-        for field in _TABLE_FIELDS:
-            decimals = spectral._display_decimals(row[field])
+        for field, shown in row.items():
+            decimals = spectral._display_decimals(shown)
             formatted[field] = f"{getattr(rep, field):.{decimals}f}"
         cells.append((f"{{{a},{b}}}", formatted))
     return cells
@@ -215,25 +208,26 @@ def _cmd_exponents(args, alphabet: Alphabet) -> int:
     if args.reference_table:
         cells = _reference_table_cells()
         names = [name for name, _ in cells]
+        fields = list(cells[0][1])  # the exponents of a row of the table
         width = max(map(len, names)) + 2
         _emit(args.format,
               {"columns": names,
-               "rows": {f: [c[f] for _, c in cells] for f in _TABLE_FIELDS}},
-              ["alphabet", *_TABLE_FIELDS],
-              [[name, *(c[f] for f in _TABLE_FIELDS)] for name, c in cells],
+               "rows": {f: [c[f] for _, c in cells] for f in fields}},
+              ["alphabet", *fields],
+              [[name, *(c[f] for f in fields)] for name, c in cells],
               ["exponent".ljust(10) + "".join(n.ljust(width) for n in names),
                *(f.ljust(10) + "".join(c[f].ljust(width) for _, c in cells)
-                 for f in _TABLE_FIELDS)])
+                 for f in fields)])
         return 0
     rep = smoothwords.spectral.exponent_report(alphabet)
-    values = {f: getattr(rep, f) for f in _REPORT_FIELDS}
+    values = {f: getattr(rep, f) for f in rep.formulas}
     fixed = {f: None if v is None else f"{v:.12f}" for f, v in values.items()}
     rounded = {f: None if v is None else round(v, 12) for f, v in values.items()}
     _emit(args.format,
           {"alphabet": str(alphabet), **rounded, "formulas": rep.formulas},
           ["field", "value", "formula"],
-          [[f, fixed[f] or "", rep.formulas[f]] for f in _REPORT_FIELDS],
-          [f"{f} = {fixed[f] or 'n/a'}" for f in _REPORT_FIELDS])
+          [[f, fixed[f] or "", formula] for f, formula in rep.formulas.items()],
+          [f"{f} = {fixed[f] or 'n/a'}" for f in values])
     return 0
 
 

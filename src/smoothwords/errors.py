@@ -1,10 +1,20 @@
 """Exception types shared across the package, the check on user-set sizes,
-and the names a user picks from: the bispecial tree families and the
-verification suites (each suite's criterion numbers)."""
+the generation cap that `bispecial` and `spectral` share, and the names a
+user picks from: the bispecial tree families and the verification suites
+(each suite's criterion numbers)."""
 
 from __future__ import annotations
 
 FAMILIES = ("T", "T1", "T2", "T3", "T4")
+
+# Deepest level the unpruned tree walks build, and most steps
+# `minimal_length_sequence` takes, as it measures those levels.  Over an
+# even alphabet the state walk keeps at most two states a level, so nothing
+# else bounds it; every count of a level this deep has under 2,710 digits.
+# Minimal lengths grow like lambda^i with lambda < 255, so the cost of their
+# sums is quadratic in the count: at this cap the costliest alphabet,
+# {253,255}, takes about 8 ms on a 2-core machine and holds under 1 MB.
+MAX_GENERATION = 1_000
 
 SUITES: dict[str, tuple[int, ...]] = {
     "mistake": (3,),

@@ -26,10 +26,11 @@ from .errors import ResourceCapError, _check_size
 from .words import Alphabet, Word
 
 
-# The budget of the words a walk passes, over every level up to the length
-# asked, and of what all alphabets keep before another grows: each one's
-# automaton states plus its kept level.  {1,2} stops after length 189, whose
-# 202,049 states and 78,510 spelled words peak at 67 MB RSS.
+# The budget of two things.  It bounds the words one walk passes, over every
+# level up to the length asked, so its time.  It also bounds the entries all
+# alphabets keep before another grows: each one's automaton states plus its
+# kept level.  {1,2} stops after length 189, whose 202,049 states and 78,510
+# spelled words peak at 67 MB RSS.
 WORD_BUDGET = 1 << 22
 
 
@@ -86,10 +87,10 @@ class _Automaton:
     the new-run child.  A broken invariant would read past the watermark
     and raise IndexError.
 
-    `p` counts the words of each length walked.  The kept level is `n`:
+    `p` counts the words of each length walked, from [1, 2]: the one record
+    of the sizes admitted by the budget and counted.  The kept level is `n`:
     `states`, the states of its words in lexicographic order, one a word,
-    and `words`, their letters when it was spelled, else None.  `sizes` are
-    the level sizes up to the longest length the budget has admitted.
+    and `words`, their letters when it was spelled, else None.
     """
 
     def __init__(self, alphabet: Alphabet):
@@ -99,8 +100,7 @@ class _Automaton:
         self.inner = array("i", (0, -1, -1))
         self.child = {a: array("i", (1,)), b: array("i", (2,))}
         self.opened = {a: array("i"), b: array("i")}
-        self.p, self.n, self.states, self.words = [1], 0, [0], [b""]
-        self.sizes = (1, 2)
+        self.p, self.n, self.states, self.words = [1, 2], 0, [0], [b""]
 
     def _grow(self) -> None:
         """Work out the states from the watermark to the last one.  A child
@@ -188,21 +188,20 @@ _LANGUAGES: dict[Alphabet, _Automaton] = {}
 
 def _language(alphabet: Alphabet, n: int, spelled: bool = False) -> _Automaton:
     """The alphabet's automaton with its levels counted to length n or, when
-    spelled, its level n spelled.  Only a length past those the budget has
-    admitted for the alphabet is checked.  The other alphabets are dropped
-    first if all could pass WORD_BUDGET, each holding its states and its
-    kept level, one entry a word whichever walk kept it.  It is out of
+    spelled, its level n spelled.  Only a length past `p`, the one record of
+    the sizes admitted and counted, is checked.  The other alphabets are
+    dropped first if all could pass WORD_BUDGET, each holding its states and
+    its kept level, one entry a word whichever walk kept it.  It is out of
     `_LANGUAGES` while it walks, so a cut walk leaves none of it."""
     _check_size("enumeration length", n)  # the budget caps it
     automaton = _LANGUAGES.get(alphabet)
     if automaton is None or ((n != automaton.n or automaton.words is None)
                              if spelled else n >= len(automaton.p)):
-        sizes = (automaton.sizes if automaton is not None
-                 and n < len(automaton.sizes) else _check_budget(alphabet, n))
+        p = (automaton.p if automaton is not None and n < len(automaton.p)
+             else _check_budget(alphabet, n))
         automaton = _LANGUAGES.pop(alphabet, None) or _Automaton(alphabet)
-        automaton.sizes = sizes
         # a state a word at most, and level n kept
-        own = max(len(automaton.letter), sum(sizes[:n + 1])) + sizes[n]
+        own = max(len(automaton.letter), sum(p[:n + 1])) + p[n]
         if own + sum(len(x.letter) + len(x.states)
                      for x in _LANGUAGES.values()) > WORD_BUDGET:
             _LANGUAGES.clear()

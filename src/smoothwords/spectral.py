@@ -33,6 +33,7 @@ import math
 from typing import Optional
 
 from .errors import (
+    MAX_GENERATION,
     BoundViolationError,
     NoConvergenceError,
     NotPrimitiveError,
@@ -40,13 +41,6 @@ from .errors import (
     _check_size,
 )
 from .words import Alphabet, Parity, _Record
-
-# Most steps `minimal_length_sequence` takes: it measures levels of the
-# bispecial trees, whose walks stop at generation 1,000
-# (`bispecial.MAX_GENERATION`).  Lengths grow like lambda^i with lambda < 255,
-# so the cost of the sums is quadratic in the count; at this cap the costliest
-# alphabet, {253,255}, takes about 8 ms on a 2-core machine and holds under 1 MB.
-MAX_COUNT = 1_000
 
 Matrix = tuple[tuple[int, ...], ...]
 Vector = tuple[int, ...]
@@ -203,7 +197,7 @@ def minimal_length_sequence(alphabet: Alphabet, count: int) -> list[int]:
     Exact integers from the parity-count recurrence; l_i is the total of the
     state vector after i steps from the zero state.
     """
-    _check_size("count", count, MAX_COUNT)
+    _check_size("count", count, MAX_GENERATION)
     mats = build_matrices(alphabet)
     m, n = mats.m, mats.n
     v: Vector = (0,) * 4

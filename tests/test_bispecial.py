@@ -137,6 +137,8 @@ class TestPrimitive:
     def test_base_cases(self):
         assert primitive(AB12.empty(), 1).render() == "12"
         assert primitive(AB12.empty(), 2).render() == "21"
+        with pytest.raises(UsageError, match=r"^letter 3 not in \{1,2\}$"):
+            primitive(AB12.empty(), 3)
 
     def test_worked_example(self):
         assert primitive(AB12.word("21"), 1).render() == "12212"
@@ -674,6 +676,10 @@ class TestGenerationSwap:
         for g in range(1, 5):
             level = {n.word for n in tree_generation(AB12, "T", g)}
             assert {generation_swap(u) for u in level} == level
+        # generation 0 holds the empty word alone, which has no partner
+        with pytest.raises(UsageError,
+                           match="^the empty word has no partner vertex$"):
+            generation_swap(AB12.empty())
 
 
 class TestMultiplicitySums:

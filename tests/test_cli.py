@@ -60,13 +60,18 @@ def refused_before_any_level(monkeypatch, argv):
     return err
 
 
-def run_python(*args):
-    """Run a fresh interpreter that imports this checkout's package."""
+def checkout_env():
+    """The environment of a fresh interpreter that imports this checkout's
+    package."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this checkout's package."""
     return subprocess.run([sys.executable, *args],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, env=checkout_env())
 
 
 def run_module(*argv):
@@ -109,6 +114,11 @@ class TestDerive:
         assert payload["height"] == 4
         assert payload["chain"][0] == "221121221"
         assert payload["chain"][-1] == ""
+
+    def test_underivable_word_exits_1(self):
+        assert run_cli("derive", "111") == (
+            1, "", "error: word '111' has no two-sided derivative: boundary "
+            "exponent outside [1,b] (run 0, exponent 3)\n")
 
 
 R_ERROR = "step 3: 111 not derivable (final exponent outside [1,b])"
@@ -516,6 +526,21 @@ def test_console_entry_point():
     proc = run_module("derive", "--op", "f", "2211")
     assert proc.returncode == 0
     assert proc.stdout == "22\n"
+
+
+@pytest.mark.parametrize("fmt, first", [("text", b"2"), ("json", b"{")])
+def test_closed_stdout_exits_0(fmt, first):
+    """A reader that closes the pipe early (head, less) is not an error.
+    The 10^7-letter prefix cannot fit in the pipe: in text it is one write,
+    cut short, and in JSON the writes after it fail."""
+    with subprocess.Popen(
+            [sys.executable, "-m", "smoothwords.cli", "kappa", "--length",
+             "10000000", "--format", fmt], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=checkout_env()) as proc:
+        read = proc.stdout.read(1)
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (read, proc.returncode, err) == (first, 0, b"")
 
 
 def test_argparse_usage_error_exits_2():

@@ -108,7 +108,7 @@ def columns(language):
         language.letter, language.exponent, language.inner, language.p,
         language.states, *language.child.values(),
         *language.opened.values())] + [
-            language.n, language.words and language.words[:], language.sizes]
+            language.n, language.words and language.words[:]]
 
 
 class TestTrieAgainstOracle:

@@ -17,7 +17,8 @@ from smoothwords import (
     primitive,
     spectral_radius,
 )
-from smoothwords.spectral import MAX_COUNT, mat_mul, mat_vec, vec_add
+from smoothwords.errors import MAX_GENERATION
+from smoothwords.spectral import mat_mul, mat_vec, vec_add
 
 AB13 = Alphabet(1, 3)
 AB35 = Alphabet(3, 5)
@@ -130,7 +131,7 @@ class TestMinimalLengths:
     def test_refuses_a_count_above_its_cap_at_once(self):
         with pytest.raises(ResourceCapError):
             minimal_length_sequence(AB13, 10 ** 18)
-        assert len(minimal_length_sequence(AB13, MAX_COUNT)) == MAX_COUNT + 1
+        assert len(minimal_length_sequence(AB13, MAX_GENERATION)) == MAX_GENERATION + 1
 
     def test_matches_tree_enumeration(self):
         for ab, top in ((AB13, 8), (AB35, 6)):

@@ -53,6 +53,7 @@ class TestAlphabet:
         ab = Alphabet(1, 2)
         assert ab.word("2211").letters == bytes([2, 2, 1, 1])
         assert ab.word("").letters == b""
+        assert ab.word(ab.word("2211")) == ab.word("2211")
 
     def test_word_parsing_commas(self):
         ab = Alphabet(2, 12)
@@ -64,6 +65,8 @@ class TestAlphabet:
         ab = Alphabet(1, 2)
         with pytest.raises(ValueError):
             ab.word("123")
+        with pytest.raises(UsageError, match=r"^letter 3 not in alphabet \{1,2\}$"):
+            ab.word(Alphabet(1, 3).word("113"))
         with pytest.raises(ValueError, match=r"^letter 4 not in alphabet \{1,2\}$"):
             Word(ab, bytes([1, 2, 4, 3, 2]))
         # bytes() would read True and False as the letters 1 and 0
