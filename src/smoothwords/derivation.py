@@ -37,18 +37,23 @@ b).  While w has at least two runs, x·w·y differs from w only in its first
 and last runs, so it derives to x' + D + y': D spells the interior exponents
 of w, shared by all nine, and x' (likewise y') is empty, one letter or
 outside the domain, depending only on x and the first run of w.  Each level
-of that shared-middle walk is one run-length encoding.  The walk records w's
-own derivative at each level and stops at a middle of at most one run.  The
-words x' + middle + y' left there have at most three runs, and
-`_ends_smooth` decides them from their exponents without deriving them: the
-walk's one-sided answers for a·w, b·w, w·a and w·b, and the two-sided cells
-of `bispecial.multiplicity`.  The walk of the last word asked about is kept,
-so the probes of one word walk it once between them.
+of that shared-middle walk reads the runs of one word, as a step does
+(below).  The walk records w's own derivative at each level and stops at a
+middle of at most one run.  The words x' + middle + y' left there have at
+most three runs, and `_ends_smooth` decides them from their exponents
+without deriving them: the walk's one-sided answers for a·w, b·w, w·a and
+w·b, and the two-sided cells of `bispecial.multiplicity`.  The walk of the
+last word asked about is kept, so the probes of one word walk it once
+between them.
 
-One step reads the exponents as a `bytes` object from `words._bytes_runs`,
-whose boundary marks assume the letters lie in {a, b}; every caller passes
-a word of the alphabet.  A run longer than 255 cannot be a byte, and since
-b <= 255 it is outside the domain of every rule, so the step refuses it.
+One step reads a word's runs from `words._boundary_runs`: its first and
+last exponents as integers and its interior exponents spelled as letters,
+with no object made per run.  An interior run that is neither a nor b long
+is refused there, 256 letters or more included; an end run longer than b,
+255 at most, is outside the domain of every rule.  The boundary marks assume
+the letters lie in {a, b}; every caller passes a word of the alphabet.
+`_check`, which names the first run outside the domain, serves only
+`derivability`.
 """
 
 from __future__ import annotations
@@ -58,7 +63,7 @@ from itertools import compress
 from typing import Iterator, Optional, Sequence
 
 from .errors import NotDerivableError, NotRDerivableError, UsageError
-from .words import Word, _bytes_runs, _Record
+from .words import Word, _boundary_runs, _bytes_runs, _Record
 
 
 class DerivabilityReport(_Record):
@@ -70,12 +75,15 @@ class DerivabilityReport(_Record):
 _OK = DerivabilityReport(True, None, None, None)
 
 
+_LETTER = tuple(bytes((c,)) for c in range(256))  # each letter's byte, made once
+
+
 def _cut(p: int, a: int, b: int) -> bytes:
-    return b"" if p <= a else bytes([b])
+    return b"" if p <= a else _LETTER[b]
 
 
 def _cut_strict(p: int, a: int, b: int) -> bytes:
-    return bytes([b]) if p == b else b""
+    return _LETTER[b] if p == b else b""
 
 
 def _drop(p: int, a: int, b: int) -> bytes:
@@ -111,20 +119,20 @@ def _check(exps: Sequence[int], a: int, b: int, rule) -> Optional[int]:
 def _derive_bytes(letters: bytes, a: int, b: int, rule) -> Optional[bytes]:
     """One derivation step on raw letters over {a, b} under `rule`; None off
     the domain."""
-    if not letters:
-        return b""
-    try:
-        exps = bytes(_bytes_runs(letters, a, b))
-    except ValueError:  # a run longer than 255, so longer than b
+    runs = _boundary_runs(letters, a, b)
+    if runs is None:
         return None
-    if _check(exps, a, b, rule) is not None:
-        return None
+    p, interior, q = runs
     first, last = rule
-    if first is None:
-        return exps[:-1] + last(exps[-1], a, b)
-    if len(exps) == 1:
-        return last(exps[0], a, b)
-    return first(exps[0], a, b) + exps[1:-1] + last(exps[-1], a, b)
+    if q > b:
+        return None
+    if first is not None:
+        return None if p > b else first(p, a, b) + interior + last(q, a, b)
+    if p:  # the first run is not the last, so it is interior
+        if p != a and p != b:
+            return None
+        interior = _LETTER[p] + interior
+    return interior + last(q, a, b)
 
 
 def _derivatives(letters: bytes, a: int, b: int, rule) -> Iterator[bytes]:
@@ -149,17 +157,20 @@ def _is_smooth_bytes(letters: bytes, a: int, b: int, rule) -> bool:
     return not last
 
 
-def _edge(contexts: tuple, c: int, p: int, a: int, b: int, letter: dict) -> tuple:
+def _edge(contexts: tuple, c: int, p: int, a: int, b: int) -> tuple:
     """The contexts of one side one level down, where the word's run on that
-    side is c^p.  Beside the empty context that run is the boundary; the
-    context c lengthens it by one; the other letter is a run of one, cut to
-    the empty word, which makes c^p interior."""
-    step = {
-        b"": None if p > b else b"" if p <= a else letter[b],
-        letter[c]: None if p >= b else b"" if p < a else letter[b],
-        letter[a + b - c]: letter.get(p),
-    }
-    return tuple(map(step.get, contexts))
+    side is c^p with p <= b.  Beside the empty context that run is the
+    boundary; the context c lengthens it by one; the other letter is a run
+    of one, cut to the empty word, which makes c^p interior."""
+    letter = _LETTER[b]
+    boundary = b"" if p <= a else letter
+    longer = None if p == b else b"" if p < a else letter
+    interior = _LETTER[p] if p == a or p == b else None
+    c = _LETTER[c]
+    x, y, z = contexts  # None, outside the domain, stays None
+    return (boundary if x == b"" else longer if x == c else x and interior,
+            boundary if y == b"" else longer if y == c else y and interior,
+            boundary if z == b"" else longer if z == c else z and interior)
 
 
 def _ends_smooth(x: Optional[bytes], middle: bytes, y: Optional[bytes],
@@ -197,26 +208,26 @@ def _extensions(letters: bytes, a: int, b: int) -> Optional[tuple]:
     empty context never is; `one_sided` tells whether a·w, b·w, w·a and w·b
     are f-smooth, read off the runs of the words left at the end.  Returns
     None as soon as w is seen not to be f-smooth: an interior exponent
-    outside {a, b} or a run past 255 rules out all nine, and so do both
-    one-letter contexts of one side, as the language is extendable.
+    outside {a, b} or a first or last run longer than b rules out all nine,
+    and so do both one-letter contexts of one side, as the language is
+    extendable.  Each level reads the runs of its word once, through
+    `words._boundary_runs`, and works out the contexts one level down with
+    `_edge`.
     """
-    letter = {a: bytes((a,)), b: bytes((b,))}
-    left = right = (b"", letter[a], letter[b])
-    pair = letter[a] + letter[b]
+    left = right = (b"", _LETTER[a], _LETTER[b])
     levels = []
     while True:
-        try:
-            exps = bytes(_bytes_runs(letters, a, b))
-        except ValueError:  # a run longer than 255
+        runs = _boundary_runs(letters, a, b)
+        if runs is None:
             return None
-        if len(exps) < 2:
+        p, middle, q = runs
+        if not p:  # at most one run
             break
-        middle = exps[1:-1]
-        if middle.translate(None, pair):
+        if p > b or q > b:
             return None
         levels.append(left[0] + letters + right[0])
-        left = _edge(left, letters[0], exps[0], a, b, letter)
-        right = _edge(right, letters[-1], exps[-1], a, b, letter)
+        left = _edge(left, letters[0], p, a, b)
+        right = _edge(right, letters[-1], q, a, b)
         if left[1:] == (None, None) or right[1:] == (None, None):
             return None
         letters = middle

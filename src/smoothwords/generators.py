@@ -30,7 +30,7 @@ from typing import Optional
 
 from .derivation import _F, _PREFIX, _R, _derivatives, _is_smooth_bytes
 from .errors import ConstructionError, UsageError, _check_size
-from .words import Alphabet, Word, _bytes_runs, _Record, _spell
+from .words import Alphabet, Word, _boundary_runs, _Record, _spell
 
 # Longest prefix either generator builds, at one byte per letter.
 MAX_PREFIX_LETTERS = 10_000_000
@@ -127,9 +127,11 @@ def embed_left(word: Word) -> EmbeddingWitness:
     # Walk the chain bottom-up: build the witness for each element from the
     # witness of its derivative.
     for u, d in zip(reversed(chain[:-1]), reversed(chain[1:])):
-        exps = bytes(_bytes_runs(u, a, b))  # u derives: runs <= b
-        exponents = (combined[: len(combined) - len(d)]
-                     + bytes([b] if exps[0] > a else []) + exps[1:])
+        # u derives, so its interior is kept and its end runs are <= b; a
+        # word of one run reads (0, b"", q), its run first and last
+        p, interior, q = _boundary_runs(u, a, b)
+        exponents = (combined[: len(combined) - len(d)] + bytes([b] if (p or q) > a else [])
+                     + (interior + bytes((q,)) if p else b""))
         # Runs alternate back from u's last letter; only the last exponent
         # may lie strictly between a and b, so that run is spelled apart.
         last = u[-1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from functools import cache
 from itertools import chain, cycle
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import UsageError
 
@@ -238,6 +238,46 @@ def _bytes_runs(letters: bytes, a: int, b: int) -> Iterator[int]:
     if len(marked) <= _SLICE:
         return map(len, marked.split(b"\0"))
     return chain.from_iterable(map(len, piece.split(b"\0")) for piece in _pieces(marked))
+
+
+@cache
+def _boundary_tokens(a: int, b: int) -> tuple[int, bytes, bytes, bytes, bytes, bytes]:
+    """`_boundary_runs`' tables for one alphabet, kept like `_run_marks`'
+    (six objects of at most 255 bytes an alphabet): the mark a^b, the marked
+    runs of b and of a letters, each followed by the letter that spells its
+    exponent, and the pair."""
+    mark = a ^ b
+    return (mark, bytes((mark,)) + bytes(b - 1), bytes((b,)),
+            bytes((mark,)) + bytes(a - 1), bytes((a,)), bytes((a, b)))
+
+
+def _boundary_runs(letters: bytes, a: int, b: int) -> Optional[tuple[int, bytes, int]]:
+    """(first, interior, last): the exponents of the first and the last run
+    of a word over {a, b}, and its interior exponents spelled as letters, or
+    None when an interior exponent is neither a nor b.  A word of one run
+    c^n gives (0, b"", n), and the empty word (0, b"", 0).
+
+    No object is made per run.  One big-int XOR of the word with itself
+    shifted by one letter puts the byte a^b, never 0 nor a letter, where a
+    run starts after the first, and 0 elsewhere past the first letter; the
+    first and last marks give the end exponents.  Between them each interior
+    run of exponent e reads a^b 0^(e-1); two `replace` calls write the runs
+    of b, the longer, then those of a as their letters, and a run of any
+    other length, 256 or more included, leaves a 0 or a mark behind.
+    """
+    n = len(letters)
+    word = int.from_bytes(letters, "big")
+    marked = (word ^ (word >> 8)).to_bytes(n, "big")
+    del word  # as large as the word: free it before the interior is cut out
+    mark, run_b, letter_b, run_a, letter_a, pair = _boundary_tokens(a, b)
+    first = marked.find(mark)
+    if first < 0:
+        return 0, b"", n
+    last = marked.rfind(mark)
+    interior = marked[first:last].replace(run_b, letter_b).replace(run_a, letter_a)
+    if interior.translate(None, pair):
+        return None
+    return first, interior, n - last
 
 
 def _pieces(marked: bytes) -> Iterator[bytes]:

@@ -569,18 +569,19 @@ class TestExtensionWalk:
 
     @pytest.mark.parametrize("ab", WALK_TREE_ALPHABETS, ids=str)
     def test_root_of_encodes_each_shared_level_once(self, ab, monkeypatch):
-        # one run-length encoding per level of the word's chain, shared by
-        # all its extensions, plus the one that finds the middle left at
-        # the end, whose extensions are read off its runs
+        # one reading of the run boundaries (`_boundary_runs`) per level of
+        # the word's chain, shared by all its extensions, plus the one that
+        # finds the middle left at the end, whose extensions are read off
+        # its runs
         calls = 0
-        runs = derivation._bytes_runs
+        runs = derivation._boundary_runs
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return runs(*args)
 
-        monkeypatch.setattr(derivation, "_bytes_runs", counted)
+        monkeypatch.setattr(derivation, "_boundary_runs", counted)
         for g, w in tree_vertices(ab, range(2, 7)):
             _extensions.cache_clear()  # a walk kept by an earlier test costs nothing
             calls = 0
@@ -590,22 +591,23 @@ class TestExtensionWalk:
     @pytest.mark.parametrize("ab", WALK_TREE_ALPHABETS, ids=str)
     def test_probes_of_a_word_share_one_walk(self, ab, monkeypatch):
         # The probes of a κ-factor in the benchmark's order: the certificate
-        # walks the word, encoding each of the h nonempty words of its chain
-        # once and the middle left at the end.  The words of at most three
-        # runs left at the end of the walk are decided from their runs, so
-        # the extension probes, the bispecial flag and the multiplicity read
-        # that walk alone.  A left_extensions that walks the word again
-        # costs h + 1 encodings, and one that derives the short words to
-        # their end costs one to three more each.
+        # walks the word, reading the run boundaries of each of the h
+        # nonempty words of its chain once and of the middle left at the
+        # end.  The words of at most three runs left at the end of the walk
+        # are decided from their runs, so the extension probes, the
+        # bispecial flag and the multiplicity read that walk alone.  A
+        # left_extensions that walks the word again costs h + 1 readings,
+        # and one that derives the short words to their end costs one to
+        # three more each.
         calls = 0
-        runs = derivation._bytes_runs
+        runs = derivation._boundary_runs
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return runs(*args)
 
-        monkeypatch.setattr(derivation, "_bytes_runs", counted)
+        monkeypatch.setattr(derivation, "_boundary_runs", counted)
         kappa = kappa_prefix(ab, 4000, start=ab.a).letters
         for offset in range(0, 2500, 250):
             w = Word(ab, kappa[offset:offset + 1500])

@@ -289,11 +289,15 @@ def test_operators_match_definitions_on_all_short_words(a, b):
             assert_matches_definitions(Word(ab, letters))
 
 
-@pytest.mark.parametrize("a,b", [(1, 255), (254, 255), (1, 2)])
+@pytest.mark.parametrize("a,b", [(1, 255), (254, 255), (100, 255), (1, 2)])
 def test_operators_match_definitions_on_runs_past_a_byte(a, b):
-    # the step reads exponents as bytes: runs of 256 and more cannot be one
-    for long in (254, 255, 256, 300):
-        for exponents in ([long], [long, a, b], [a, long, a], [b, a, long]):
+    # the step spells interior exponents as bytes, and a run of 256 or more
+    # cannot be one: such a run alone, first, interior or last, before every
+    # rule (f, r and huang by their operators and walks, prefix by its walk
+    # and `check_smooth_depth`)
+    for long in (254, 255, 256, 300, 70_000):
+        for exponents in ([long], [long, a], [a, long], [long, a, b], [a, long, a],
+                          [b, a, long], [a, b, long, a, b]):
             for first, second in ((a, b), (b, a)):
                 letters = b"".join(
                     bytes([first if i % 2 == 0 else second]) * e

@@ -5,11 +5,12 @@ from itertools import chain, groupby, product
 import pytest
 from hypothesis import example, given, strategies as st
 
-from smoothwords import Alphabet, Parity, Word
+from smoothwords import Alphabet, Parity, Word, kappa_prefix
 from smoothwords import words
 from smoothwords.errors import UsageError
 from smoothwords.generators import _STEP_RUNS
-from smoothwords.words import _bytes_runs, _spell
+from smoothwords.words import _boundary_runs, _bytes_runs, _spell
+from test_derivation import DIFFERENTIAL_ALPHABETS
 
 
 def alphabets():
@@ -249,6 +250,58 @@ def test_bytes_runs_of_a_word_longer_than_a_piece():
     assert list(_bytes_runs(letters, 1, 255)) == runs
     one_run = bytes([7]) * (3 * words._SLICE)
     assert list(_bytes_runs(one_run, 7, 9)) == [3 * words._SLICE]
+
+
+def boundary_runs_by_groupby(letters, a, b):
+    """Reference for `_boundary_runs`: (first, interior, last) from the runs
+    `groupby` finds, (0, b"", n) for at most one run, and None when an
+    interior exponent is neither a nor b."""
+    exps = [len(list(g)) for _, g in groupby(letters)]
+    if len(exps) < 2:
+        return 0, b"", len(letters)
+    if any(e != a and e != b for e in exps[1:-1]):
+        return None
+    return exps[0], bytes(exps[1:-1]), exps[-1]
+
+
+@pytest.mark.parametrize("a, b", [*DIFFERENTIAL_ALPHABETS, (1, 255), (254, 255), (100, 255)])
+def test_boundary_runs_match_groupby(a, b):
+    for n in range(14):
+        for letters in map(bytes, product((a, b), repeat=n)):
+            assert _boundary_runs(letters, a, b) == boundary_runs_by_groupby(letters, a, b)
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 5), (1, 255), (254, 255), (100, 255)])
+def test_boundary_runs_of_one_run_and_of_bad_interior_runs(a, b):
+    # one run of any length has no boundary: (0, b"", n)
+    for c in (a, b):
+        for n in (1, 2, b, 255, 256, 70_000):
+            assert _boundary_runs(bytes([c]) * n, a, b) == (0, b"", n)
+    # an interior run of a-1, b+1, 255, 256 or 70,000 letters is refused
+    # between two letters, after a long run and deep in a word of good runs
+    good = [a, b] * 300
+    for e in {a - 1, b + 1, 255, 256, 70_000} - {0, a, b}:
+        for exponents in ([1, e, 1], [70_000, e, b], [1, *good, e, *good, 1]):
+            letters = spell_by_loop(exponents, a, b)
+            assert _boundary_runs(letters, a, b) is None, (e, len(exponents))
+    # runs of a and b around them are kept, whatever the end runs
+    for exponents in ([70_000, a, b, 1], [b, *good, 70_000], [300, *good, 256]):
+        letters = spell_by_loop(exponents, b, a)
+        assert _boundary_runs(letters, a, b) == (
+            exponents[0], bytes(exponents[1:-1]), exponents[-1])
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (1, 3), (2, 5), (1, 255)])
+def test_boundary_runs_of_words_longer_than_two_to_the_sixteen(a, b):
+    kappa = kappa_prefix(Alphabet(a, b), 200_000).letters
+    rng = random.Random(256 * a + b)
+    cases = [kappa[7:7 + n] for n in (2**16 + 1, 70_000, 199_000)]
+    cases += [bytes(rng.choice((a, b)) for _ in range(n)) for n in (2**16 + 3, 100_000)]
+    cases.append(cases[0][:40_000] + bytes([a + b - cases[0][40_000]]) + cases[0][40_001:])
+    assert all(len(letters) > 2**16 for letters in cases)
+    answers = [_boundary_runs(letters, a, b) for letters in cases]
+    assert answers == [boundary_runs_by_groupby(letters, a, b) for letters in cases]
+    assert None not in answers[:3]
 
 
 def test_runs_past_a_byte_are_exact():
