@@ -48,7 +48,11 @@ between them.
 
 One step reads a word's runs from `words._boundary_runs`: its first and
 last exponents as integers and its interior exponents spelled as letters,
-with no object made per run.  An interior run that is neither a nor b long
+with no object made per run.  A word of at most 32 letters is answered
+from one memo there, of the last 1,024 such words asked about: every chain
+of an f- or r-smooth word ends among the few short f-smooth words, and on
+short words reading the runs costs the most per letter.  Longer words are
+read afresh.  An interior run that is neither a nor b long
 is refused there, 256 letters or more included; an end run longer than b,
 255 at most, is outside the domain of every rule.  The boundary marks assume
 the letters lie in {a, b}; every caller passes a word of the alphabet.
@@ -59,11 +63,11 @@ the letters lie in {a, b}; every caller passes a word of the alphabet.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterator, Optional, Sequence
 
 from .errors import NotDerivableError, NotRDerivableError, UsageError
-from .words import Word, _boundary_runs, _bytes_runs, _Record
+from .words import Word, _boundary_runs, _bytes_runs, _Record, _word
 
 
 class DerivabilityReport(_Record):
@@ -257,7 +261,7 @@ def is_f_smooth(word: Word) -> Optional[FSmoothCertificate]:
     chain = [*levels, *_derivatives(left[0] + middle + right[0], ab.a, ab.b, _F)]
     if chain[-1]:
         return None
-    words = tuple(Word(ab, c) for c in chain)
+    words = tuple(map(_word, repeat(ab), chain))  # letters the walk derived
     return FSmoothCertificate(word=word, height=len(chain) - 1, chain=words)
 
 

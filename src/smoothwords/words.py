@@ -11,15 +11,17 @@ of its own class with equal fields, hashes, pickles and prints as the tuple
 of its fields does, and refuses assignment and deletion.  Only this module
 writes record fields: `Alphabet` checks its letters before the base's one
 constructor runs, and `Word`, the hottest record, checks its letters and
-writes its two fields itself.  The methods are written out, not generated
-when the module loads, so no CLI process imports `inspect` for them.
+writes its two fields itself.  `_word` writes them with no check, for
+letters the program already knows lie in the alphabet.  The methods are
+written out, not generated when the module loads, so no CLI process imports
+`inspect` for them.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import cache
-from itertools import chain, cycle
+from functools import cache, lru_cache
+from itertools import chain, cycle, repeat
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from .errors import UsageError
@@ -113,7 +115,7 @@ class Alphabet(_Record):
     def word(self, letters: Union[str, bytes, Iterable[int]] = b"") -> "Word":
         """Build a word; accepts rendered text, bytes, or an iterable of letters."""
         if isinstance(letters, str):
-            return Word(self, _parse_text(self, letters))
+            return _word(self, _parse_text(self, letters))  # letters checked there
         if isinstance(letters, Word):
             letters = letters.letters
         elif not isinstance(letters, bytes):
@@ -242,7 +244,7 @@ def _bytes_runs(letters: bytes, a: int, b: int) -> Iterator[int]:
 
 @cache
 def _boundary_tokens(a: int, b: int) -> tuple[int, bytes, bytes, bytes, bytes, bytes]:
-    """`_boundary_runs`' tables for one alphabet, kept like `_run_marks`'
+    """`_read_runs`' tables for one alphabet, kept like `_run_marks`'
     (six objects of at most 255 bytes an alphabet): the mark a^b, the marked
     runs of b and of a letters, each followed by the letter that spells its
     exponent, and the pair."""
@@ -251,19 +253,40 @@ def _boundary_tokens(a: int, b: int) -> tuple[int, bytes, bytes, bytes, bytes, b
             bytes((mark,)) + bytes(a - 1), bytes((a,)), bytes((a, b)))
 
 
+_SHORT = 32
+_MEMO = 1024
+
+
 def _boundary_runs(letters: bytes, a: int, b: int) -> Optional[tuple[int, bytes, int]]:
     """(first, interior, last): the exponents of the first and the last run
     of a word over {a, b}, and its interior exponents spelled as letters, or
     None when an interior exponent is neither a nor b.  A word of one run
     c^n gives (0, b"", n), and the empty word (0, b"", 0).
 
-    No object is made per run.  One big-int XOR of the word with itself
-    shifted by one letter puts the byte a^b, never 0 nor a letter, where a
-    run starts after the first, and 0 elsewhere past the first letter; the
-    first and last marks give the end exponents.  Between them each interior
-    run of exponent e reads a^b 0^(e-1); two `replace` calls write the runs
-    of b, the longer, then those of a as their letters, and a run of any
-    other length, 256 or more included, leaves a 0 or a mark behind.
+    A word of at most `_SHORT` (32) letters is answered by `_short_runs`, a
+    memo of the last `_MEMO` (1,024) such words asked about, keyed by
+    (letters, a, b); a longer word is read afresh by `_read_runs`, which the
+    memo calls too.  The derivatives of an f- or r-smooth word are f-smooth,
+    and short f-smooth words are few (7,575 of at most 32 letters over
+    {1,2}), so every derivation chain ends among the same short words; and
+    on them the int conversions of `_read_runs` cost the most per letter.
+    The answers are immutable, and the full memo holds about 0.3 MB.
+    """
+    if len(letters) <= _SHORT:
+        return _short_runs(letters, a, b)
+    return _read_runs(letters, a, b)
+
+
+def _read_runs(letters: bytes, a: int, b: int) -> Optional[tuple[int, bytes, int]]:
+    """`_boundary_runs` worked out, with no object made per run.
+
+    One big-int XOR of the word with itself shifted by one letter puts the
+    byte a^b, never 0 nor a letter, where a run starts after the first, and
+    0 elsewhere past the first letter; the first and last marks give the end
+    exponents.  Between them each interior run of exponent e reads
+    a^b 0^(e-1); two `replace` calls write the runs of b, the longer, then
+    those of a as their letters, and a run of any other length, 256 or more
+    included, leaves a 0 or a mark behind.
     """
     n = len(letters)
     word = int.from_bytes(letters, "big")
@@ -278,6 +301,9 @@ def _boundary_runs(letters: bytes, a: int, b: int) -> Optional[tuple[int, bytes,
     if interior.translate(None, pair):
         return None
     return first, interior, n - last
+
+
+_short_runs = lru_cache(maxsize=_MEMO)(_read_runs)
 
 
 def _pieces(marked: bytes) -> Iterator[bytes]:
@@ -418,8 +444,9 @@ class Word(_Record):
         ab = self.alphabet
         first = self.letters[0]
         letters = cycle((first, ab.other(first)))
-        exponents = _bytes_runs(self.letters, ab.a, ab.b)
-        return RunFactorization(tuple(map(Run, letters, exponents)))
+        pairs = zip(letters, _bytes_runs(self.letters, ab.a, ab.b))
+        # tuple.__new__ builds each Run in C, with no call of Run's own __new__
+        return RunFactorization(tuple(map(tuple.__new__, repeat(Run), pairs)))
 
     def complement(self) -> "Word":
         """Swap the two letters everywhere."""
@@ -454,3 +481,12 @@ class Word(_Record):
 
     def __repr__(self) -> str:
         return f"Word({self.alphabet}, '{self.render()}')"
+
+
+def _word(alphabet: Alphabet, letters: bytes) -> Word:
+    """A `Word` of letters the program already knows lie in the alphabet,
+    such as a derivative or parsed text: both fields written with no check."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "alphabet", alphabet)
+    object.__setattr__(word, "letters", letters)
+    return word

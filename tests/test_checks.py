@@ -1,4 +1,4 @@
-"""The failure branches of `verify` criteria 3, 4 and 5: with one collaborator
+"""The failure branches of `verify` criteria 1 to 5: with one collaborator
 of `checks` made wrong, the criterion fails and its detail names what broke,
 in its own words."""
 
@@ -8,6 +8,40 @@ from smoothwords.derivation import _HUANG
 from smoothwords.generators import EmbeddingWitness
 
 AB12, AB13, AB14 = Alphabet(1, 2), Alphabet(1, 3), Alphabet(1, 4)
+
+
+def assert_fails(result, detail):
+    assert result.passed is False
+    assert result.detail == detail
+
+
+def test_kappa_prefix_with_one_letter_swapped(monkeypatch):
+    kappa = checks.kappa_prefix
+
+    def swapped(ab, length, start=None):
+        w = kappa(ab, length, start=start)
+        return w[:6] + ab.word([ab.other(w[6])]) + w[7:]
+
+    monkeypatch.setattr(checks, "kappa_prefix", swapped)
+    assert_fails(CHECKS[1](only=AB12), "prefix over {1,2} starting 2 diverges: "
+                 "22112112122112112212... vs 22112122122112112212...")
+
+
+def test_derivation_example_derived_wrong(monkeypatch):
+    derive = checks.derive_f
+
+    def derive_f(w):
+        return derive(w)[1:] if w.render() == "122112" else derive(w)
+
+    monkeypatch.setattr(checks, "derive_f", derive_f)
+    assert_fails(CHECKS[2](only=AB12), "derive_f(122112) = '2', expected '22'")
+
+
+def test_non_smooth_example_accepted(monkeypatch):
+    is_f_smooth = checks.is_f_smooth
+    monkeypatch.setattr(checks, "is_f_smooth", lambda w: is_f_smooth(
+        AB12.word("1212") if w.render() == "12121" else w))
+    assert_fails(CHECKS[2](only=AB12), "12121 was not rejected")
 
 
 def huang_wrong_on(monkeypatch, wrong):
@@ -23,11 +57,6 @@ def huang_wrong_on(monkeypatch, wrong):
         return step
 
     monkeypatch.setattr(checks, "_derive_bytes", patched)
-
-
-def assert_fails(result, detail):
-    assert result.passed is False
-    assert result.detail == detail
 
 
 def test_cut_rules_disagreeing_on_one_word(monkeypatch):

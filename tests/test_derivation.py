@@ -363,6 +363,37 @@ def test_certificates_alternating_alphabets_of_the_same_letters():
                 ab, letters, lambda: is_f_smooth(Word(other, letters)))
 
 
+def test_certificates_and_parsed_words_alike_from_the_checking_constructor(monkeypatch):
+    # a certificate's chain and parsed text are built by `words._word` with
+    # no letter check; swapping the checking `Word` back in changes no
+    # answer and refuses no letter
+    rng = random.Random(37)
+    cases = []
+    for a, b in [*DIFFERENTIAL_ALPHABETS, (1, 255)]:
+        ab = Alphabet(a, b)
+        kappa = kappa_prefix(ab, 3_000).letters
+        cases += [Word(ab, bytes(w)) for n in range(11) for w in product((a, b), repeat=n)]
+        cases += [Word(ab, kappa[s:s + rng.randint(11, 400)]) for s in range(0, 2_500, 25)]
+    texts = [(w.alphabet, w.render()) for w in cases]
+
+    def answers():
+        return [is_f_smooth(w) for w in cases], [ab.word(text) for ab, text in texts]
+
+    unchecked = answers()
+    built = []
+
+    def checked(ab, letters):
+        built.append(letters)
+        return Word(ab, letters)
+
+    monkeypatch.setattr(derivation, "_word", checked)
+    monkeypatch.setattr(words, "_word", checked)
+    assert answers() == unchecked
+    certificates = [cert for cert in unchecked[0] if cert is not None]
+    assert len(built) == len(texts) + sum(len(cert.chain) for cert in certificates)
+    assert len(certificates) > 1_000
+
+
 @pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 3), (2, 5), (3, 7), (1, 255),
                                  (100, 255), (254, 255)])
 def test_words_at_the_end_of_the_walk_match_their_derivation(a, b):

@@ -9,7 +9,7 @@ from smoothwords import Alphabet, Parity, Word, kappa_prefix
 from smoothwords import words
 from smoothwords.errors import UsageError
 from smoothwords.generators import _STEP_RUNS
-from smoothwords.words import _boundary_runs, _bytes_runs, _spell
+from smoothwords.words import Run, _boundary_runs, _bytes_runs, _spell
 from test_derivation import DIFFERENTIAL_ALPHABETS
 
 
@@ -304,6 +304,74 @@ def test_boundary_runs_of_words_longer_than_two_to_the_sixteen(a, b):
     assert None not in answers[:3]
 
 
+def short_runs_counts():
+    info = words._short_runs.cache_info()
+    return info.hits, info.misses, info.currsize
+
+
+@pytest.mark.parametrize("a, b", DIFFERENTIAL_ALPHABETS)
+def test_short_words_answer_alike_from_a_cold_and_a_warm_memo(a, b):
+    rng = random.Random(256 * a + b)
+    kappa = kappa_prefix(Alphabet(a, b), 2_000).letters
+    cases = [bytes(w) for n in range(15) for w in product((a, b), repeat=n)]
+    for n in (32, 33):  # the longest word the memo keeps, and the shortest it skips
+        factors = [kappa[s:s + n] for s in rng.sample(range(1_900), 40)]
+        cases += factors + [bytes([c]) * n for c in (a, b)]
+        cases += [bytes(rng.choice((a, b)) for _ in range(n)) for _ in range(40)]
+        cases += [w[:9] + bytes([a + b - w[9]]) + w[10:] for w in factors]
+    cases = list(dict.fromkeys(cases))  # κ repeats some of its factors
+    short = sum(len(letters) <= 32 for letters in cases)
+    refused = 0
+    words._short_runs.cache_clear()
+    for letters in cases:
+        expected = boundary_runs_by_groupby(letters, a, b)
+        cold = _boundary_runs(letters, a, b)
+        warm = _boundary_runs(letters, a, b)
+        assert cold == warm == expected, letters
+        refused += expected is None and len(letters) == 33
+    # every short word missed once and then hit; no longer one was kept
+    assert short_runs_counts() == (short, short, 1024)
+    assert refused > 0
+
+
+def test_the_memo_keeps_each_alphabet_apart():
+    words._short_runs.cache_clear()
+    letters = b"\x02\x02\x02"
+    assert _boundary_runs(letters, 2, 4) == (0, b"", 3)
+    assert _boundary_runs(letters, 2, 5) == (0, b"", 3)
+    assert short_runs_counts() == (0, 2, 2)
+    for a, b in ((2, 4), (2, 5)):  # each alphabet reads its own entry
+        word = bytes([a, a, b, a, b, b, a])
+        assert _boundary_runs(word, a, b) == boundary_runs_by_groupby(word, a, b)
+        assert _boundary_runs(letters, a, b) == (0, b"", 3)
+    assert short_runs_counts() == (2, 4, 4)
+
+
+def test_the_memo_is_bounded_and_keeps_only_short_words():
+    assert words._short_runs.cache_info().maxsize == 1024
+    words._short_runs.cache_clear()
+    kappa = kappa_prefix(Alphabet(1, 2), 2_000).letters
+    _boundary_runs(kappa[:33], 1, 2)
+    assert short_runs_counts() == (0, 0, 0)
+    _boundary_runs(kappa[:32], 1, 2)
+    assert short_runs_counts() == (0, 1, 1)
+    for i in range(1_100):  # 1,100 distinct words of 11 letters, and longer ones
+        _boundary_runs(bytes(1 + (i >> bit & 1) for bit in range(11)), 1, 2)
+        _boundary_runs(kappa[i:i + 33 + i % 50], 1, 2)
+    assert short_runs_counts() == (0, 1_101, 1024)
+
+
+def test_runs_are_run_records_equal_to_the_groupby_runs():
+    for a, b in [(1, 2), (2, 5), (1, 255)]:
+        letters = kappa_prefix(Alphabet(a, b), 10_000).letters
+        letters += bytes([letters[-1] ^ a ^ b]) * 300  # a run past a byte
+        runs = Word(Alphabet(a, b), letters).runs.runs
+        assert all(type(run) is Run for run in runs)
+        assert runs == tuple((x, len(list(g))) for x, g in groupby(letters))
+        assert (runs[0].letter, runs[-1].exponent) == (letters[0], 300)
+        assert repr(runs[-1]) == f"Run(letter={letters[-1]}, exponent=300)"
+
+
 def test_runs_past_a_byte_are_exact():
     ab = Alphabet(1, 255)
     w = ab.word(bytes([255]) * 300 + bytes([1]) * 256 + bytes([255]))
@@ -338,7 +406,7 @@ def parse_by_loop(alphabet, text):
        st.text(alphabet="123, \tx+_-\u0661\u3000\udc80", max_size=12))
 @example(Alphabet(1, 2), "\u300012 ")
 def test_parsing_matches_the_letter_loop(ab, text):
-    # the parser alone as well, since `Word` refuses foreign letters again
+    # the parser alone as well: the text path builds its `Word` unchecked
     for parse in (lambda t: ab.word(t).letters, lambda t: words._parse_text(ab, t)):
         try:
             expected = parse_by_loop(ab, text)
