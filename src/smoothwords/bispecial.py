@@ -53,7 +53,7 @@ from typing import Iterator
 from .derivation import _F, _derivatives, _ends_smooth, _extensions, derive_f
 from .errors import (FAMILIES, MAX_GENERATION, InvalidFamilyError,
                      ResourceCapError, UsageError, _check_size)
-from .words import Alphabet, Parity, Word, _blocks, _Record, _spell, _swap_table
+from .words import Alphabet, Parity, Word, _Record, _spell, _swap_table
 
 MATERIALIZE_LETTER_LIMIT = 80_000_000
 # Distinct parity-count states of one level: exactly 2^g at generation g
@@ -173,9 +173,25 @@ def _about(n: int) -> str:
     return f"{lead[0]}.{lead[1:3]}e{len(digits) + len(lead) - 4}"
 
 
+_SLICE = 2**16  # parent letters `_children` spells at once
+
+
+def _blocks(words: list[bytes]) -> Iterator[list[bytes]]:
+    """Consecutive blocks of `words`, each closed at the first word that
+    brings its letters to at least `_SLICE`; the last may hold fewer."""
+    start = size = 0
+    for end, word in enumerate(words, 1):
+        size += len(word)
+        if size >= _SLICE:
+            yield words[start:end]
+            start, size = end, 0
+    if start < len(words):
+        yield words[start:]
+
+
 def _children(parents: list[bytes], a: int, b: int) -> list[bytes]:
     """Both children of every parent, in no promised order, spelled a block
-    of about `words._SLICE` parent letters at a time: one `_spell` call and
+    of about `_SLICE` parent letters at a time: one `_spell` call and
     one swap of the letters a block (see the module docstring)."""
     swap = _swap_table(a, b)
     edge, seam = bytes((a,)), bytes((a, a))

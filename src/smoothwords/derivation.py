@@ -56,18 +56,16 @@ read afresh.  An interior run that is neither a nor b long
 is refused there, 256 letters or more included; an end run longer than b,
 255 at most, is outside the domain of every rule.  The boundary marks assume
 the letters lie in {a, b}; every caller passes a word of the alphabet.
-`_check`, which names the first run outside the domain, serves only
-`derivability`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress, repeat
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 from .errors import NotDerivableError, NotRDerivableError, UsageError
-from .words import Word, _boundary_runs, _bytes_runs, _Record, _word
+from .words import Word, _boundary_runs, _Record, _stray_run, _word
 
 
 class DerivabilityReport(_Record):
@@ -101,23 +99,6 @@ _R = (None, _cut)
 _PREFIX = (None, _drop)
 
 _RULES = {"f": _F, "r": _R, "huang": _HUANG}
-
-
-def _check(exps: Sequence[int], a: int, b: int, rule) -> Optional[int]:
-    """Index of the first run outside the rule's domain, or None.
-
-    Exponents given as `bytes` have their interior runs checked with one
-    `translate`; the loop then only runs to find an offender's index.
-    """
-    last = len(exps) - 1
-    lo = 0 if rule[0] is None else 1
-    if lo and exps[0] > b:
-        return 0
-    if not isinstance(exps, bytes) or exps[lo:last].translate(None, bytes((a, b))):
-        for i in range(lo, last):
-            if exps[i] != a and exps[i] != b:
-                return i
-    return last if exps[last] > b else None
 
 
 def _derive_bytes(letters: bytes, a: int, b: int, rule) -> Optional[bytes]:
@@ -285,25 +266,33 @@ def right_extensions(word: Word) -> tuple[int, ...]:
 
 
 def derivability(word: Word, kind: str = "f") -> DerivabilityReport:
-    """Domain check without deriving; kind is 'f', 'r', or 'huang'."""
+    """Domain check without deriving; kind is 'f', 'r', or 'huang'.
+
+    Names the first run outside the domain, read off `_boundary_runs`, or
+    off `_stray_run` when an interior run fails: a first run that a
+    two-sided rule cuts must be at most b, and one that the right rule keeps
+    must be a or b; then every interior run must be a or b, and the last run
+    at most b.
+    """
     if kind not in _RULES:
         raise UsageError(f"unknown derivation kind {kind!r}")
-    if not word:
-        return _OK
-    rule = _RULES[kind]
+    two_sided = _RULES[kind][0] is not None
+    edge, inner = (("boundary exponent outside [1,b]", "interior exponent not a letter")
+                   if two_sided else
+                   ("final exponent outside [1,b]", "non-final exponent not a letter"))
     a, b = word.alphabet.a, word.alphabet.b
-    try:
-        exps = bytes(_bytes_runs(word.letters, a, b))
-    except ValueError:  # a run longer than 255: its length needs an int
-        exps = list(_bytes_runs(word.letters, a, b))
-    i = _check(exps, a, b, rule)
-    if i is None:
+    runs = _boundary_runs(word.letters, a, b)
+    if runs is None:
+        p, i, e = _stray_run(word.letters, a, b)
+    else:
+        p, interior, q = runs
+    if p and (p > b if two_sided else p != a and p != b):
+        return DerivabilityReport(False, 0, p, edge if two_sided else inner)
+    if runs is None:
+        return DerivabilityReport(False, i, e, inner)
+    if q <= b:
         return _OK
-    two_sided = rule[0] is not None
-    edge, inner = ("boundary", "interior") if two_sided else ("final", "non-final")
-    if i == len(exps) - 1 or (i == 0 and two_sided):
-        return DerivabilityReport(False, i, exps[i], f"{edge} exponent outside [1,b]")
-    return DerivabilityReport(False, i, exps[i], f"{inner} exponent not a letter")
+    return DerivabilityReport(False, len(interior) + bool(p), q, edge)
 
 
 def _derive(word: Word, kind: str, error: type, name: str) -> Word:

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import enum
 from functools import cache, lru_cache
-from itertools import chain, cycle, repeat
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from itertools import cycle, repeat
+from operator import add
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import UsageError
 
@@ -215,39 +216,21 @@ class RunFactorization(_Record):
         return Word(alphabet, b"".join(bytes([x]) * e for x, e in self.runs))
 
 
-@cache
-def _run_marks(a: int, b: int) -> tuple[bytes, bytes, bytes, bytes]:
-    """The run boundaries ab and ba, each followed by its marked form, with
-    byte 0 between the two letters."""
-    return bytes((a, b)), bytes((a, 0, b)), bytes((b, a)), bytes((b, 0, a))
-
-
-_SLICE = 2**16  # marked bytes `_bytes_runs` splits at once
-
-
-def _bytes_runs(letters: bytes, a: int, b: int) -> Iterator[int]:
-    """Lengths of the maximal runs of a word over {a, b}, in order.
-
-    The inverse of `_spell`, at C speed: two `bytes.replace` passes put byte
-    0, never a letter, at every run boundary, and `split` cuts the word
-    there.  `split` holds one `bytes` object per run, so a long word is
-    split one piece of about `_SLICE` bytes at a time.
-    """
-    if not letters:
-        return iter(())
-    ab, a0b, ba, b0a = _run_marks(a, b)
-    marked = letters.replace(ab, a0b).replace(ba, b0a)
-    if len(marked) <= _SLICE:
-        return map(len, marked.split(b"\0"))
-    return chain.from_iterable(map(len, piece.split(b"\0")) for piece in _pieces(marked))
+def _marks(letters: bytes) -> bytes:
+    """The run boundaries of a word over {a, b}: one big-int XOR of the word
+    with itself shifted by one letter.  The first byte is the first letter;
+    past it the byte a^b, never 0 nor a letter, stands where a run starts,
+    and 0 elsewhere, so each later run of exponent e reads a^b 0^(e-1)."""
+    word = int.from_bytes(letters, "big")
+    return (word ^ (word >> 8)).to_bytes(len(letters), "big")
 
 
 @cache
 def _boundary_tokens(a: int, b: int) -> tuple[int, bytes, bytes, bytes, bytes, bytes]:
-    """`_read_runs`' tables for one alphabet, kept like `_run_marks`'
-    (six objects of at most 255 bytes an alphabet): the mark a^b, the marked
-    runs of b and of a letters, each followed by the letter that spells its
-    exponent, and the pair."""
+    """`_read_runs`' and `_stray_run`'s tables for one alphabet (six objects
+    of at most 255 bytes an alphabet): the mark a^b, the marked runs of b
+    and of a letters, each followed by the letter that spells its exponent,
+    and the pair."""
     mark = a ^ b
     return (mark, bytes((mark,)) + bytes(b - 1), bytes((b,)),
             bytes((mark,)) + bytes(a - 1), bytes((a,)), bytes((a, b)))
@@ -278,55 +261,50 @@ def _boundary_runs(letters: bytes, a: int, b: int) -> Optional[tuple[int, bytes,
 
 
 def _read_runs(letters: bytes, a: int, b: int) -> Optional[tuple[int, bytes, int]]:
-    """`_boundary_runs` worked out, with no object made per run.
+    """`_boundary_runs` worked out from the word's `_marks`, with no object
+    made per run.
 
-    One big-int XOR of the word with itself shifted by one letter puts the
-    byte a^b, never 0 nor a letter, where a run starts after the first, and
-    0 elsewhere past the first letter; the first and last marks give the end
-    exponents.  Between them each interior run of exponent e reads
-    a^b 0^(e-1); two `replace` calls write the runs of b, the longer, then
-    those of a as their letters, and a run of any other length, 256 or more
-    included, leaves a 0 or a mark behind.
+    The first and last marks give the end exponents.  Between them each
+    interior run of exponent e reads a^b 0^(e-1); two `replace` calls write
+    the runs of b, the longer, then those of a as their letters, and a run
+    of any other length, 256 or more included, leaves a 0 or a mark behind.
     """
-    n = len(letters)
-    word = int.from_bytes(letters, "big")
-    marked = (word ^ (word >> 8)).to_bytes(n, "big")
-    del word  # as large as the word: free it before the interior is cut out
+    marked = _marks(letters)
     mark, run_b, letter_b, run_a, letter_a, pair = _boundary_tokens(a, b)
     first = marked.find(mark)
     if first < 0:
-        return 0, b"", n
+        return 0, b"", len(letters)
     last = marked.rfind(mark)
     interior = marked[first:last].replace(run_b, letter_b).replace(run_a, letter_a)
     if interior.translate(None, pair):
         return None
-    return first, interior, n - last
+    return first, interior, len(letters) - last
 
 
 _short_runs = lru_cache(maxsize=_MEMO)(_read_runs)
 
 
-def _pieces(marked: bytes) -> Iterator[bytes]:
-    """Consecutive pieces of a marked word, cut at the first mark at least
-    `_SLICE` bytes into each; the marks cut at are dropped."""
-    start = 0
-    while (end := marked.find(0, start + _SLICE)) >= 0:
-        yield marked[start:end]
-        start = end + 1
-    yield marked[start:]
+def _stray_run(letters: bytes, a: int, b: int) -> tuple[int, int, int]:
+    """(first, i, e) for a word whose interior `_read_runs` refuses: the
+    first exponent, and the index i and exponent e of the first run past the
+    first that is neither a nor b.
 
-
-def _blocks(words: list[bytes]) -> Iterator[list[bytes]]:
-    """Consecutive blocks of `words`, each closed at the first word that
-    brings its letters to at least `_SLICE`; the last may hold fewer."""
-    start = size = 0
-    for end, word in enumerate(words, 1):
-        size += len(word)
-        if size >= _SLICE:
-            yield words[start:end]
-            start, size = end, 0
-    if start < len(words):
-        yield words[start:]
+    The `_marks` from the second run on are read as `_read_runs` reads the
+    interior.  The first byte past the runs read as letters is a mark, which
+    starts a run shorter than a, or a 0 after the letter that read the start
+    of a longer run.
+    """
+    marked = _marks(letters)
+    mark, run_b, letter_b, run_a, letter_a, pair = _boundary_tokens(a, b)
+    first = marked.find(mark)
+    read = marked[first:].replace(run_b, letter_b).replace(run_a, letter_a)
+    rest = read.lstrip(pair)
+    i = len(read) - len(rest)  # runs 1 to i read as letters
+    if rest[0] == mark:
+        i, e, rest = i + 1, 1, rest[1:]
+    else:
+        e = read[i - 1]
+    return first, i, e + len(rest) - len(rest.lstrip(b"\0"))
 
 
 @cache
@@ -345,7 +323,7 @@ def _spell(exponents: bytes, first: int, second: int) -> bytes:
     """Runs first^e0 second^e1 first^e2 ... for exponents e0, e1, e2, ...
     drawn from {first, second}.
 
-    The inverse of `_bytes_runs` on alternating letters, at C speed: two
+    The inverse of `Word.runs` on alternating letters, at C speed: two
     `translate` calls mark each exponent with one of four bytes that are not
     letters, by its value and its index's parity, and one `replace` per
     marker writes its run.
@@ -438,13 +416,17 @@ class Word(_Record):
 
     @property
     def runs(self) -> RunFactorization:
-        """Canonical run factorization."""
+        """Canonical run factorization, read off the word's `_marks`: past
+        the first letter, each run of exponent e reads a^b 0^(e-1), so a
+        split at a^b leaves e - 1 bytes of each run (over {1,2} only empty
+        and one-byte pieces, which Python does not allocate anew)."""
         if not self.letters:
             return RunFactorization(())
         ab = self.alphabet
         first = self.letters[0]
-        letters = cycle((first, ab.other(first)))
-        pairs = zip(letters, _bytes_runs(self.letters, ab.a, ab.b))
+        mark = bytes((ab.a ^ ab.b,))
+        exponents = map(add, map(len, _marks(self.letters)[1:].split(mark)), repeat(1))
+        pairs = zip(cycle((first, ab.other(first))), exponents)
         # tuple.__new__ builds each Run in C, with no call of Run's own __new__
         return RunFactorization(tuple(map(tuple.__new__, repeat(Run), pairs)))
 

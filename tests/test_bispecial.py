@@ -32,7 +32,7 @@ from smoothwords import (
     tree_derived_complexity,
     tree_generation,
 )
-from smoothwords import bispecial, derivation, smoothness, words
+from smoothwords import bispecial, derivation, smoothness
 from smoothwords.derivation import _F, _derivatives, _extensions, _is_smooth_bytes
 
 AB12 = Alphabet(1, 2)
@@ -290,7 +290,7 @@ class TestTreeGenerations:
                   for family in bispecial._families(ab)}
         for slice_bytes in (None, 1, 2, 3, 5):
             if slice_bytes is not None:
-                monkeypatch.setattr(words, "_SLICE", slice_bytes)
+                monkeypatch.setattr(bispecial, "_SLICE", slice_bytes)
             for family, levels in expect.items():
                 for g, level in enumerate(levels):
                     got = [n.word.letters for n in tree_generation(ab, family, g)]
@@ -901,7 +901,7 @@ class TestComplexity:
         monkeypatch.setattr(bispecial, "_children", recording_blocks(spelled))
         for slice_bytes in (None, 1, 2, 3, 5):
             if slice_bytes is not None:
-                monkeypatch.setattr(words, "_SLICE", slice_bytes)
+                monkeypatch.setattr(bispecial, "_SLICE", slice_bytes)
             for (family, horizon), (hist, children) in expect.items():
                 spelled.clear()
                 got = bispecial._pruned_word_histogram(ab, family, horizon)

@@ -1,13 +1,15 @@
-"""The failure branches of `verify` criteria 1 to 5: with one collaborator
+"""The failure branches of `verify` criteria 1 to 5 and 10 to 12: with one collaborator
 of `checks` made wrong, the criterion fails and its detail names what broke,
 in its own words."""
 
-from smoothwords import Alphabet, checks
+import math
+
+from smoothwords import Alphabet, Word, checks
 from smoothwords.checks import CHECKS
 from smoothwords.derivation import _HUANG
 from smoothwords.generators import EmbeddingWitness
 
-AB12, AB13, AB14 = Alphabet(1, 2), Alphabet(1, 3), Alphabet(1, 4)
+AB12, AB13, AB14, AB19 = Alphabet(1, 2), Alphabet(1, 3), Alphabet(1, 4), Alphabet(1, 9)
 
 
 def assert_fails(result, detail):
@@ -137,3 +139,42 @@ def test_tree_edge_that_derives_elsewhere(monkeypatch):
     monkeypatch.setattr(checks, "derive_f", lambda w: derive(w)[1:]
                         if w.render() == "313331" else derive(w))
     assert_fails(CHECKS[5](only=AB13), "edge broken at {1,3} generation 2")
+
+
+def test_erratum_display_matching_its_formula(monkeypatch):
+    # a corrected {1,9} β display would make the erratum note stale
+    formula = math.log(2 * 9 * 9) / math.log(2 * 9 / 10)
+    table = {ab: dict(row) for ab, row in checks.REFERENCE_EXPONENT_TABLE.items()}
+    table[1, 9]["beta"] = f"{formula:.3f}"
+    monkeypatch.setattr(checks, "REFERENCE_EXPONENT_TABLE", table)
+    assert_fails(CHECKS[10](only=AB19),
+                 "display 8.565 unexpectedly matches the formula; erratum note is stale")
+
+
+def test_coupled_pair_with_one_letter_swapped(monkeypatch):
+    # a 3 of y read as 1, deep in the 5000-letter prefixes: no 33 appears,
+    # and the runs of each no longer spell the other
+    coupled = checks.coupled_pair_prefix
+
+    def swapped(ab, length):
+        x, y = coupled(ab, length)
+        if length != 5000:
+            return x, y
+        i = y.letters.index(3, 2500)
+        return x, y[:i] + ab.word("1") + y[i + 1:]
+
+    monkeypatch.setattr(checks, "coupled_pair_prefix", swapped)
+    assert_fails(CHECKS[11](only=AB13), "mutual reading broken on the 5000-letter overlap")
+
+
+def test_periodic_kappa_prefix(monkeypatch):
+    kappa = checks.kappa_prefix
+
+    def periodic(ab, length, start=None):
+        w = kappa(ab, length, start=start)
+        if start != 2:
+            return w
+        return Word(ab, (w.letters[:7] * length)[:length])
+
+    monkeypatch.setattr(checks, "kappa_prefix", periodic)
+    assert_fails(CHECKS[12](only=AB12), "period 7 in prefix over {1,2} starting 2")

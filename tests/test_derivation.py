@@ -263,22 +263,13 @@ def test_failing_derivation_builds_no_runs(monkeypatch):
         assert not info.value.report.derivable
 
 
-def test_domain_check_reads_run_lengths_as_bytes(monkeypatch):
-    # as bytes, the interior runs are checked by one `translate` rather than
-    # a loop over every run; a run past 255 keeps its length as an int
-    check = derivation._check
-    seen = []
-
-    def recorded(exps, *args):
-        seen.append(type(exps))
-        return check(exps, *args)
-
-    monkeypatch.setattr(derivation, "_check", recorded)
+def test_domain_check_reads_run_lengths_as_bytes():
+    # the report reads run lengths off the boundary marks, so a run past 255
+    # keeps its whole length
     for kind, text in (("f", "11112"), ("r", "1121112"), ("huang", "21111")):
         assert not derivability(AB12.word(text), kind).derivable
     report = derivability(Word(AB12, b"\x01" * 300 + b"\x02"))
     assert (report.offending_run_index, report.offending_exponent) == (0, 300)
-    assert seen == [bytes, bytes, bytes, list]
 
 
 @pytest.mark.parametrize("a,b", DIFFERENTIAL_ALPHABETS)
@@ -305,15 +296,45 @@ def test_operators_match_definitions_on_runs_past_a_byte(a, b):
                 assert_matches_definitions(Word(Alphabet(a, b), letters))
 
 
+@pytest.mark.parametrize("a,b", [(1, 2), (2, 5), (3, 5), (1, 255), (100, 255), (254, 255)])
+def test_reports_on_long_words_match_the_runs(a, b):
+    # κ windows of 2 to 15,000 letters with up to two runs spliced in, of
+    # lengths around a and b and past a byte: the first offender may sit
+    # deep in the word, where its index is counted from the boundary marks
+    ab = Alphabet(a, b)
+    kappa = kappa_prefix(ab, 20_000).letters
+    rng = random.Random(256 * a + b)
+    lengths = [n for n in (a - 1, a + 1, b - 1, b + 1, 256, 1_000) if n]
+    deep = 0
+    for _ in range(60):
+        n = rng.randint(2, 15_000)
+        start = rng.randrange(len(kappa) - n)
+        letters = kappa[start:start + n]
+        for _ in range(rng.randint(0, 2)):
+            at = rng.randint(0, len(letters))
+            run = bytes([rng.choice((a, b))]) * rng.choice(lengths)
+            letters = letters[:at] + run + letters[at:]
+        w = Word(ab, letters)
+        last = sum(1 for _ in groupby(letters)) - 1
+        for kind in ("f", "r", "huang"):
+            report = derivability(w, kind)
+            expected = ref_report(letters, ab, kind)
+            got = (report.offending_run_index, report.offending_exponent)
+            assert report.derivable == (expected is None), (kind, n, start)
+            assert got == (expected or (None, None)), (kind, n, start)
+            deep += expected is not None and 1 < expected[0] < last
+    assert deep > 30  # offenders past the second run and before the last
+
+
 def long_words(ab):
     """κ windows of 1,000, 70,000 and 140,000 letters, the last two longer
-    than `words._SLICE`, and one with its middle letter swapped; one with a
+    than 2^16, and one with its middle letter swapped; one with a
     run of 255, 256 or 300 letters spliced in, and such runs alone and
     between two letters; the empty word; seeded random words."""
     a, b = ab.a, ab.b
     kappa = kappa_prefix(ab, 140_777).letters
     windows = [kappa[777:777 + n] for n in (1_000, 70_000, 140_000)]
-    assert len(windows[1]) > words._SLICE
+    assert len(windows[1]) > 2**16
     mid = 35_000
     swapped = windows[1][:mid] + bytes([a + b - windows[1][mid]]) + windows[1][mid + 1:]
     runs = [bytes([c]) * n for n in (255, 256, 300) for c in (a, b)]

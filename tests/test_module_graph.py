@@ -2,10 +2,15 @@
 the loads on first use, through the package, keep to the same order."""
 
 import ast
+import importlib
+import re
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "smoothwords"
+README = PACKAGE.parents[1] / "README.md"
+# a private name in backquotes, alone or after the module that owns it
+PRIVATE_NAME = re.compile(r"`(?:(\w+)\.)?(_(?!_)\w*)`")
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 IMPORTS = (ast.Import, ast.ImportFrom)
 
@@ -106,3 +111,20 @@ def test_only_words_sets_record_fields():
                if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
                and isinstance(node.value, ast.Name) and node.value.id == "object"]
     assert writers == []
+
+
+def test_every_private_name_in_the_docs_exists():
+    """A private name that a module's text or the README puts in backquotes
+    is an attribute of a package module, of the one named before it if any,
+    so no doc names a helper that has gone."""
+    modules = {path.stem: importlib.import_module(f"smoothwords.{path.stem}")
+               for path in PACKAGE.glob("*.py") if path.stem != "__init__"}
+    named, stale = set(), []
+    for path in [*sorted(PACKAGE.glob("*.py")), README]:
+        for owner, name in PRIVATE_NAME.findall(path.read_text()):
+            homes = [modules.get(owner)] if owner else modules.values()
+            named.add((owner, name))
+            if not any(hasattr(module, name) for module in homes):
+                stale.append(f"{path.name}: `{owner + '.' if owner else ''}{name}`")
+    assert stale == []
+    assert len(named) > 20

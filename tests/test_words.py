@@ -9,7 +9,7 @@ from smoothwords import Alphabet, Parity, Word, kappa_prefix
 from smoothwords import words
 from smoothwords.errors import UsageError
 from smoothwords.generators import _STEP_RUNS
-from smoothwords.words import Run, _boundary_runs, _bytes_runs, _spell
+from smoothwords.words import Run, _boundary_runs, _spell
 from test_derivation import DIFFERENTIAL_ALPHABETS
 
 
@@ -215,7 +215,8 @@ def test_spell_matches_loop(first, second):
         exponents = bytes(rng.choice((first, second)) for _ in range(n))
         spelled = _spell(exponents, first, second)
         assert spelled == spell_by_loop(exponents, first, second)
-        assert bytes(_bytes_runs(spelled, first, second)) == exponents
+        runs = Word(Alphabet(*sorted((first, second))), spelled).runs
+        assert bytes(runs.exponents()) == exponents
 
 
 @pytest.mark.parametrize("first, second", [(1, 2), (5, 2), (254, 255)])
@@ -229,27 +230,22 @@ def test_spell_refuses_exponents_off_the_pair(first, second):
                 _spell(exponents, first, second)
 
 
-@pytest.mark.parametrize("a, b, slice_bytes", [
-    (1, 2, None), (2, 5, None), (1, 255, None),
-    # tiny pieces put a cut at every position of these short words
-    (1, 2, 1), (1, 2, 2), (1, 2, 3), (1, 2, 5)])
-def test_bytes_runs_matches_groupby(monkeypatch, a, b, slice_bytes):
-    if slice_bytes is not None:
-        monkeypatch.setattr(words, "_SLICE", slice_bytes)
+@pytest.mark.parametrize("a, b", [(1, 2), (2, 5), (1, 255), (100, 255)])
+def test_runs_match_groupby(a, b):
+    ab = Alphabet(a, b)
     for n in range(13):
         for letters in map(bytes, product((a, b), repeat=n)):
-            expected = [len(list(g)) for _, g in groupby(letters)]
-            assert list(_bytes_runs(letters, a, b)) == expected
+            expected = tuple((x, len(list(g))) for x, g in groupby(letters))
+            assert Word(ab, letters).runs.runs == expected
 
 
-def test_bytes_runs_of_a_word_longer_than_a_piece():
+def test_runs_of_a_long_word_with_long_runs():
     rng = random.Random(9)
     runs = [70_000 if i % 9_000 == 0 else rng.randint(1, 3) for i in range(40_000)]
     letters = b"".join(bytes([x]) * e for x, e in zip((1, 255) * 20_000, runs))
-    assert len(letters) > 4 * words._SLICE
-    assert list(_bytes_runs(letters, 1, 255)) == runs
-    one_run = bytes([7]) * (3 * words._SLICE)
-    assert list(_bytes_runs(one_run, 7, 9)) == [3 * words._SLICE]
+    assert Word(Alphabet(1, 255), letters).runs.exponents() == tuple(runs)
+    one_run = bytes([7]) * (3 * 2**16)
+    assert Word(Alphabet(7, 9), one_run).runs.runs == ((7, 3 * 2**16),)
 
 
 def boundary_runs_by_groupby(letters, a, b):
